@@ -288,7 +288,7 @@ def main(argv=None):
     except ClusterGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -41,15 +41,18 @@ DEFAULT_MAX_TERMS = 200_000
 
 
 def max_terms_limit(explicit=None):
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(MAX_TERMS_ENV)
-    if raw:
+    limit = explicit
+    if limit is None:
+        raw = os.environ.get(MAX_TERMS_ENV)
+        if not raw:
+            return DEFAULT_MAX_TERMS
         try:
-            return int(raw)
+            limit = int(raw)
         except ValueError:
             raise ValidationError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}")
-    return DEFAULT_MAX_TERMS
+    if limit < 1:
+        raise ValidationError(f"the term cap must be at least 1, got {limit}")
+    return limit
 
 
 @dataclass(frozen=True)
@@ -72,17 +75,16 @@ def root_node(seed):
 
 def exchange_polynomial(node, k):
     """prod_j vars_j^[eps_kj]_+  +  prod_j vars_j^[-eps_kj]_+ ."""
-    eps = node.seed.eps
-    n = node.seed.n
-    plus = LaurentPolynomial.one(n)
-    minus = LaurentPolynomial.one(n)
-    for j in range(n):
-        e = eps[k, j]
+    plus = minus = None
+    for v, e in zip(node.cluster_vars, node.seed.eps.row(k)):
         if e > 0:
-            plus = plus * node.cluster_vars[j] ** e
+            f = v ** e
+            plus = f if plus is None else plus * f
         elif e < 0:
-            minus = minus * node.cluster_vars[j] ** (-e)
-    return plus + minus
+            f = v ** -e
+            minus = f if minus is None else minus * f
+    one = LaurentPolynomial.one(node.seed.n)
+    return (one if plus is None else plus) + (one if minus is None else minus)
 
 
 def step(node, k, max_terms=None):
@@ -212,6 +214,8 @@ def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     if isinstance(root, Seed):
         root = root_node(root)
     limit = max_terms_limit(max_terms)

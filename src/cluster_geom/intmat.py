@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import ValidationError
+
 
 def _normalize_entry(x):
     if isinstance(x, bool):
@@ -29,13 +31,23 @@ class Matrix:
     def __init__(self, data):
         rows = tuple(tuple(_normalize_entry(x) for x in row) for row in data)
         if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
+            raise ValidationError("ragged matrix")
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
         object.__setattr__(self, "data", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def _trusted(cls, rows):
+        # trusted constructor: rows is a tuple of equal-length tuples whose
+        # entries are already normalized (ints, or non-integral Fractions)
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
+        object.__setattr__(self, "data", rows)
+        return self
 
     @staticmethod
     def identity(n):

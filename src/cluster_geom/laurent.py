@@ -11,13 +11,16 @@ ExponentOverflow rather than silently producing huge objects.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
+
+from .errors import ResourceLimitExceeded
 
 EXPONENT_LIMIT = 1 << 62
 
 
-class ExponentOverflow(ArithmeticError):
-    pass
+class ExponentOverflow(ResourceLimitExceeded, ArithmeticError):
+    """An exponent reached EXPONENT_LIMIT in magnitude."""
 
 
 def _check_exponents(exps):
@@ -30,8 +33,12 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _max_abs_exponent(terms):
+    return max(map(abs, chain.from_iterable(terms)), default=0)
+
+
 class LaurentPolynomial:
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "_terms", "_sorted")
 
     def __init__(self, nvars, terms=None):
         cleaned = {}
@@ -47,6 +54,7 @@ class LaurentPolynomial:
             cleaned[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", cleaned)
+        object.__setattr__(self, "_sorted", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -57,6 +65,7 @@ class LaurentPolynomial:
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_sorted", None)
         return self
 
     @classmethod
@@ -82,11 +91,18 @@ class LaurentPolynomial:
         return cls.monomial(tuple(1 if j == i else 0 for j in range(nvars)), 1)
 
     def terms(self):
-        """Terms as ((exponents, coefficient), ...) in descending canonical order."""
-        return tuple(
-            (e, self._terms[e])
-            for e in sorted(self._terms, key=_grlex_key, reverse=True)
-        )
+        """Terms as ((exponents, coefficient), ...) in descending canonical order.
+
+        Sorted once per polynomial and cached: the polynomial is immutable, and
+        node keys re-read the terms of every variable a node shares with its
+        parent.
+        """
+        cached = self._sorted
+        if cached is None:
+            t = self._terms
+            cached = tuple((e, t[e]) for e in sorted(t, key=_grlex_key, reverse=True))
+            object.__setattr__(self, "_sorted", cached)
+        return cached
 
     def items(self):
         return self._terms.items()
@@ -117,7 +133,7 @@ class LaurentPolynomial:
         return tuple(min(c) for c in cols)
 
     def max_abs_exponent(self):
-        return max((abs(e) for exps in self._terms for e in exps), default=0)
+        return _max_abs_exponent(self._terms)
 
     def max_total_degree(self):
         return max((sum(e) for e in self._terms), default=0)
@@ -168,9 +184,10 @@ class LaurentPolynomial:
                     out[e] = s
                 else:
                     del out[e]
-        if out:
-            _check_exponents(max(out, key=_grlex_key))
-            _check_exponents(min(out, key=_grlex_key))
+        # |exponent| of a product term is at most the sum of the factors' maxima
+        if _max_abs_exponent(a) + _max_abs_exponent(b) >= EXPONENT_LIMIT:
+            for e in out:
+                _check_exponents(e)
         return LaurentPolynomial._raw(self.nvars, out)
 
     __rmul__ = __mul__
@@ -178,15 +195,15 @@ class LaurentPolynomial:
     def __pow__(self, a):
         if not isinstance(a, int) or a < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        result = LaurentPolynomial.one(self.nvars)
+        result = None
         base = self
         while a:
             if a & 1:
-                result = result * base
+                result = base if result is None else result * base
             a >>= 1
             if a:
                 base = base * base
-        return result
+        return LaurentPolynomial.one(self.nvars) if result is None else result
 
     def shift(self, exps):
         """Multiply by the monomial z^exps."""

@@ -124,9 +124,11 @@ class Seed:
     """A basis of the fixed lattice, expressed in initial coordinates.
 
     Construction validates all structural invariants.  Seeds produced by
-    mutate_seed take a fast internal path instead: the mutation rule
-    provably preserves the invariants, and the acceptance suite checks the
-    equality of both epsilon routes on random seeds.
+    mutate_seed take a fast internal path instead: the new basis is the old
+    one after the column operation e_k -> -e_k, e_i -> e_i + [eps_ik]_+ e_k,
+    which provably preserves the invariants, and the exchange matrix comes
+    from the matrix-mutation rule.  The acceptance suite checks the equality
+    of both epsilon routes on random seeds.
     """
 
     __slots__ = ("fixed", "basis", "path", "eps", "_basis_inv")
@@ -276,9 +278,13 @@ def check_symmetrizable(eps, d):
     n = eps.rows
     if eps.cols != n or len(d) != n:
         raise ValidationError("exchange matrix must be square, with matching d")
-    for i in range(n):
-        for j in range(n):
-            if d[i] * eps[i, j] != -d[j] * eps[j, i]:
+    rows = eps.data
+    # the condition at (i, j) is the one at (j, i), so the first failure in
+    # row-major order always lies on or above the diagonal
+    for i, row in enumerate(rows):
+        di = d[i]
+        for j in range(i, n):
+            if di * row[j] != -d[j] * rows[j][i]:
                 raise ValidationError(
                     f"matrix is not d-skew-symmetrizable at ({i}, {j})"
                 )
@@ -288,46 +294,63 @@ def mutate_epsilon(eps, d, k):
     """Matrix mutation at index k (three-case rule).
 
     Entries of the frozen block may be rational; the rule is the same.
+    When row and column k are integral, every new entry is an int combined
+    with an already normalized entry, so the result skips normalization.
+    Rows with a zero k-th entry are shared with the input.
     """
     check_symmetrizable(eps, d)
     n = eps.rows
     if not 0 <= k < n:
         raise ValidationError(f"mutation index {k} out of range")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-eps[i, j])
-            elif eps[i, k] * eps[k, j] > 0:
-                row.append(eps[i, j] + abs(eps[i, k]) * eps[k, j])
-            else:
-                row.append(eps[i, j])
-        out.append(row)
-    return Matrix(out)
+    rk = eps.data[k]
+    rows = []
+    for i, row in enumerate(eps.data):
+        eik = row[k]
+        if i == k:
+            row = tuple(-x for x in row)
+        elif eik > 0:
+            row = [x + eik * y if y > 0 else x for x, y in zip(row, rk)]
+            row[k] = -eik
+            row = tuple(row)
+        elif eik < 0:
+            row = [x - eik * y if y < 0 else x for x, y in zip(row, rk)]
+            row[k] = -eik
+            row = tuple(row)
+        rows.append(row)
+    if all(x.__class__ is int for x in rk) and all(
+        row[k].__class__ is int for row in rows
+    ):
+        return Matrix._trusted(tuple(rows))
+    return Matrix(rows)
 
 
 def mutate_seed(seed, k):
     """Seed mutation: e_k -> -e_k, e_i -> e_i + [eps_ik]_+ e_k.
 
-    The mutated exchange matrix is produced by the two-line matrix rule;
-    it provably equals the recomputation from the new basis, and that
-    coherence is property-tested, so the result skips re-validation.
+    The basis changes by that elementary column operation, applied row by
+    row to the basis matrix, so a step costs O(n^2).  The mutated exchange
+    matrix is produced by the three-case matrix rule; it provably equals the
+    recomputation from the new basis, and that coherence is property-tested,
+    so the result skips re-validation.
     """
     if k in seed.fixed.frozen:
         raise ValidationError(f"cannot mutate at frozen index {k}")
     if not 0 <= k < seed.n:
         raise ValidationError(f"mutation index {k} out of range")
     eps = seed.eps
-    n = seed.n
-    j = [[int(a == b) for b in range(n)] for a in range(n)]
-    j[k][k] = -1
-    for i in range(n):
-        if i != k:
-            j[k][i] = pos_part(eps[i, k])
+    # column k of eps is integral because k is unfrozen
+    c = [pos_part(row[k]) for row in eps.data]
+    basis = []
+    for row in seed.basis.data:
+        b = row[k]
+        if b:
+            row = [x + ci * b for x, ci in zip(row, c)]
+            row[k] = -b
+            row = tuple(row)
+        basis.append(row)
     return Seed._trusted(
         seed.fixed,
-        seed.basis @ Matrix(j),
+        Matrix._trusted(tuple(basis)),
         seed.path + (k,),
         mutate_epsilon(eps, seed.fixed.d, k),
     )

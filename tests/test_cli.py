@@ -126,6 +126,48 @@ class TestExplore:
         )
         assert out.returncode == 3
 
+    def test_exponent_overflow_truncates(self, tmp_path):
+        path = tmp_path / "huge.json"
+        big = 1 << 62
+        path.write_text(json.dumps({"rank": 2, "skew": [[0, big], [-big, 0]]}))
+        out = run_cli("explore", str(path), "--depth", "2")
+        assert out.returncode == 3
+        assert json.loads(out.stdout)["truncated"] is True
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("option", [
+        ("--workers", "0"), ("--max-terms", "0"), ("--max-terms", "-1"),
+    ])
+    def test_nonpositive_options_rejected(self, a2_file, option):
+        out = run_cli("explore", a2_file, "--depth", "2", *option)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
+        assert out.stdout == ""
+
+    def test_nonpositive_env_cap_rejected(self, a2_file):
+        out = run_cli(
+            "explore", a2_file, "--depth", "2",
+            env={"CLUSTER_GEOM_MAX_TERMS": "-5"},
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
+
+
+class TestMalformedSeedFile:
+    def test_ragged_skew(self, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"rank": 2, "skew": [[0, 1], [-1]]}))
+        out = run_cli("explore", str(path), "--depth", "1")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
+        assert "Traceback" not in out.stderr
+
+    def test_directory_as_seed_file(self, tmp_path):
+        out = run_cli("picard", str(tmp_path))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
+        assert "Traceback" not in out.stderr
+
 
 class TestLaurentCheck:
     def test_a_side_pass(self, a2_file):

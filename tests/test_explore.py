@@ -1,9 +1,16 @@
 import pytest
 
-from cluster_geom.errors import PreconditionError, ResourceLimitExceeded
+from cluster_geom.errors import (
+    PreconditionError,
+    ResourceLimitExceeded,
+    ValidationError,
+)
 from cluster_geom.explore import (
+    MAX_TERMS_ENV,
     canonical_key,
+    exchange_polynomial,
     explore,
+    max_terms_limit,
     root_node,
     step,
     unlabeled_seed_key,
@@ -59,6 +66,28 @@ class TestStep:
                 n = step(n, 0, max_terms=5)
                 n = step(n, 1, max_terms=5)
                 n = step(n, 2, max_terms=5)
+
+
+class TestLimits:
+    def test_term_cap_must_be_positive(self, monkeypatch):
+        monkeypatch.delenv(MAX_TERMS_ENV, raising=False)
+        assert max_terms_limit(1) == 1
+        for bad in (0, -1):
+            with pytest.raises(ValidationError):
+                max_terms_limit(bad)
+        monkeypatch.setenv(MAX_TERMS_ENV, "0")
+        with pytest.raises(ValidationError):
+            max_terms_limit()
+        monkeypatch.setenv(MAX_TERMS_ENV, "7")
+        assert max_terms_limit() == 7
+
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValidationError):
+            explore(a2_root(), 1, workers=0)
+
+    def test_exchange_polynomial_without_negative_part(self):
+        # row 0 of A2 is (0, 1): the product over negative entries is empty
+        assert exchange_polynomial(a2_root(), 0) == LP(2, {(0, 1): 1, (0, 0): 1})
 
 
 class TestA2Periodicity:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cluster_geom.errors import ResourceLimitExceeded
 from cluster_geom.laurent import (
     ExponentOverflow,
     LaurentPolynomial,
@@ -69,6 +70,45 @@ class TestRingOps:
         big = 1 << 62
         with pytest.raises(ExponentOverflow):
             LP.monomial((big,))
+
+    def test_overflow_on_a_middle_product_term(self):
+        # (2h, -2h) is neither the graded-lex maximum nor the minimum of p*p
+        h = 1 << 61
+        p = lp(2, {(h, -h): 1, (2, 2): 1, (-2, -2): 1})
+        with pytest.raises(ExponentOverflow):
+            p * p
+
+    def test_overflow_is_a_resource_limit(self):
+        assert issubclass(ExponentOverflow, ResourceLimitExceeded)
+        assert issubclass(ExponentOverflow, ArithmeticError)
+
+    def test_products_below_the_bound_pass(self):
+        h = (1 << 61) - 1
+        p = lp(1, {(h,): 1, (-h,): 1})
+        assert p * p == lp(1, {(2 * h,): 1, (0,): 2, (-2 * h,): 1})
+
+    @given(small_polys)
+    @settings(max_examples=40, deadline=None)
+    def test_cached_terms_match_a_fresh_sort(self, p):
+        fresh = tuple(
+            (e, c) for e, c in sorted(
+                p.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True
+            )
+        )
+        assert p.terms() == fresh
+        assert p.terms() is p.terms()
+        q = p * p
+        assert q.terms() == tuple(sorted(
+            q.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True
+        ))
+
+    @given(small_polys, st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_power_is_repeated_product(self, p, a):
+        expected = LP.one(2)
+        for _ in range(a):
+            expected = expected * p
+        assert p ** a == expected
 
 
 class TestBinomialPower:

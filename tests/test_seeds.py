@@ -173,6 +173,10 @@ class TestMutateEpsilon:
         with pytest.raises(ValidationError):
             mutate_epsilon(Matrix([[0, 1], [1, 0]]), (1, 1), 0)
 
+    def test_rejects_nonzero_diagonal(self):
+        with pytest.raises(ValidationError, match=r"\(1, 1\)"):
+            check_symmetrizable(Matrix([[0, 1], [-1, 2]]), (1, 1))
+
     def test_symmetrizability_preserved(self):
         rng = random.Random(18)
         for _ in range(100):
@@ -222,6 +226,70 @@ class TestMutationInvariants:
                 pairing = int(s.pair_with_dual(ek, fi))
                 image = tuple(x - pairing * y for x, y in zip(fi, vk))
                 assert image == s.f_vector(i)
+
+
+def random_frozen_seed(rng, n):
+    """Random seed with general d, frozen indices and rational entries in the
+    frozen block of the skew form, moved off the root by a short random walk."""
+    from math import gcd
+    while True:
+        d = tuple(rng.choice([1, 1, 2, 3]) for _ in range(n))
+        if gcd(*d) == 1:
+            break
+    frozen = frozenset(rng.sample(range(n), rng.randint(1, n - 1)))
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i in frozen and j in frozen:
+                x = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 7]))
+            else:
+                x = Fraction(rng.randint(-2, 2), gcd(d[i], d[j]))
+            skew[i][j], skew[j][i] = x, -x
+    seed = Seed(FixedData(n, Matrix(skew), d, frozen), Matrix.identity(n))
+    unfrozen = seed.fixed.unfrozen
+    return mutate_along(seed, [rng.choice(unfrozen) for _ in range(rng.randint(0, 4))])
+
+
+def basis_by_product(seed, k):
+    """The mutated basis as the product B @ J with the elementary matrix J."""
+    n = seed.n
+    j = [[int(a == b) for b in range(n)] for a in range(n)]
+    j[k][k] = -1
+    for i in range(n):
+        if i != k:
+            j[k][i] = max(seed.eps[i, k], 0)
+    return seed.basis @ Matrix(j)
+
+
+def assert_normalized(m):
+    again = Matrix(m.to_lists())
+    for row, ref in zip(m.data, again.data):
+        for x, y in zip(row, ref):
+            assert type(x) is type(y) and x == y
+
+
+class TestColumnUpdateMutation:
+    def test_matches_matrix_product_route(self):
+        from cluster_geom.seeds import epsilon_from_basis
+        rng = random.Random(31)
+        saw_rational = False
+        for _ in range(120):
+            s = random_frozen_seed(rng, rng.randint(3, 6))
+            saw_rational = saw_rational or not s.eps.is_integral()
+            for k in s.fixed.unfrozen:
+                m = mutate_seed(s, k)
+                assert m.basis == basis_by_product(s, k)
+                assert m.eps == epsilon_from_basis(m)
+                assert_normalized(m.basis)
+                assert_normalized(m.eps)
+        assert saw_rational
+
+    def test_rational_pivot_row_is_normalized(self):
+        h = Fraction(1, 2)
+        eps = Matrix([[0, h, -h], [-h, 0, Fraction(1, 4)], [h, Fraction(-1, 4), 0]])
+        out = mutate_epsilon(eps, (1, 1, 1), 0)
+        assert out == Matrix([[0, -h, h], [h, 0, 0], [-h, 0, 0]])
+        assert_normalized(out)
 
 
 class TestTropical:

@@ -63,7 +63,6 @@ from .seeds import (
     fan_rays_A,
     fan_rays_X,
     is_coprime_seed,
-    line_bundle_class,
     mutate_along,
     mutate_epsilon,
     mutate_seed,

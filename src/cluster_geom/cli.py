@@ -3,9 +3,9 @@
 Subcommands: mutate, explore, laurent-check, picard, rank2.  All output is
 canonical (sorted keys, stable ordering) so repeated runs are byte-identical.
 
-Exit codes: 0 success; 2 invalid input or violated precondition; 3 resource
-truncation; 4 Laurent-phenomenon violation (which would indicate a bug, not
-new mathematics).
+Exit codes: 0 success; 2 invalid input or violated precondition; 3 a resource
+cap was hit (explore still reports its truncated graph); 4 Laurent-phenomenon
+violation (which would indicate a bug, not new mathematics).
 """
 
 from __future__ import annotations
@@ -15,7 +15,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import ClusterGeomError, LaurentViolation, ValidationError
+from .errors import (
+    ClusterGeomError,
+    LaurentViolation,
+    ResourceLimitExceeded,
+    ValidationError,
+)
 from .explore import explore, root_node, verify_laurent_A, verify_laurent_X
 from .intmat import Matrix
 from .rank2 import (
@@ -57,6 +62,20 @@ def _parse_entry(x):
     raise ValidationError(f"matrix entries must be integers or 'p/q' strings, got {x!r}")
 
 
+def _parse_matrix(rows, what):
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValidationError(f"'{what}' must be a list of rows")
+    return Matrix([[_parse_entry(x) for x in row] for row in rows])
+
+
+def _int_list(value, what):
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise ValidationError(f"'{what}' must be a list of integers")
+    return tuple(value)
+
+
 def _encode_entry(x):
     if isinstance(x, int):
         return x
@@ -68,11 +87,13 @@ def _encode_matrix(m):
 
 
 def load_rank2_block(block):
-    if "w" not in block:
+    if not isinstance(block, dict) or "w" not in block:
         raise ValidationError("rank-2 block needs a 'w' array")
-    w = [tuple(v) for v in block["w"]]
-    nu = tuple(block["nu"]) if "nu" in block else None
-    return Rank2Data(tuple(w), nu)
+    if not isinstance(block["w"], list):
+        raise ValidationError("'w' must be a list of integer pairs")
+    w = tuple(_int_list(v, "w") for v in block["w"])
+    nu = _int_list(block["nu"], "nu") if "nu" in block else None
+    return Rank2Data(w, nu)
 
 
 def load_seed_file(path):
@@ -80,7 +101,7 @@ def load_seed_file(path):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints
             raise ValidationError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ValidationError("seed file must be a JSON object")
@@ -92,12 +113,17 @@ def load_seed_file(path):
         if key not in doc:
             raise ValidationError(f"seed file is missing '{key}'")
     n = doc["rank"]
-    skew = Matrix([[_parse_entry(x) for x in row] for row in doc["skew"]])
-    d = tuple(doc.get("d", (1,) * n))
-    frozen = frozenset(doc.get("frozen", ()))
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValidationError("'rank' must be an integer")
+    skew = _parse_matrix(doc["skew"], "skew")
+    if skew.rows != n:
+        raise ValidationError(f"'skew' has {skew.rows} rows, expected rank {n}")
+    d = _int_list(doc["d"], "d") if "d" in doc else None
+    frozen = _int_list(doc.get("frozen", []), "frozen")
     fixed = FixedData(n, skew, d, frozen)
     basis = (
-        Matrix(doc["basis"]) if "basis" in doc else Matrix.identity(n)
+        _parse_matrix(doc["basis"], "basis") if "basis" in doc
+        else Matrix.identity(n)
     )
     return Seed(fixed, basis), None
 
@@ -249,7 +275,10 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--dedup", choices=("labeled", "unlabeled"), default="labeled")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; exploration always runs serially",
+    )
     p.add_argument("--max-terms", type=int, default=None)
     p.set_defaults(fn=cmd_explore)
 
@@ -285,6 +314,9 @@ def main(argv=None):
     except LaurentViolation as exc:
         print(f"laurent violation: {exc}", file=sys.stderr)
         return EXIT_LAURENT
+    except ResourceLimitExceeded as exc:  # before its base, ClusterGeomError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TRUNCATED
     except ClusterGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -12,12 +12,14 @@ Graph nodes are identified by (exchange matrix, cluster variables): mutation
 is involutive on that pair, while the underlying bases return from a double
 mutation only up to a linear shear.  The optional "unlabeled" mode also
 quotients by simultaneous relabelings of the unfrozen indices.
+
+Everything runs serially in one thread: the work is pure Python and holds
+the GIL, so threads cannot speed it up.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -129,39 +131,33 @@ def _relabelings(fixed):
         yield [mapping.get(i, i) for i in range(fixed.n)]
 
 
-def unlabeled_seed_key(seed):
-    """Canonical form of (basis, exchange matrix) under simultaneous
-    relabelings of the unfrozen indices."""
-    n = seed.n
+def _min_relabeling(fixed, eps_rows, labels):
+    """Least (exchange matrix, per-index labels) over the relabelings."""
     best = None
-    for order in _relabelings(seed.fixed):
-        basis = tuple(
-            tuple(seed.basis[i, order[j]] for i in range(n)) for j in range(n)
+    for order in _relabelings(fixed):
+        cand = (
+            tuple(tuple(eps_rows[a][b] for b in order) for a in order),
+            tuple(labels[a] for a in order),
         )
-        eps = tuple(
-            tuple(seed.eps[order[i], order[j]] for j in range(n)) for i in range(n)
-        )
-        cand = (basis, eps)
         if best is None or cand < best:
             best = cand
     return best
+
+
+def unlabeled_seed_key(seed):
+    """Canonical form of (exchange matrix, basis) under simultaneous
+    relabelings of the unfrozen indices."""
+    return _min_relabeling(seed.fixed, seed.eps.data, seed.basis.transpose().data)
 
 
 def _node_key(node, dedup):
     eps = node.seed.eps
+    terms = tuple(v.terms() for v in node.cluster_vars)
     if dedup == "labeled":
-        return (eps.data, tuple(v.terms() for v in node.cluster_vars))
+        return (eps.data, terms)
     if dedup != "unlabeled":
         raise ValidationError(f"unknown dedup policy {dedup!r}")
-    n = node.seed.n
-    best = None
-    for order in _relabelings(node.seed.fixed):
-        eps_p = tuple(tuple(eps[order[i], order[j]] for j in range(n)) for i in range(n))
-        vars_p = tuple(node.cluster_vars[order[i]].terms() for i in range(n))
-        cand = (eps_p, vars_p)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return _min_relabeling(node.seed.fixed, eps.data, terms)
 
 
 @dataclass(frozen=True)
@@ -207,10 +203,11 @@ class ExchangeGraph:
 def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
     """Breadth-first exploration of the exchange graph to the given depth.
 
-    Deterministic regardless of worker count: each frontier's expansions are
-    computed (possibly in a thread pool, in task order) and merged
-    sequentially in canonical order.  Hitting a resource cap marks the graph
-    truncated instead of failing.
+    Each frontier is expanded serially, node by node and index by index, and
+    every child is merged as soon as it is computed, so the result is
+    deterministic.  ``workers`` must be at least 1 and is otherwise ignored;
+    it is kept so that existing callers keep working.  Hitting a resource
+    cap marks the graph truncated instead of failing.
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
@@ -226,81 +223,77 @@ def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
     truncated = False
     frontier = [0]
     for _ in range(depth):
-        if not frontier:
-            break
-        tasks = [(nid, k) for nid in frontier for k in unfrozen]
-
-        def expand(task):
-            nid, k = task
-            try:
-                return nid, k, step(nodes[nid], k, max_terms=limit), None
-            except ResourceLimitExceeded as exc:
-                return nid, k, None, exc
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(expand, tasks))
-        else:
-            results = [expand(t) for t in tasks]
         next_frontier = []
-        for nid, k, child, exc in results:
-            if exc is not None:
-                truncated = True
-                continue
-            key = _node_key(child, dedup)
-            cid = ids.get(key)
-            if cid is None:
-                cid = len(nodes)
-                ids[key] = cid
-                nodes.append(child)
-                next_frontier.append(cid)
-            edges.append((nid, k, cid))
+        for nid in frontier:
+            for k in unfrozen:
+                try:
+                    child = step(nodes[nid], k, max_terms=limit)
+                except ResourceLimitExceeded:
+                    truncated = True
+                    continue
+                key = _node_key(child, dedup)
+                cid = ids.get(key)
+                if cid is None:
+                    cid = len(nodes)
+                    ids[key] = cid
+                    nodes.append(child)
+                    next_frontier.append(cid)
+                edges.append((nid, k, cid))
         frontier = next_frontier
     return ExchangeGraph(tuple(nodes), tuple(edges), depth, truncated)
 
 
 # -- depth-bounded Laurent verification ---------------------------------------
 
-def _verify_along_paths(seed, start, apply_step, depth, max_terms):
+def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     """Walk every non-backtracking label path, carrying the expression of the
-    starting function on the current seed torus; record Laurent-ness.
+    monomial z^q on the current seed torus; report Laurent-ness.
 
     Immediate label repeats are skipped: a double mutation changes the
     expression by an exact linear change of monomial basis, so Laurent-ness
-    and term counts are unaffected.
+    and term counts are unaffected.  Paths of full length are checked but
+    not extended, so their seeds are never mutated.
     """
     limit = max_terms_limit(max_terms)
-    labels = seed.fixed.unfrozen
-    stats = {"paths": 0, "max_terms": 1, "max_degree": 0}
+    labels = sorted(seed.fixed.unfrozen, reverse=True)
+    paths = 0
+    max_terms_seen = 1
+    max_degree = 0
     witnesses = []
-    stack = [(seed, start, ())]
+    stack = [(seed, RationalExpression.from_monomial(q), ())] if depth > 0 else []
     while stack:
         cur_seed, expr, path = stack.pop()
-        if len(path) >= depth:
-            continue
-        for k in sorted(labels, reverse=True):
+        extend = len(path) + 1 < depth
+        for k in labels:
             if path and k == path[-1]:
                 continue
             nxt = apply_step(cur_seed, k, expr)
-            nxt_seed = mutate_seed(cur_seed, k)
             as_poly = nxt.as_laurent()
-            stats["paths"] += 1
+            paths += 1
             if as_poly is None:
                 witnesses.append({
                     "path": list(path + (k,)),
                     "expression": nxt.to_str(),
                 })
             else:
-                stats["max_terms"] = max(stats["max_terms"], as_poly.n_terms())
-                stats["max_degree"] = max(
-                    stats["max_degree"], as_poly.max_abs_exponent()
-                )
+                max_terms_seen = max(max_terms_seen, as_poly.n_terms())
+                max_degree = max(max_degree, as_poly.max_abs_exponent())
                 if as_poly.n_terms() > limit:
                     raise ResourceLimitExceeded(
                         f"expression exceeds {limit} terms"
                     )
-            stack.append((nxt_seed, nxt, path + (k,)))
-    return stats, witnesses
+            if extend:
+                stack.append((mutate_seed(cur_seed, k), nxt, path + (k,)))
+    return {
+        "side": side,
+        "q": list(q),
+        "depth": depth,
+        "paths_checked": paths,
+        "laurent_ok": not witnesses,
+        "witnesses": witnesses,
+        "max_terms": max_terms_seen,
+        "max_degree": max_degree,
+    }
 
 
 def verify_laurent_A(seed, q, depth, max_terms=None):
@@ -315,20 +308,7 @@ def verify_laurent_A(seed, q, depth, max_terms=None):
             raise PreconditionError(
                 f"monomial pairs negatively with basis vector {i}"
             )
-    start = RationalExpression.from_monomial(q)
-    stats, witnesses = _verify_along_paths(
-        seed, start, inverse_pullback_A, depth, max_terms
-    )
-    return {
-        "side": "A",
-        "q": list(q),
-        "depth": depth,
-        "paths_checked": stats["paths"],
-        "laurent_ok": not witnesses,
-        "witnesses": witnesses,
-        "max_terms": stats["max_terms"],
-        "max_degree": stats["max_degree"],
-    }
+    return _verify_along_paths(seed, "A", q, inverse_pullback_A, depth, max_terms)
 
 
 def verify_laurent_X(seed, q, depth, max_terms=None):
@@ -336,23 +316,8 @@ def verify_laurent_X(seed, q, depth, max_terms=None):
     with every -v_i (z^q regular on the dual-side toric model)."""
     q = tuple(q)
     for i in seed.fixed.unfrozen:
-        v = seed.v_vector(i)
-        pairing = -seed.pair_with_dual(q, v)
-        if pairing < 0:
+        if seed.pair_with_dual(q, seed.v_vector(i)) > 0:
             raise PreconditionError(
                 f"monomial pairs negatively with ray -v_{i}"
             )
-    start = RationalExpression.from_monomial(q)
-    stats, witnesses = _verify_along_paths(
-        seed, start, inverse_pullback_X, depth, max_terms
-    )
-    return {
-        "side": "X",
-        "q": list(q),
-        "depth": depth,
-        "paths_checked": stats["paths"],
-        "laurent_ok": not witnesses,
-        "witnesses": witnesses,
-        "max_terms": stats["max_terms"],
-        "max_degree": stats["max_degree"],
-    }
+    return _verify_along_paths(seed, "X", q, inverse_pullback_X, depth, max_terms)

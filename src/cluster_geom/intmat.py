@@ -216,10 +216,6 @@ def divisibility_index(v):
     return vector_gcd(v)
 
 
-def is_primitive(v):
-    return divisibility_index(v) == 1
-
-
 class _SNFState:
     """Working state for Smith reduction: S = L @ A @ R with all four
     transforms tracked, so A = U @ S @ V for U = L^-1, V = R^-1."""

@@ -424,48 +424,6 @@ def symmetric_form(data, fan=None):
     return KGram(basis, _gram_for_vectors(data.w, basis, fan))
 
 
-def period_evaluation_vectors(data):
-    """Splitting-dependent raw data for evaluating period points on kernel
-    classes: for each index i, the kernel component of e_i written in the
-    canonical kernel basis.
-
-    The splitting of Z^n into the kernel and a complement is the one induced
-    by the Smith reduction of the kernel inclusion (deterministic).  Only
-    this lattice-level data is provided; summing a_i times the i-th vector
-    recovers the coordinates of a kernel element a, which is the identity
-    the analytic period evaluation rests on.
-    """
-    seed = build_seed(data)
-    basis = kernel_basis(seed.eps)
-    n = data.n
-    r = len(basis)
-    if r == 0:
-        return tuple(() for _ in range(n))
-    u, _, _ = smith_normal_form_cols([tuple(v) for v in basis], n)
-    u_inv = u.inverse()
-    # columns 0..r-1 of u span the kernel; express that block in the chosen
-    # kernel basis
-    transition = Matrix([[u[i, j] for j in range(r)] for i in range(n)])
-    coeffs = []
-    basis_mat = Matrix([list(v) for v in basis]).transpose()
-    to_basis = (basis_mat.transpose() @ basis_mat).inverse() @ basis_mat.transpose()
-    for i in range(n):
-        e_i = tuple(int(a == i) for a in range(n))
-        y = u_inv.matvec(e_i)
-        kernel_part = transition.matvec(y[:r])
-        coords = to_basis.matvec(kernel_part)
-        coeffs.append(tuple(_require_int(c) for c in coords))
-    return tuple(coeffs)
-
-
-def _require_int(x):
-    if isinstance(x, int):
-        return x
-    if x.denominator == 1:
-        return int(x)
-    raise ValidationError("kernel component has non-integral coordinates")
-
-
 def invariance_check(data, path, fan=None):
     """Recompute the kernel pairing from the data mutated along the path
     (new plane vectors, fresh fan completion, same kernel basis carried

@@ -30,7 +30,6 @@ from .intmat import (
     Matrix,
     cokernel_invariants,
     lattice_span_equal,
-    smith_normal_form,
     vector_gcd,
 )
 
@@ -472,36 +471,6 @@ def picard_invariants(seed):
     p = p_star_matrix(seed)
     _check_no_zero_row(seed.eps)
     return cokernel_invariants(p)
-
-
-@dataclass(frozen=True)
-class LineBundleClass:
-    """Coset of a dual vector in M° / p*(N), in Smith coordinates.
-
-    Two dual vectors give the same line-bundle class iff their coordinate
-    tuples agree; moduli[i] == 0 marks a free coordinate.
-    """
-
-    coordinates: tuple
-    moduli: tuple
-
-
-def line_bundle_class(seed, m_vec):
-    p = p_star_matrix(seed)
-    _check_no_zero_row(seed.eps)
-    u, s, _ = smith_normal_form(p)
-    c = u.inverse().matvec(m_vec)
-    coords = []
-    moduli = []
-    for i in range(p.rows):
-        di = s[i, i] if i < min(p.rows, p.cols) else 0
-        moduli.append(di)
-        coords.append(c[i] % di if di != 0 else c[i])
-    return LineBundleClass(tuple(coords), tuple(moduli))
-
-
-def picard_torsion_free(seed):
-    return all(f == 0 for f in picard_invariants(seed))
 
 
 # -- coprimality -------------------------------------------------------------

@@ -3,8 +3,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cluster_geom import cli
 
 CLI = [sys.executable, "-m", "cluster_geom"]
+A2_SKEW = [[0, 1], [-1, 0]]
 
 
 def run_cli(*args, env=None):
@@ -162,11 +167,82 @@ class TestMalformedSeedFile:
         assert out.stderr.startswith("error:")
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("doc", [
+        {"rank": 2, "skew": 5},
+        {"rank": 2, "skew": A2_SKEW, "d": 5},
+        {"rank": "2", "skew": A2_SKEW},
+        {"rank": 2, "skew": A2_SKEW, "frozen": 5},
+        {"rank": 2, "skew": A2_SKEW, "basis": [[1, "a"], [0, 1]]},
+        {"rank": 2, "skew": A2_SKEW, "basis": [[1, True], [0, 1]]},
+        {"w": 5},
+    ])
+    def test_wrong_types(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli("picard", str(path))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
+        assert "Traceback" not in out.stderr
+
     def test_directory_as_seed_file(self, tmp_path):
         out = run_cli("picard", str(tmp_path))
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
         assert "Traceback" not in out.stderr
+
+
+_small_or_huge = st.one_of(
+    st.integers(-3, 3), st.sampled_from([1 << 62, -(1 << 62), 1 << 200])
+)
+_junk = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), _small_or_huge,
+        st.sampled_from(["1/2", "-3", "a", "1/0", "1/2/3", ""]),
+    ),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+_FIELDS = ("rank", "skew", "d", "frozen", "basis", "w", "nu", "rank2")
+_PLANE = ([1, 0], [0, 1], [-1, -1], [1, 1], [-1, 0], [0, -1], [1, 2])
+
+
+@st.composite
+def _seed_docs(draw):
+    """A mostly valid seed document (skew form or plane data) with up to two
+    fields replaced by arbitrary JSON."""
+    if draw(st.booleans()):
+        w = draw(st.lists(st.sampled_from(_PLANE), min_size=2, max_size=5))
+        doc = {"w": w, "nu": [draw(st.integers(1, 2)) for _ in w]}
+    else:
+        n = draw(st.integers(1, 3))
+        skew = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                skew[i][j] = draw(_small_or_huge)
+                skew[j][i] = -skew[i][j]
+        shear = draw(_small_or_huge)
+        doc = {
+            "rank": n,
+            "skew": skew,
+            "d": [draw(st.integers(1, 2)) for _ in range(n)],
+            "frozen": draw(st.lists(st.integers(0, n - 1), max_size=1)),
+            "basis": [[int(i == j) + shear * (i < j) for j in range(n)]
+                      for i in range(n)],
+        }
+    for key in draw(st.lists(st.sampled_from(_FIELDS), max_size=2)):
+        doc[key] = draw(_junk)
+    return doc
+
+
+class TestFuzzSeedDocuments:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=st.one_of(_seed_docs(), _junk))
+    def test_documented_exit_codes(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "fuzz_seed.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["picard", str(path)],
+                     ["explore", str(path), "--depth", "1"]):
+            assert cli.main(argv) in (0, 2, 3, 4)
 
 
 class TestLaurentCheck:
@@ -190,6 +266,15 @@ class TestLaurentCheck:
         )
         assert out.returncode == 2
         assert "negatively" in out.stderr
+
+    def test_term_cap_exit_three(self, markov_file):
+        out = run_cli(
+            "laurent-check", markov_file, "--side", "A", "--q=1,0,0",
+            "--depth", "5", "--max-terms", "3",
+        )
+        assert out.returncode == 3
+        assert out.stderr.startswith("error:")
+        assert out.stdout == ""
 
     def test_x_side(self, a2_file):
         out = run_cli(

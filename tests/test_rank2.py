@@ -321,24 +321,6 @@ class TestInvariance:
             done += 1
 
 
-class TestPeriodEvaluationData:
-    def test_kernel_elements_recover_their_coordinates(self):
-        from cluster_geom.rank2 import period_evaluation_vectors
-        data = nine_ray_data()
-        vectors = period_evaluation_vectors(data)
-        form = symmetric_form(data)
-        for idx, kappa in enumerate(form.basis):
-            total = [0] * len(form.basis)
-            for a_i, comp in zip(kappa, vectors):
-                total = [t + a_i * c for t, c in zip(total, comp)]
-            expected = [int(i == idx) for i in range(len(form.basis))]
-            assert total == expected
-
-    def test_trivial_kernel(self):
-        from cluster_geom.rank2 import period_evaluation_vectors
-        assert period_evaluation_vectors(Rank2Data(((1, 0), (0, 1)))) == ((), ())
-
-
 class TestClassification:
     def test_inertia_oracle(self):
         # independent oracle: exact symmetric Gaussian reduction over Q

@@ -139,7 +139,13 @@ def seed_to_json(seed):
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2)
+    except ValueError:  # an int past Python's int-to-str digit limit
+        raise ResourceLimitExceeded(
+            "result holds an integer too large to print"
+        ) from None
+    sys.stdout.write(text + "\n")
 
 
 def _parse_int_list(text):

@@ -252,7 +252,10 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     Immediate label repeats are skipped: a double mutation changes the
     expression by an exact linear change of monomial basis, so Laurent-ness
     and term counts are unaffected.  Paths of full length are checked but
-    not extended, so their seeds are never mutated.
+    not extended, so their seeds are never mutated.  A path is extended with
+    the reduced Laurent polynomial when the division succeeded (the Laurent
+    form is unique, so the reports do not change) and with the unreduced
+    fraction otherwise.
     """
     limit = max_terms_limit(max_terms)
     labels = sorted(seed.fixed.unfrozen, reverse=True)
@@ -283,7 +286,8 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
                         f"expression exceeds {limit} terms"
                     )
             if extend:
-                stack.append((mutate_seed(cur_seed, k), nxt, path + (k,)))
+                carried = nxt if as_poly is None else as_poly
+                stack.append((mutate_seed(cur_seed, k), carried, path + (k,)))
     return {
         "side": side,
         "q": list(q),

@@ -5,14 +5,22 @@ term order used for serialization and leading-term selection is graded
 lexicographic, read descending: higher total degree first, ties broken by the
 lexicographically larger exponent tuple.
 
+Exact division works on its own representation: each exponent vector of the
+shifted operands is packed into one int (total degree in the top field, then
+the exponents), so that int order is graded-lex order, and the remainder is
+reduced through a max-heap of those ints (see exact_divide).
+
 Exponents are kept below 2**62 in magnitude; crossing that bound raises
 ExponentOverflow rather than silently producing huge objects.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import comb
+from math import comb, lcm
+from operator import add, mul
 
 from .errors import ResourceLimitExceeded
 
@@ -208,9 +216,12 @@ class LaurentPolynomial:
     def shift(self, exps):
         """Multiply by the monomial z^exps."""
         exps = tuple(exps)
-        out = {tuple(x + y for x, y in zip(e, exps)): c for e, c in self._terms.items()}
-        for e in out:
-            _check_exponents(e)
+        if not any(exps):
+            return self
+        out = {tuple(map(add, e, exps)): c for e, c in self._terms.items()}
+        if self.max_abs_exponent() + _max_abs_exponent((exps,)) >= EXPONENT_LIMIT:
+            for e in out:
+                _check_exponents(e)
         return LaurentPolynomial._raw(self.nvars, out)
 
     def substitute_linear(self, transform):
@@ -269,56 +280,98 @@ def binomial_power(v, a):
     if not isinstance(a, int) or a < 0:
         raise ValueError("binomial_power needs a nonnegative integer exponent")
     v = tuple(v)
-    n = len(v)
+    check = a * _max_abs_exponent((v,)) >= EXPONENT_LIMIT
     terms = {}
     for j in range(a + 1):
         e = tuple(j * x for x in v)
-        _check_exponents(e)
+        if check:
+            _check_exponents(e)
         terms[e] = terms.get(e, 0) + comb(a, j)
-    return LaurentPolynomial._raw(n, {e: c for e, c in terms.items() if c})
+    return LaurentPolynomial._raw(len(v), terms)
 
 
 def exact_divide(p, q):
     """The Laurent polynomial r with q * r = p, or None if none exists.
 
-    Both exponents are shifted so the divisor and dividend become ordinary
-    polynomials with componentwise-minimal exponent zero; single-divisor
-    reduction with the graded-lex leading term then either terminates with
-    zero remainder (success) or proves no quotient exists.
+    Both operands are shifted so that their componentwise-minimal exponent is
+    zero.  Single-divisor reduction by the divisor's graded-lex leading term
+    then either ends with a zero remainder (success) or meets a remainder lead
+    that the divisor's lead does not divide, which proves that no quotient
+    exists.
+
+    Every remainder term has nonnegative exponents and a total degree of at
+    most D, the largest total degree of the shifted dividend.  So each
+    exponent vector packs into one int: the total degree in the top field,
+    then e_0 ... e_{n-1}, every field wide enough for D plus one guard bit.
+    Int order is then graded-lex order, a monomial product is one int
+    addition, and the divisor's lead divides a term exactly when their
+    difference has no guard bit set.  The remainder is a dict plus a max-heap
+    of its keys with lazy deletion (Monagan and Pearce, "Sparse polynomial
+    division using a heap", J. Symb. Comp. 2011): each step takes the largest
+    live key, and every term it adds is smaller, so a processed key never
+    returns.  Only the quotient is unpacked.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
     if p.nvars != q.nvars:
         raise ValueError("variable count mismatch")
+    n = p.nvars
     if p.is_zero():
-        return LaurentPolynomial.zero(p.nvars)
+        return LaurentPolynomial.zero(n)
     sp = p.min_exponents()
     sq = q.min_exponents()
-    phat = {tuple(x - y for x, y in zip(e, sp)): c for e, c in p.items()}
-    qhat = {tuple(x - y for x, y in zip(e, sq)): c for e, c in q.items()}
-    qlead = max(qhat, key=_grlex_key)
-    qlc = qhat[qlead]
+    degree = p.max_total_degree() - sum(sp)
+    if q.max_total_degree() - sum(sq) > degree:
+        return None  # the divisor's lead cannot divide the dividend's
+    width = degree.bit_length() + 1
+    guard = 0
+    for _ in range(n + 1):
+        guard = (guard << width) | (1 << (width - 1))
+
+    def pack(terms, shift):
+        base = sum(shift)
+        out = {}
+        for e, c in terms:
+            key = sum(e) - base
+            for x, s in zip(e, shift):
+                key = (key << width) | (x - s)
+            out[key] = c
+        return out
+
+    rem = pack(p.items(), sp)
+    rest = pack(q.items(), sq)
+    qlead = max(rest)
+    qlc = rest.pop(qlead)
+    rest = tuple(rest.items())
+    heap = [-key for key in rem]
+    heapify(heap)
     quotient = {}
-    rem = dict(phat)
-    while rem:
-        e = max(rem, key=_grlex_key)
-        c = rem[e]
-        diff = tuple(x - y for x, y in zip(e, qlead))
-        if any(d < 0 for d in diff) or c % qlc != 0:
+    while heap:
+        e = -heappop(heap)
+        c = rem.pop(e, 0)
+        if not c:
+            continue  # cancelled after it was pushed
+        d = e - qlead
+        if d & guard or c % qlc:
             return None
         f = c // qlc
-        quotient[diff] = f
-        for eq, cq in qhat.items():
-            t = tuple(x + y for x, y in zip(diff, eq))
-            s = rem.get(t, 0) - f * cq
-            if s:
-                rem[t] = s
+        quotient[d] = f
+        for eq, cq in rest:
+            t = d + eq
+            s = rem.get(t)
+            if s is None:
+                rem[t] = -f * cq
+                heappush(heap, -t)
             else:
-                rem.pop(t, None)
-    shift_back = tuple(x - y for x, y in zip(sp, sq))
-    return LaurentPolynomial._raw(
-        p.nvars, {tuple(x + y for x, y in zip(e, shift_back)): c for e, c in quotient.items()}
-    )
+                s -= f * cq
+                if s:
+                    rem[t] = s
+                else:
+                    del rem[t]
+    field = (1 << width) - 1
+    shifts = range((n - 1) * width, -1, -width)
+    unpacked = {tuple((d >> s) & field for s in shifts): f for d, f in quotient.items()}
+    return LaurentPolynomial._raw(n, unpacked).shift(x - y for x, y in zip(sp, sq))
 
 
 class RationalExpression:
@@ -400,20 +453,39 @@ def monomial_twist(expr, v, g):
     """Apply z^m -> z^m (1 + z^v)^{g(m)} to a rational expression.
 
     Negative powers of the binomial are routed into the denominator; no
-    reduction is attempted.
+    reduction is attempted.  Each side is accumulated in one dict: a term
+    c z^m with twist exponent a adds c * comb(a, j) at m + j v for j = 0..a,
+    with the expansion of (1 + z^v)^a built once per distinct a.
     """
     expr = _as_expression(expr)
     v = tuple(v)
+    vmax = _max_abs_exponent((v,))
 
     def twist_poly(p):
         if p.is_zero():
             return p, 0
-        exps = {m: g(m) for m, _ in p.items()}
-        floor = max(0, max(-e for e in exps.values()))
-        out = LaurentPolynomial.zero(p.nvars)
-        for m, c in p.items():
-            out = out + binomial_power(v, exps[m] + floor).shift(m) * c
-        return out, floor
+        powers = [(m, c, g(m)) for m, c in p.items()]
+        floor = max(0, -min(a for _, _, a in powers))
+        top = max(a for _, _, a in powers) + floor
+        # |exponent| of an output term is at most max|m| + top * max|v|
+        check = p.max_abs_exponent() + top * vmax >= EXPONENT_LIMIT
+        expansions = {}
+        out = {}
+        for m, c, a in powers:
+            a += floor
+            expansion = expansions.get(a)
+            if expansion is None:
+                expansion = expansions[a] = binomial_power(v, a).items()
+            for jv, b in expansion:
+                e = tuple(map(add, m, jv))
+                if check:
+                    _check_exponents(e)
+                s = out.get(e, 0) + c * b
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return LaurentPolynomial._raw(p.nvars, out), floor
 
     num, fn = twist_poly(expr.num)
     den, fd = twist_poly(expr.den)
@@ -424,20 +496,28 @@ def monomial_twist(expr, v, g):
     return RationalExpression(num, den)
 
 
+def _integral_form(weights, message):
+    """m -> sum_a weights[a] * m[a] for rational weights, evaluated as one
+    integer dot product over their common denominator; a value that is not
+    an integer raises ValueError(message)."""
+    den = lcm(*(w.denominator for w in weights))
+    ints = tuple(int(w * den) for w in weights)
+
+    def value(m):
+        num = sum(map(mul, ints, m))
+        if num % den:
+            raise ValueError(message)
+        return num // den
+
+    return value
+
+
 def _a_side_exponent(seed, k):
+    """m -> <d_k e_k, m>."""
     dk = seed.fixed.d[k]
-    ek = seed.e_vector(k)
-    scaled = tuple(dk * x for x in ek)
-
-    def a_of(m):
-        val = seed.pair_with_dual(scaled, m)
-        if val.__class__ is not int:
-            if val.denominator != 1:
-                raise ValueError("pairing <d_k e_k, m> is not integral")
-            val = int(val)
-        return val
-
-    return a_of
+    d = seed.fixed.d
+    weights = [Fraction(dk * x, d[a]) for a, x in enumerate(seed.e_vector(k))]
+    return _integral_form(weights, "pairing <d_k e_k, m> is not integral")
 
 
 def pullback_A(seed, k, expr):
@@ -462,18 +542,14 @@ def inverse_pullback_A(seed, k, expr):
 
 
 def _x_side_exponent(seed, k):
+    """n -> d_k [n, e_k]."""
     dk = seed.fixed.d[k]
     ek = seed.e_vector(k)
-
-    def a_of(n):
-        val = seed.skew_pair(n, ek) * dk
-        if val.__class__ is not int:
-            if val.denominator != 1:
-                raise ValueError("bracket [n, e_k] is not integral")
-            val = int(val)
-        return val
-
-    return a_of
+    skew = seed.fixed.skew
+    weights = [
+        dk * sum(skew[a, b] * x for b, x in enumerate(ek)) for a in range(seed.n)
+    ]
+    return _integral_form(weights, "bracket [n, e_k] is not integral")
 
 
 def pullback_X(seed, k, expr):

@@ -89,6 +89,22 @@ class TestMutate:
         assert out.returncode == 2
         assert "frozen" in out.stderr
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int-to-str digit limit")
+    def test_result_past_the_int_digit_limit_exits_three(self, tmp_path):
+        # each entry loads (3001 digits), but mutation squares them, and
+        # Python refuses to print ints of more than 4300 digits
+        b = 10 ** 3000
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "rank": 3, "skew": [[0, b, -b], [-b, 0, b], [b, -b, 0]],
+        }))
+        out = run_cli("mutate", str(path), "--path", "0,1")
+        assert out.returncode == 3
+        assert out.stderr.startswith("error:")
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
     def test_roundtrip_canonical(self, a2_file, tmp_path):
         out1 = run_cli("mutate", a2_file, "--path", "0")
         seed_doc = json.loads(out1.stdout)["seed"]
@@ -275,6 +291,33 @@ class TestLaurentCheck:
         assert out.returncode == 3
         assert out.stderr.startswith("error:")
         assert out.stdout == ""
+
+    def test_violation_exit_four(self, a2_file, monkeypatch, capsys):
+        from importlib import import_module
+
+        from cluster_geom.laurent import LaurentPolynomial, RationalExpression
+
+        explore = import_module("cluster_geom.explore")  # not the function
+        real = explore.inverse_pullback_A
+
+        def broken(seed, k, expr):
+            if seed.path == (0,):  # every child of path [0] is non-Laurent
+                one = LaurentPolynomial.one(2)
+                return RationalExpression(one, one + LaurentPolynomial.variable(2, 0))
+            return real(seed, k, expr)
+
+        monkeypatch.setattr(explore, "inverse_pullback_A", broken)
+        code = cli.main(
+            ["laurent-check", a2_file, "--side", "A", "--q", "1,0", "--depth", "3"]
+        )
+        assert code == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["laurent_ok"] is False
+        # the non-Laurent fraction is carried on unreduced and twisted again
+        assert doc["witnesses"] == [
+            {"path": [0, 1], "expression": "(1) / (x1 + 1)"},
+            {"path": [0, 1, 0], "expression": "(1 + x2^-1) / (x1 + 1 + x2^-1)"},
+        ]
 
     def test_x_side(self, a2_file):
         out = run_cli(

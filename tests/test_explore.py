@@ -7,6 +7,7 @@ from cluster_geom.errors import (
 )
 from cluster_geom.explore import (
     MAX_TERMS_ENV,
+    _verify_along_paths,
     canonical_key,
     exchange_polynomial,
     explore,
@@ -17,7 +18,11 @@ from cluster_geom.explore import (
     verify_laurent_A,
     verify_laurent_X,
 )
-from cluster_geom.laurent import LaurentPolynomial
+from cluster_geom.laurent import (
+    LaurentPolynomial,
+    RationalExpression,
+    inverse_pullback_A,
+)
 from cluster_geom.rank2 import build_seed, nine_ray_data
 from cluster_geom.seeds import seed_from_epsilon
 
@@ -25,6 +30,8 @@ LP = LaurentPolynomial
 
 A2 = [[0, 1], [-1, 0]]
 MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
+CYCLE4 = [[0, 2, 0, -2], [-2, 0, 2, 0], [0, -2, 0, 2], [2, 0, -2, 0]]
+D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 
 
 def a2_root():
@@ -267,3 +274,47 @@ class TestVerifyLaurent:
         assert rep["laurent_ok"]
         with pytest.raises(PreconditionError):
             verify_laurent_X(seed, (1, 0, 0, 0, 0, 0, 0, 0, 0), 2)
+
+    @pytest.mark.parametrize("eps, side, q, depth, expected", [
+        (MARKOV, "A", (1, 0, 0), 5, (93, 65, 68)),
+        (CYCLE4, "A", (0, 0, 0, 1), 4, (160, 308, 660)),
+        (D4, "X", (0, 0, -1, -1), 5, (484, 63, 6)),
+    ])
+    def test_pinned_reports(self, eps, side, q, depth, expected):
+        verify = verify_laurent_A if side == "A" else verify_laurent_X
+        rep = verify(seed_from_epsilon(eps), q, depth)
+        assert rep["laurent_ok"] and rep["witnesses"] == []
+        assert (rep["paths_checked"], rep["max_terms"], rep["max_degree"]) == expected
+
+
+class TestWitnesses:
+    def test_non_laurent_child_is_reported_and_carried_unreduced(self):
+        seed = seed_from_epsilon(A2)
+        bad = RationalExpression(LP.one(2), LP(2, {(0, 0): 1, (1, 0): 1}))
+        seen, results = [], {}
+
+        def apply_step(cur_seed, k, expr):
+            seen.append((cur_seed.path, expr))
+            if cur_seed.path == () and k == 1:
+                out = bad
+            else:
+                out = inverse_pullback_A(cur_seed, k, expr)
+            results[cur_seed.path + (k,)] = out
+            return out
+
+        rep = _verify_along_paths(seed, "A", (1, 0), apply_step, 3, None)
+        assert rep["laurent_ok"] is False
+        assert rep["paths_checked"] == 6
+        assert rep["witnesses"][0] == {"path": [1], "expression": bad.to_str()}
+        assert all(w["path"][0] == 1 for w in rep["witnesses"])
+        assert {path for path, _ in seen} == {(), (0,), (1,), (0, 1), (1, 0)}
+        for path, expr in seen:
+            if not path:
+                continue
+            reduced = results[path].as_laurent()
+            if reduced is None:  # a witness: its fraction goes on unreduced
+                assert expr is results[path]
+                assert list(path) in [w["path"] for w in rep["witnesses"]]
+            else:
+                assert isinstance(expr, LaurentPolynomial) and expr == reduced
+        assert dict(seen)[(1,)] is bad

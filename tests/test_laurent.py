@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cluster_geom.errors import ResourceLimitExceeded
 from cluster_geom.laurent import (
+    EXPONENT_LIMIT,
     ExponentOverflow,
     LaurentPolynomial,
     RationalExpression,
@@ -128,7 +129,88 @@ class TestBinomialPower:
             binomial_power((1,), -1)
 
 
+def _max_scan_divide(p, q):
+    """Single-divisor reduction that rescans the whole remainder for its
+    graded-lex maximum at every step: the route exact_divide took before it
+    packed keys into a heap, kept here as a differential oracle."""
+    if p.is_zero():
+        return LP.zero(p.nvars)
+    sp, sq = p.min_exponents(), q.min_exponents()
+    phat = {tuple(x - y for x, y in zip(e, sp)): c for e, c in p.items()}
+    qhat = {tuple(x - y for x, y in zip(e, sq)): c for e, c in q.items()}
+    grlex = lambda e: (sum(e), e)
+    qlead = max(qhat, key=grlex)
+    qlc = qhat[qlead]
+    quotient, rem = {}, dict(phat)
+    while rem:
+        e = max(rem, key=grlex)
+        c = rem[e]
+        diff = tuple(x - y for x, y in zip(e, qlead))
+        if any(d < 0 for d in diff) or c % qlc != 0:
+            return None
+        f = c // qlc
+        quotient[diff] = f
+        for eq, cq in qhat.items():
+            t = tuple(x + y for x, y in zip(diff, eq))
+            s = rem.get(t, 0) - f * cq
+            if s:
+                rem[t] = s
+            else:
+                rem.pop(t, None)
+    back = tuple(x - y for x, y in zip(sp, sq))
+    return LP(p.nvars, {tuple(x + y for x, y in zip(e, back)): c
+                        for e, c in quotient.items()})
+
+
+@st.composite
+def _division_operands(draw):
+    """(p, q, r) in 1-5 variables: exponents clustered on a few multiples of
+    a unit of 1 or 2**38 (so terms collide and cancel) or anywhere in
+    [-2**40, 2**40], coefficients up to 2**100."""
+    n = draw(st.integers(1, 5))
+    unit = draw(st.sampled_from([1, 1 << 38]))
+    exps = st.one_of(
+        st.builds(lambda a, b: a * unit + b, st.integers(-3, 3), st.integers(-2, 2)),
+        st.integers(-(1 << 40), 1 << 40),
+    )
+    coeffs = st.one_of(
+        st.integers(-9, 9), st.integers(-(1 << 100), 1 << 100)
+    ).filter(bool)
+
+    def poly(size):
+        keys = st.tuples(*[exps] * n)
+        return lp(n, draw(st.dictionaries(keys, coeffs, max_size=size)))
+
+    return poly(4), poly(4), poly(3)
+
+
 class TestExactDivide:
+    @given(_division_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_max_scan_reduction(self, operands):
+        p, q, r = operands
+        if q.is_zero():
+            return
+        assert exact_divide(p * q, q) == p
+        for num in (p * q, p * q + r, p):
+            assert exact_divide(num, q) == _max_scan_divide(num, q)
+
+    def test_divisor_lead_exceeds_a_component(self):
+        # x^2 / (1 + y^2): the divisor's lead y^2 has the dividend's total
+        # degree but a larger y exponent, so the guard bit of y fires
+        p = lp(2, {(2, 0): 1})
+        q = lp(2, {(0, 0): 1, (0, 2): 1})
+        assert exact_divide(p, q) is None
+        assert _max_scan_divide(p, q) is None
+        # (x1 x2 x3 - x2^3) / (x1 x2 - x1 x3): the lead x1 x2 does not
+        # divide x2^3, though the packed difference is positive; a sign test
+        # in place of the guard bits accepts it and reduces to a bogus
+        # quotient, since the divisor is homogeneous
+        p = lp(3, {(1, 1, 1): 1, (0, 3, 0): -1})
+        q = lp(3, {(1, 1, 0): 1, (1, 0, 1): -1})
+        assert exact_divide(p, q) is None
+        assert _max_scan_divide(p, q) is None
+
     def test_square_by_factor(self):
         b = lp(1, {(0,): 1, (1,): 1})
         assert exact_divide(b * b, b) == b
@@ -193,6 +275,44 @@ class TestMonomialTwist:
             t2 = monomial_twist(LP.monomial(m2), v, g)
             t12 = monomial_twist(LP.monomial(m1) * LP.monomial(m2), v, g)
             assert t12.equals(t1 * t2)
+
+    def test_exponent_overflow(self):
+        h = 1 << 61
+        with pytest.raises(ExponentOverflow):
+            monomial_twist(LP.one(2), (h, 0), lambda m: 2)
+        # (1 + z^v)^1 stays in range, but its shift by m = (h, 0) does not
+        with pytest.raises(ExponentOverflow):
+            monomial_twist(LP.monomial((h, 0)), (h, 0), lambda m: 1)
+        # a denominator twist is guarded too
+        frac = RationalExpression(LP.one(1), LP.monomial((-h,)))
+        with pytest.raises(ExponentOverflow):
+            monomial_twist(frac, (-h,), lambda m: 1)
+
+    def test_exponents_just_below_the_bound_pass(self):
+        h = 1 << 61
+        out = monomial_twist(LP.monomial((h,)), (h - 1,), lambda m: m[0] // h)
+        assert out.num == lp(1, {(h,): 1, (EXPONENT_LIMIT - 1,): 1})
+        assert out.den.is_one()
+
+    def test_matches_the_term_by_term_expansion(self):
+        rng = random.Random(11)
+        v = (2, -1, 0)
+        g = lambda m: m[0] - m[2]
+        for _ in range(20):
+            terms = {
+                tuple(rng.randint(-3, 3) for _ in range(3)): rng.randint(-5, 5)
+                for _ in range(rng.randint(1, 5))
+            }
+            p = lp(3, terms)
+            if p.is_zero():
+                continue
+            floor = max(0, max(-g(m) for m, _ in p.items()))
+            expected = LP.zero(3)
+            for m, c in p.items():
+                expected = expected + binomial_power(v, g(m) + floor).shift(m) * c
+            out = monomial_twist(p, v, g)
+            assert out.num == expected
+            assert out.den == binomial_power(v, floor)
 
     def test_zero_exponent_fixed(self):
         p = LP.monomial((2, 0))

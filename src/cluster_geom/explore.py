@@ -257,6 +257,8 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     form is unique, so the reports do not change) and with the unreduced
     fraction otherwise.
     """
+    if depth < 0:
+        raise ValidationError("depth must be nonnegative")
     limit = max_terms_limit(max_terms)
     labels = sorted(seed.fixed.unfrozen, reverse=True)
     paths = 0

@@ -280,14 +280,11 @@ class _SNFState:
         return best
 
 
-def smith_normal_form(a):
-    """Smith normal form with transforms.
-
-    Returns (U, S, V) with A = U @ S @ V, U and V unimodular, and S diagonal
-    with nonnegative entries d_1 | d_2 | ... .  The reduction picks the
+def _smith_reduce(a):
+    """The final _SNFState of the Smith reduction of A, from which callers
+    read S, U, V, U^-1 (ui) and V^-1 (vi).  The reduction picks the
     smallest-magnitude pivot (ties broken by position), which makes the
-    output deterministic.
-    """
+    output deterministic."""
     if not a.is_integral():
         raise TypeError("Smith normal form needs an integer matrix")
     st = _SNFState(a)
@@ -341,6 +338,15 @@ def smith_normal_form(a):
         if st.s[t][t] < 0:
             st.row_negate(t)
         t += 1
+    return st
+
+
+def smith_normal_form(a):
+    """Smith normal form with transforms.
+
+    Returns (U, S, V) with A = U @ S @ V, U and V unimodular, and S diagonal
+    with nonnegative entries d_1 | d_2 | ... ."""
+    st = _smith_reduce(a)
     return Matrix(st.u), Matrix(st.s), Matrix(st.v)
 
 
@@ -403,10 +409,9 @@ def kernel_basis(a):
     normalized (Hermite form, deterministic)."""
     if not a.is_integral():
         raise TypeError("kernel basis needs an integer matrix")
-    _, s, v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(a.rows, a.cols)) if s[i, i] != 0)
-    vi = v.inverse()
-    raw = [vi.column(j) for j in range(rank, a.cols)]
+    st = _smith_reduce(a)
+    rank = sum(1 for i in range(min(a.rows, a.cols)) if st.s[i][i] != 0)
+    raw = [tuple(row[j] for row in st.vi) for j in range(rank, a.cols)]
     return hermite_row_basis(raw, a.cols)
 
 
@@ -418,11 +423,11 @@ def solve_integer(a, b):
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    u, s, v = smith_normal_form(a)
-    c = u.inverse().matvec(b)
+    st = _smith_reduce(a)
+    c = [sum(p * q for p, q in zip(row, b)) for row in st.ui]
     y = [0] * a.cols
     for i in range(a.rows):
-        d = s[i, i] if i < min(a.rows, a.cols) else 0
+        d = st.s[i][i] if i < min(a.rows, a.cols) else 0
         if d == 0:
             if c[i] != 0:
                 return None
@@ -430,7 +435,7 @@ def solve_integer(a, b):
             if c[i] % d != 0:
                 return None
             y[i] = c[i] // d
-    return v.inverse().matvec(y)
+    return tuple(sum(p * q for p, q in zip(row, y)) for row in st.vi)
 
 
 def lattice_span_equal(vectors_a, vectors_b, width):

@@ -21,7 +21,9 @@ from functools import cmp_to_key
 from math import gcd
 
 from .errors import PreconditionError, UnsupportedError, ValidationError
-from .intmat import Matrix, kernel_basis, smith_diagonal, solve_integer, vector_gcd
+from .intmat import (
+    Matrix, kernel_basis, smith_diagonal, smith_normal_form, solve_integer, vector_gcd,
+)
 from .seeds import FixedData, mutate_along, root_seed
 
 
@@ -103,7 +105,7 @@ def seed_to_rank2(seed):
     kernel_initial = [seed.basis.matvec(a) for a in kernel_basis(eps)]
     r = len(kernel_initial)
     if r:
-        u, _, _ = smith_normal_form_cols(kernel_initial, n)
+        u, _, _ = smith_normal_form(Matrix(kernel_initial).transpose())
     else:
         u = Matrix.identity(n)
     u_inv = u.inverse()
@@ -129,14 +131,6 @@ def seed_to_rank2(seed):
             )
         ws.append(wi)
     return Rank2Data(tuple(ws))
-
-
-def smith_normal_form_cols(columns, height):
-    """Smith form of the matrix with the given columns; returns (U, S, V)."""
-    from .intmat import smith_normal_form
-
-    m = Matrix([[col[i] for col in columns] for i in range(height)])
-    return smith_normal_form(m)
 
 
 # -- fans --------------------------------------------------------------------
@@ -363,15 +357,8 @@ def k_to_dperp(data, a, fan=None):
     )):
         raise PreconditionError("vector is not in the kernel of the skew form")
     surface, ray_index = _surface_for(data, fan)
-    r = surface.fan.size
-    c = [0] * r
-    for ai, j in zip(a, ray_index):
-        c[j] += ai
-    x = solve_integer(surface.q, tuple(c))
-    if x is None:
-        raise ValidationError("no integral toric class matches the kernel element")
-    cls = DivisorClass(tuple(x), tuple(-ai for ai in a))
-    for j in range(r):
+    (cls,) = _kernel_classes(surface, ray_index, [a])
+    for j in range(surface.fan.size):
         if surface.intersect(cls, surface.boundary_component_class(j)) != 0:
             raise ValidationError("class is not orthogonal to the boundary")
     return cls, surface
@@ -386,30 +373,26 @@ class KGram:
     gram: Matrix
 
 
-def _gram_for_vectors(ws, kernel_vectors, fan=None):
-    data_like = Rank2Data(tuple(ws))
-    surface, ray_index = _surface_for(data_like, fan)
-    r = surface.fan.size
-    cs = []
-    xs = []
+def _kernel_classes(surface, ray_index, kernel_vectors):
+    """The class of each kernel element a on the surface: the toric class x
+    with Q x = c, where c_j is the total of a over the centers on ray j,
+    minus a_i times the i-th exceptional curve."""
+    out = []
     for a in kernel_vectors:
-        c = [0] * r
+        c = [0] * surface.fan.size
         for ai, j in zip(a, ray_index):
             c[j] += ai
         x = solve_integer(surface.q, tuple(c))
         if x is None:
             raise ValidationError("no integral toric class matches a kernel element")
-        cs.append(tuple(c))
-        xs.append(tuple(x))
-    size = len(kernel_vectors)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            toric = sum(p * q for p, q in zip(xs[i], cs[j]))
-            row.append(toric - sum(p * q for p, q in zip(kernel_vectors[i], kernel_vectors[j])))
-        rows.append(row)
-    gram = Matrix(rows)
+        out.append(DivisorClass(tuple(x), tuple(-ai for ai in a)))
+    return out
+
+
+def _gram_for_vectors(ws, kernel_vectors, fan=None):
+    surface, ray_index = _surface_for(Rank2Data(tuple(ws)), fan)
+    classes = _kernel_classes(surface, ray_index, kernel_vectors)
+    gram = Matrix([[surface.intersect(x, y) for y in classes] for x in classes])
     if gram.transpose() != gram:
         raise ValidationError("kernel pairing failed to be symmetric")
     return gram
@@ -497,9 +480,13 @@ def classify_definiteness(gram):
     indefinite.  Any form with a positive direction is reported indefinite;
     forms arising from boundary-orthogonal classes never come out positive
     definite."""
-    if gram.rows == 0:
+    return _definiteness(inertia(gram))
+
+
+def _definiteness(signature):
+    pos, neg, zero = signature
+    if pos + neg + zero == 0:
         return "zero_rank"
-    pos, neg, zero = inertia(gram)
     if pos > 0:
         return "indefinite"
     if zero > 0:
@@ -513,12 +500,12 @@ def fg_failure_flag(data):
     It requires the generic fibre of the dual-side family to be affine,
     which happens exactly when the kernel pairing is negative definite (or
     the kernel is trivial)."""
-    form = symmetric_form(data)
-    cls = classify_definiteness(form.gram)
+    signature = inertia(symmetric_form(data).gram)
+    cls = _definiteness(signature)
     possible = cls in ("negative_definite", "zero_rank")
     return {
         "form_classification": cls,
-        "inertia": list(inertia(form.gram)) if form.gram.rows else [0, 0, 0],
+        "inertia": list(signature),
         "fg_conjecture_possible": possible,
         "rationale": (
             "the dual-basis conjecture needs an affine generic fibre, which "

@@ -165,6 +165,23 @@ class TestExplore:
         assert out.stderr.startswith("error:")
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("command", [
+        ("explore",), ("laurent-check", "--side", "A", "--q", "1,0"),
+        ("laurent-check", "--side", "X", "--q", "1,0"),
+    ])
+    def test_negative_depth_rejected(self, a2_file, command):
+        out = run_cli(command[0], a2_file, *command[1:], "--depth", "-1")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
+        assert out.stdout == ""
+
+    def test_laurent_check_depth_zero_accepted(self, a2_file):
+        out = run_cli(
+            "laurent-check", a2_file, "--side", "A", "--q", "1,0", "--depth", "0"
+        )
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["paths_checked"] == 0
+
     def test_nonpositive_env_cap_rejected(self, a2_file):
         out = run_cli(
             "explore", a2_file, "--depth", "2",

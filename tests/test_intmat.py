@@ -17,6 +17,7 @@ from cluster_geom.intmat import (
     smith_normal_form,
     solve_integer,
 )
+from cluster_geom.rank2 import nine_ray_data, symmetric_form
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +181,84 @@ class TestSolveInteger:
             assert a.matvec(x) == b
         # and unsolvable right-hand sides are detected
         assert solve_integer(Matrix([[2, 0], [0, 2]]), (1, 2)) is None
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the route solve_integer and kernel_basis took before
+# they read U^-1 and V^-1 from the Smith reduction, inverting U and V by
+# Gauss-Jordan elimination over Q instead.
+# ---------------------------------------------------------------------------
+
+def _inverse_route_solve(a, b):
+    u, s, v = smith_normal_form(a)
+    c = u.inverse().matvec(b)
+    y = [0] * a.cols
+    for i in range(a.rows):
+        d = s[i, i] if i < min(a.rows, a.cols) else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d != 0:
+                return None
+            y[i] = c[i] // d
+    return v.inverse().matvec(y)
+
+
+def _inverse_route_kernel(a):
+    _, s, v = smith_normal_form(a)
+    rank = sum(1 for i in range(min(a.rows, a.cols)) if s[i, i] != 0)
+    vi = v.inverse()
+    return hermite_row_basis([vi.column(j) for j in range(rank, a.cols)], a.cols)
+
+
+def _rank_deficient(rng, n, rank):
+    left = random_matrix(rng, n, rank, -3, 3)
+    right = random_matrix(rng, rank, n, -3, 3)
+    return left @ right
+
+
+class TestTransformsFromReduction:
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (2, 3), (3, 2), (4, 4)])
+    def test_random_shapes_match_inverse_route(self, shape):
+        rng = random.Random(5150 + shape[0] * 10 + shape[1])
+        for _ in range(40):
+            a = random_matrix(rng, *shape)
+            self._check(rng, a)
+
+    def test_zero_matrices_match_inverse_route(self):
+        rng = random.Random(17)
+        for shape in [(1, 1), (1, 5), (5, 1), (3, 3), (2, 4)]:
+            self._check(rng, Matrix.zeros(*shape))
+
+    def test_rank_deficient_4x4_matches_inverse_route(self):
+        rng = random.Random(23)
+        for rank in (1, 2, 3):
+            for _ in range(20):
+                a = _rank_deficient(rng, 4, rank)
+                assert a.rank() <= rank
+                self._check(rng, a)
+
+    @staticmethod
+    def _check(rng, a):
+        assert kernel_basis(a) == _inverse_route_kernel(a)
+        x0 = tuple(rng.randint(-5, 5) for _ in range(a.cols))
+        for b in (a.matvec(x0), tuple(rng.randint(-9, 9) for _ in range(a.rows))):
+            x = solve_integer(a, b)
+            assert x == _inverse_route_solve(a, b)
+            if x is not None:
+                assert a.matvec(x) == b
+                assert all(type(e) is int for e in x)
+
+    def test_no_gauss_jordan_inverse(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Matrix.inverse called")
+
+        monkeypatch.setattr(Matrix, "inverse", refuse)
+        a = Matrix([[4, -2, 7], [0, 3, 3], [-5, 1, 2]])
+        assert solve_integer(a, a.matvec((1, 2, 3))) == (1, 2, 3)
+        assert kernel_basis(MARKOV_EPS) == ((1, 1, 1),)
+        assert symmetric_form(nine_ray_data()).gram.rows == 7
 
 
 class TestHermite:

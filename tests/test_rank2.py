@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -58,6 +59,53 @@ def p2_oracle_gram(data, kernel_vectors):
             row.append(ci * cj - dot)
         out.append(row)
     return Matrix(out)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle for any weight-one data: the toric class meeting the
+# boundary divisor of each ray u in c_u is a virtual lattice polygon with
+# edge vectors c_u rot90(u) in angular order of the rays, and its
+# self-intersection is twice its area.  So the toric part of the pairing is
+# the polarization of twice the shoelace area; no fan and no linear solve.
+# ---------------------------------------------------------------------------
+
+def _angle_key(u):
+    # exact angle order in [0, 2 pi): half plane, positive axis of that
+    # half first, then minus the cotangent
+    upper = u[1] > 0 or (u[1] == 0 and u[0] > 0)
+    x, y = (u[0], u[1]) if upper else (-u[0], -u[1])
+    half = 0 if upper else 1
+    return (half, 0, 0) if y == 0 else (half, 1, Fraction(-x, y))
+
+
+def _twice_area(coeffs):
+    x = y = 0
+    corners = []
+    for u in sorted(coeffs, key=_angle_key):
+        x -= coeffs[u] * u[1]
+        y += coeffs[u] * u[0]
+        corners.append((x, y))
+    return sum(wedge(p, q) for p, q in zip(corners, corners[1:] + corners[:1]))
+
+
+def mixed_area_gram(data, kernel_vectors):
+    def ray_coeffs(a):
+        out = {}
+        for ai, w in zip(a, data.w):
+            out[w] = out.get(w, 0) + ai
+        return out
+
+    def toric(a, b):
+        ca, cb = ray_coeffs(a), ray_coeffs(b)
+        both = {u: ca.get(u, 0) + cb.get(u, 0) for u in set(ca) | set(cb)}
+        mixed = _twice_area(both) - _twice_area(ca) - _twice_area(cb)
+        assert mixed % 2 == 0
+        return mixed // 2
+
+    return Matrix([
+        [toric(a, b) - sum(x * y for x, y in zip(a, b)) for b in kernel_vectors]
+        for a in kernel_vectors
+    ])
 
 
 P2_RAYS = ((1, 0), (0, 1), (-1, -1))
@@ -289,6 +337,21 @@ class TestSymmetricForm:
     def test_weighted_rejected(self):
         with pytest.raises(UnsupportedError):
             symmetric_form(weighted_triangle_data())
+
+    def test_random_forms_match_mixed_area(self):
+        rng = random.Random(2718)
+        pool = [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1),
+                (1, 2), (-2, -1), (2, -3), (1, 60)]
+        done = 0
+        while done < 40:
+            ws = tuple(rng.choice(pool) for _ in range(rng.randint(3, 6)))
+            try:
+                data = Rank2Data(ws)
+            except ValidationError:
+                continue
+            form = symmetric_form(data)
+            assert form.gram == mixed_area_gram(data, form.basis)
+            done += 1
 
 
 class TestInvariance:

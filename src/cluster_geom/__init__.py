@@ -11,7 +11,6 @@ from .errors import (
 from .explore import (
     ExchangeGraph,
     SeedNode,
-    canonical_key,
     explore,
     root_node,
     step,
@@ -58,7 +57,6 @@ from .seeds import (
     PrincipalSeed,
     Seed,
     epsilon_from_basis,
-    epsilon_matrix,
     fan_mutation_consistency,
     fan_rays_A,
     fan_rays_X,

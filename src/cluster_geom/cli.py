@@ -11,6 +11,7 @@ violation (which would indicate a bug, not new mathematics).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -216,6 +217,10 @@ def cmd_rank2(args):
     paths = []
     if args.mutations is not None:
         paths = [_parse_int_list(args.mutations)]
+    for path in paths:
+        for k in path:
+            if not 0 <= k < seed.n:
+                raise ValidationError(f"mutation index {k} out of range")
     out = {
         "epsilon": _encode_matrix(seed.eps),
         "is_coprime_seed": is_coprime_seed(seed),
@@ -231,7 +236,7 @@ def cmd_rank2(args):
     })
     if weight_one:
         form = symmetric_form(data)
-        fg = fg_failure_flag(data)
+        fg = fg_failure_flag(form)
         out.update({
             "K_basis": [list(v) for v in form.basis],
             "gram": _encode_matrix(form.gram),
@@ -242,7 +247,7 @@ def cmd_rank2(args):
         checked = []
         ok = True
         for path in paths:
-            ok = ok and invariance_check(data, tuple(path))
+            ok = ok and invariance_check(form, tuple(path))
             checked.append(list(path))
         out["invariance_checked_paths"] = checked
         out["invariance_ok"] = ok if checked else None
@@ -261,6 +266,7 @@ def cmd_rank2(args):
     return EXIT_OK
 
 
+@functools.cache  # built on the first call, not at import
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cluster-geom",

@@ -115,11 +115,6 @@ def step(node, k, max_terms=None):
 
 # -- node and seed keys -------------------------------------------------------
 
-def canonical_key(seed):
-    """Exact-equality key for a seed: its basis matrix (and fixed data)."""
-    return (seed.fixed, seed.basis)
-
-
 def _relabelings(fixed):
     """Permutations of the unfrozen indices that preserve the symmetrizers,
     as full index orders.  Brute force; meant for small ranks."""

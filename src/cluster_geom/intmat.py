@@ -103,9 +103,6 @@ class Matrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
 
-    def scaled(self, c):
-        return Matrix([[c * x for x in row] for row in self.data])
-
     def to_lists(self):
         return [list(row) for row in self.data]
 

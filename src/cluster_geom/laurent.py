@@ -124,15 +124,6 @@ class LaurentPolynomial:
     def n_terms(self):
         return len(self._terms)
 
-    def leading(self):
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self._terms, key=_grlex_key)
-        return e, self._terms[e]
-
-    def coefficient(self, exps):
-        return self._terms.get(tuple(exps), 0)
-
     def min_exponents(self):
         """Componentwise minimum of all exponent vectors (zero poly: origin)."""
         if not self._terms:
@@ -222,18 +213,6 @@ class LaurentPolynomial:
         if self.max_abs_exponent() + _max_abs_exponent((exps,)) >= EXPONENT_LIMIT:
             for e in out:
                 _check_exponents(e)
-        return LaurentPolynomial._raw(self.nvars, out)
-
-    def substitute_linear(self, transform):
-        """Apply the monomial map z^m -> z^{T(m)} for a linear T given as a
-        callable on exponent tuples.  T must be injective on the support."""
-        out = {}
-        for e, c in self._terms.items():
-            te = tuple(transform(e))
-            _check_exponents(te)
-            if te in out:
-                raise ValueError("monomial substitution collided on the support")
-            out[te] = c
         return LaurentPolynomial._raw(self.nvars, out)
 
     def __eq__(self, other):

@@ -327,11 +327,11 @@ def _require_weight_one(data):
         )
 
 
-def _surface_for(data, fan=None):
+def _surface_for(ws, fan=None):
     if fan is None:
-        fan = complete_smooth_fan(set(data.w))
+        fan = complete_smooth_fan(set(ws))
     ray_index = []
-    for w in data.w:
+    for w in ws:
         if tuple(w) not in fan.rays:
             raise ValidationError(f"fan does not contain the ray {w}")
         ray_index.append(fan.index_of(w))
@@ -356,7 +356,7 @@ def k_to_dperp(data, a, fan=None):
         sum(ai * wi[1] for ai, wi in zip(a, data.w)),
     )):
         raise PreconditionError("vector is not in the kernel of the skew form")
-    surface, ray_index = _surface_for(data, fan)
+    surface, ray_index = _surface_for(data.w, fan)
     (cls,) = _kernel_classes(surface, ray_index, [a])
     for j in range(surface.fan.size):
         if surface.intersect(cls, surface.boundary_component_class(j)) != 0:
@@ -367,8 +367,9 @@ def k_to_dperp(data, a, fan=None):
 @dataclass(frozen=True)
 class KGram:
     """A fixed basis of the kernel of the skew form together with the Gram
-    matrix of the induced symmetric pairing."""
+    matrix of the induced symmetric pairing, and the data they came from."""
 
+    data: Rank2Data
     basis: tuple
     gram: Matrix
 
@@ -390,7 +391,7 @@ def _kernel_classes(surface, ray_index, kernel_vectors):
 
 
 def _gram_for_vectors(ws, kernel_vectors, fan=None):
-    surface, ray_index = _surface_for(Rank2Data(tuple(ws)), fan)
+    surface, ray_index = _surface_for(ws, fan)
     classes = _kernel_classes(surface, ray_index, kernel_vectors)
     gram = Matrix([[surface.intersect(x, y) for y in classes] for x in classes])
     if gram.transpose() != gram:
@@ -400,21 +401,19 @@ def _gram_for_vectors(ws, kernel_vectors, fan=None):
 
 def symmetric_form(data, fan=None):
     """Gram matrix of the induced pairing on the kernel of the skew form,
-    on the canonical kernel basis."""
+    on the canonical kernel basis.  For weight-one data the skew form is the
+    wedge matrix of the vectors w."""
     _require_weight_one(data)
-    seed = build_seed(data)
-    basis = kernel_basis(seed.eps)
-    return KGram(basis, _gram_for_vectors(data.w, basis, fan))
+    basis = kernel_basis(Matrix([[wedge(u, v) for v in data.w] for u in data.w]))
+    return KGram(data, basis, _gram_for_vectors(data.w, basis, fan))
 
 
-def invariance_check(data, path, fan=None):
+def invariance_check(form, path):
     """Recompute the kernel pairing from the data mutated along the path
     (new plane vectors, fresh fan completion, same kernel basis carried
     through) and compare with the unmutated pairing."""
-    _require_weight_one(data)
-    seed = build_seed(data)
-    base = symmetric_form(data, fan)
-    mutated = mutate_along(seed, path)
+    data = form.data
+    mutated = mutate_along(build_seed(data), path)
     ws = []
     for i in range(data.n):
         col = mutated.basis.column(i)
@@ -427,52 +426,45 @@ def invariance_check(data, path, fan=None):
                 f"mutated image of basis vector {i} is not primitive"
             )
         ws.append(wi)
-    binv = mutated.basis.inverse()
-    carried = [binv.matvec(kappa) for kappa in base.basis]
-    gram = _gram_for_vectors(tuple(ws), carried)
-    return gram == base.gram
+    binv = mutated.basis_inv
+    carried = [binv.matvec(kappa) for kappa in form.basis]
+    return _gram_for_vectors(ws, carried) == form.gram
 
 
 # -- classification ------------------------------------------------------------
 
-def characteristic_polynomial(m):
-    """Coefficients [1, c_1, ..., c_n] of det(x I - M), exactly
-    (Faddeev-LeVerrier over the rationals)."""
-    n = m.rows
-    coeffs = [Fraction(1)]
-    mk = Matrix([[Fraction(x) for x in row] for row in m.data]) if n else m
-    ident = Matrix.identity(n)
-    current = mk
-    for k in range(1, n + 1):
-        trace = sum(current[i, i] for i in range(n))
-        c = Fraction(-trace, k)
-        coeffs.append(c)
-        if k < n:
-            current = mk @ (current + ident.scaled(c))
-    return coeffs
-
-
 def inertia(m):
-    """(positive, negative, zero) eigenvalue counts of a symmetric integer
-    matrix, via exact sign counts on the real-rooted characteristic
-    polynomial (Descartes' rule is exact for real-rooted polynomials)."""
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix, by
+    symmetric congruence over the rationals (Sylvester's law of inertia).
+
+    Each step pivots on a nonzero diagonal entry, counts its sign and passes
+    to the Schur complement.  When the remaining diagonal is all zero, the
+    basis change e_i <- e_i + e_j for a nonzero a_ij first makes the new
+    a_ii = 2 a_ij nonzero."""
     if m.transpose() != m:
         raise ValidationError("inertia needs a symmetric matrix")
-    n = m.rows
-    if n == 0:
-        return (0, 0, 0)
-    coeffs = characteristic_polynomial(m)
-    zero = 0
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-        zero += 1
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    # roots of the trailing-stripped polynomial are the nonzero eigenvalues;
-    # it has no zero coefficients between sign blocks affecting the count
-    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    pos = changes
-    neg = (n - zero) - pos
-    return (pos, neg, zero)
+    a = [[Fraction(x) for x in row] for row in m.data]
+    pos = neg = 0
+    while a:
+        n = len(a)
+        p = next((i for i in range(n) if a[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in range(n) for j in range(n) if a[i][j]), None)
+            if pair is None:
+                break
+            p, j = pair
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+            for row in a:
+                row[p] += row[j]
+        prow = a[p]
+        pivot = prow[p]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        keep = [c for c in range(n) if c != p]
+        a = [[a[r][c] - a[r][p] * prow[c] / pivot for c in keep] for r in keep]
+    return (pos, neg, m.rows - pos - neg)
 
 
 def classify_definiteness(gram):
@@ -494,13 +486,14 @@ def _definiteness(signature):
     return "negative_definite"
 
 
-def fg_failure_flag(data):
-    """Can the dual-basis conjecture possibly hold for this data?
+def fg_failure_flag(form):
+    """Can the dual-basis conjecture possibly hold for the data of this
+    kernel pairing (a KGram from symmetric_form)?
 
     It requires the generic fibre of the dual-side family to be affine,
     which happens exactly when the kernel pairing is negative definite (or
     the kernel is trivial)."""
-    signature = inertia(symmetric_form(data).gram)
+    signature = inertia(form.gram)
     cls = _definiteness(signature)
     possible = cls in ("negative_definite", "zero_rank")
     return {
@@ -534,7 +527,7 @@ def non_fg_flag(data):
             "all_minus_two": None,
             "non_noetherian_principal": None,
         }
-    surface, _ = _surface_for(data)
+    surface, _ = _surface_for(data.w)
     boundary = surface.boundary_self_intersections
     all_minus_two = all(b == -2 for b in boundary)
     return {

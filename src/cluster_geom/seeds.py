@@ -259,11 +259,6 @@ def seed_from_epsilon(eps_rows, d=None, frozen=()):
     return root_seed(FixedData(n, skew, dd, frozen))
 
 
-def epsilon_matrix(seed):
-    """eps[i][j] = {e_i, e_j} d_j in the seed's own basis."""
-    return seed.eps
-
-
 def epsilon_from_basis(seed):
     """Recompute the exchange matrix from the basis and skew form.
 

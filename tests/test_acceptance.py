@@ -29,7 +29,6 @@ from cluster_geom.rank2 import (
 )
 from cluster_geom.seeds import (
     epsilon_from_basis,
-    epsilon_matrix,
     fan_mutation_consistency,
     is_coprime_seed,
     mutate_epsilon,
@@ -129,7 +128,7 @@ def test_criterion_3_mutation_involutions():
     for trial in range(1000):
         n = 3 if trial % 2 == 0 else 4
         seed = random_symmetrizable_seed(rng, n)
-        eps, d = epsilon_matrix(seed), seed.fixed.d
+        eps, d = seed.eps, seed.fixed.d
         for k in range(n):
             assert mutate_epsilon(mutate_epsilon(eps, d, k), d, k) == eps
             mutated = mutate_seed(seed, k)
@@ -203,11 +202,11 @@ def test_criterion_5_symmetric_form_invariance():
     data = nine_ray_data()
     base = symmetric_form(data)
     for k in range(9):
-        assert invariance_check(data, (k,))
+        assert invariance_check(base, (k,))
     rng = random.Random(55)
     for _ in range(20):
         path = tuple(rng.randrange(9) for _ in range(3))
-        assert invariance_check(data, path)
+        assert invariance_check(base, path)
     alt_fan = Fan2D(((1, 0), (1, 1), (0, 1), (-1, -1)))
     assert symmetric_form(data, fan=alt_fan).gram == base.gram
     elapsed = time.time() - started
@@ -225,7 +224,7 @@ def test_criterion_6_concrete_form_values():
     cubic_form = symmetric_form(cubic_data())
     assert cubic_form.gram == Matrix([[-2]])
     assert classify_definiteness(cubic_form.gram) == "negative_definite"
-    assert fg_failure_flag(cubic_data())["fg_conjecture_possible"] is True
+    assert fg_failure_flag(cubic_form)["fg_conjecture_possible"] is True
 
     from cluster_geom.rank2 import _gram_for_vectors
     data = nine_ray_data()
@@ -249,7 +248,7 @@ def test_criterion_6_concrete_form_values():
 
     nine_form = symmetric_form(data)
     assert classify_definiteness(nine_form.gram) == "negative_semidefinite_degenerate"
-    assert fg_failure_flag(data)["fg_conjecture_possible"] is False
+    assert fg_failure_flag(nine_form)["fg_conjecture_possible"] is False
     _pass("criterion 6: concrete Gram values and definiteness flags", started)
 
 

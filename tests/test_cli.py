@@ -407,6 +407,19 @@ class TestRank2:
         assert doc["gram"] is None
         assert doc["epsilon"] == [[0, 3, -3], [-3, 0, 3], [3, -3, 0]]
 
+    @pytest.mark.parametrize(
+        "nu", [[1, 1, 1], [2, 2, 2]], ids=["weight-one", "weighted"]
+    )
+    @pytest.mark.parametrize("mutations", ["9", "0,3", "-1"])
+    def test_mutation_index_out_of_range(self, tmp_path, capsys, nu, mutations):
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps({"w": [[1, 0], [0, 1], [-1, -1]], "nu": nu}))
+        code = cli.main(["rank2", str(path), "--mutations", mutations])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "out of range" in out.err
+
 
 class TestDeterminism:
     def test_all_commands_byte_identical(self, a2_file, nine_ray_file):

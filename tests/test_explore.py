@@ -8,7 +8,6 @@ from cluster_geom.errors import (
 from cluster_geom.explore import (
     MAX_TERMS_ENV,
     _verify_along_paths,
-    canonical_key,
     exchange_polynomial,
     explore,
     max_terms_limit,
@@ -214,7 +213,7 @@ class TestFrozenCoefficients:
 class TestKeys:
     def test_equal_seeds_equal_keys(self):
         s = seed_from_epsilon(A2)
-        assert canonical_key(s) == canonical_key(seed_from_epsilon(A2))
+        assert s == seed_from_epsilon(A2)
 
     def test_relabeled_seeds_equal_unlabeled_keys(self):
         from cluster_geom.intmat import Matrix
@@ -223,7 +222,7 @@ class TestKeys:
         # same fixed data, basis columns 0 and 1 swapped: a relabeled seed
         s2 = Seed(s1.fixed, Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
         assert unlabeled_seed_key(s1) == unlabeled_seed_key(s2)
-        assert canonical_key(s1) != canonical_key(s2)
+        assert s1 != s2
 
 
 class TestVerifyLaurent:

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,7 @@ from cluster_geom.rank2 import (
     symmetric_form,
     wedge,
 )
-from cluster_geom.seeds import epsilon_matrix, seed_from_epsilon
+from cluster_geom.seeds import seed_from_epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +130,7 @@ class TestRank2Data:
 class TestBuildSeed:
     def test_weighted_triangle_epsilon(self):
         seed = build_seed(weighted_triangle_data())
-        assert epsilon_matrix(seed) == Matrix(
+        assert seed.eps == Matrix(
             [[0, 3, -3], [-3, 0, 3], [3, -3, 0]]
         )
         assert seed.fixed.d == (1, 1, 1)
@@ -136,14 +138,14 @@ class TestBuildSeed:
     def test_nine_ray_epsilon(self):
         data = nine_ray_data()
         seed = build_seed(data)
-        eps = epsilon_matrix(seed)
+        eps = seed.eps
         for i in range(9):
             for j in range(9):
                 assert eps[i, j] == wedge(data.w[i], data.w[j])
 
     def test_two_vector_trivial_kernel(self):
         seed = build_seed(Rank2Data(((1, 0), (0, 1))))
-        assert epsilon_matrix(seed) == Matrix([[0, 1], [-1, 0]])
+        assert seed.eps == Matrix([[0, 1], [-1, 0]])
         assert kernel_basis(seed.eps) == ()
 
 
@@ -356,18 +358,18 @@ class TestSymmetricForm:
 
 class TestInvariance:
     def test_empty_path(self):
-        assert invariance_check(cubic_data(), ())
+        assert invariance_check(symmetric_form(cubic_data()), ())
 
     def test_nine_ray_single_mutations(self):
-        data = nine_ray_data()
+        form = symmetric_form(nine_ray_data())
         for k in range(9):
-            assert invariance_check(data, (k,))
+            assert invariance_check(form, (k,))
 
     def test_cubic_depth_two(self):
-        data = cubic_data()
+        form = symmetric_form(cubic_data())
         for a in range(3):
             for b in range(3):
-                assert invariance_check(data, (a, b))
+                assert invariance_check(form, (a, b))
 
     def test_random_small_instances(self):
         rng = random.Random(31)
@@ -380,7 +382,7 @@ class TestInvariance:
             except ValidationError:
                 continue
             path = tuple(rng.randrange(len(ws)) for _ in range(rng.randint(1, 3)))
-            assert invariance_check(data, path)
+            assert invariance_check(symmetric_form(data), path)
             done += 1
 
 
@@ -435,6 +437,68 @@ class TestClassification:
             m = Matrix(sym)
             assert inertia(m) == inertia_oracle(m)
 
+    def test_inertia_matches_characteristic_polynomial(self):
+        # independent oracle: Faddeev-LeVerrier characteristic polynomial,
+        # read with Descartes' rule of signs (exact for real-rooted ones)
+        def char_poly(rows):
+            n = len(rows)
+            m = [[Fraction(x) for x in row] for row in rows]
+            coeffs = [Fraction(1)]
+            current = m
+            for k in range(1, n + 1):
+                c = -sum(current[i][i] for i in range(n)) / k
+                coeffs.append(c)
+                if k < n:
+                    shifted = [
+                        [x + (c if i == j else 0) for j, x in enumerate(row)]
+                        for i, row in enumerate(current)
+                    ]
+                    current = [
+                        [sum(m[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
+                        for i in range(n)
+                    ]
+            return coeffs
+
+        def descartes_inertia(rows):
+            coeffs = char_poly(rows)
+            zero = 0
+            while coeffs[-1] == 0:
+                coeffs.pop()
+                zero += 1
+            signs = [c > 0 for c in coeffs if c != 0]
+            pos = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+            return (pos, len(rows) - zero - pos, zero)
+
+        fixed = [
+            ([[0, 1], [1, 0]], (1, 1, 0)),
+            ([[0, 2, 0], [2, 0, 0], [0, 0, 0]], (1, 1, 1)),
+            ([], (0, 0, 0)),
+        ] + [([[0] * n for _ in range(n)], (0, 0, n)) for n in range(1, 5)]
+        for rows, expected in fixed:
+            assert inertia(Matrix(rows)) == descartes_inertia(rows) == expected
+
+        rng = random.Random(73)
+        for trial in range(150):
+            n = rng.randint(1, 7)
+            if trial % 3 == 0:
+                # singular: B D B^T with B of n x r, r < n
+                r = rng.randint(0, n - 1)
+                b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+                dd = [rng.choice((-2, -1, 1, 3)) for _ in range(r)]
+                rows = [
+                    [sum(b[i][t] * dd[t] * b[j][t] for t in range(r)) for j in range(n)]
+                    for i in range(n)
+                ]
+            else:
+                rows = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+                if trial % 3 == 1:  # zero diagonal forces the e_i + e_j step
+                    for i in range(n):
+                        rows[i][i] = 0
+            assert inertia(Matrix(rows)) == descartes_inertia(rows)
+
     def test_classifications(self):
         assert classify_definiteness(Matrix([[-2]])) == "negative_definite"
         assert classify_definiteness(Matrix([])) == "zero_rank"
@@ -458,16 +522,16 @@ class TestClassification:
 
 class TestFlags:
     def test_fg_cubic(self):
-        rep = fg_failure_flag(cubic_data())
+        rep = fg_failure_flag(symmetric_form(cubic_data()))
         assert rep["fg_conjecture_possible"] is True
         assert rep["form_classification"] == "negative_definite"
 
     def test_fg_nine_ray(self):
-        rep = fg_failure_flag(nine_ray_data())
+        rep = fg_failure_flag(symmetric_form(nine_ray_data()))
         assert rep["fg_conjecture_possible"] is False
 
     def test_fg_trivial_kernel(self):
-        rep = fg_failure_flag(Rank2Data(((1, 0), (0, 1))))
+        rep = fg_failure_flag(symmetric_form(Rank2Data(((1, 0), (0, 1)))))
         assert rep["fg_conjecture_possible"] is True
         assert rep["form_classification"] == "zero_rank"
 
@@ -493,3 +557,31 @@ class TestFlags:
         rep = non_fg_flag(weighted_triangle_data())
         assert rep["supported"] is False
         assert rep["non_noetherian_principal"] is None
+
+
+class TestWorkCounts:
+    def test_rank2_job_builds_the_pairing_once(self, tmp_path, monkeypatch, capsys):
+        from cluster_geom import cli, rank2
+        from cluster_geom.seeds import Seed
+
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps({"w": [list(w) for w in nine_ray_data().w]}))
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("symmetric_form", "inertia"):
+            wrapper = counting(name, getattr(rank2, name))
+            for module in (cli, rank2):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(Seed, "__init__", counting("Seed", Seed.__init__))
+        assert cli.main(["rank2", str(path), "--mutations", "0,4,8"]) == 0
+        assert json.loads(capsys.readouterr().out)["invariance_ok"] is True
+        assert counts["symmetric_form"] == 1
+        assert counts["inertia"] == 1
+        assert counts["Seed"] <= 2

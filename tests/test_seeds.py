@@ -16,7 +16,6 @@ from cluster_geom.seeds import (
     FixedData,
     Seed,
     check_symmetrizable,
-    epsilon_matrix,
     fan_mutation_consistency,
     fan_rays_A,
     fan_rays_X,
@@ -90,17 +89,17 @@ class TestFixedData:
 
 class TestEpsilon:
     def test_a2_root(self):
-        assert epsilon_matrix(a2_seed()) == Matrix(A2)
+        assert a2_seed().eps == Matrix(A2)
 
     def test_weighted_triangle_construction(self):
         # skew {e_i, e_j} = 3 (w_i ^ w_j) for the three triangle directions
         from cluster_geom.rank2 import Rank2Data, build_seed
         seed = build_seed(Rank2Data(((1, 0), (0, 1), (-1, -1)), (3, 3, 3)))
-        assert epsilon_matrix(seed) == Matrix(TRIPLED_TRIANGLE)
+        assert seed.eps == Matrix(TRIPLED_TRIANGLE)
 
     def test_principal_a2_blocks(self):
         ps = principal_double(a2_seed())
-        assert epsilon_matrix(ps.seed) == Matrix(
+        assert ps.seed.eps == Matrix(
             [[0, 1, 1, 0], [-1, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
         )
 
@@ -121,13 +120,13 @@ class TestMutateSeed:
         # twice at k differs from the start by e_i -> e_i + eps_ik e_k
         s = markov_seed()
         ss = mutate_seed(mutate_seed(s, 1), 1)
-        eps = epsilon_matrix(s)
+        eps = s.eps
         expected = [[0] * 3 for _ in range(3)]
         for i in range(3):
             for a in range(3):
                 expected[a][i] = int(a == i) + (eps[i, 1] if a == 1 and i != 1 else 0)
         assert ss.basis == Matrix(expected)
-        assert epsilon_matrix(ss) == eps
+        assert ss.eps == eps
 
     def test_frozen_rejected(self):
         s = seed_from_epsilon([[0, 1], [-1, 0]], frozen={1})
@@ -151,7 +150,7 @@ class TestMutateEpsilon:
         rng = random.Random(11)
         for _ in range(200):
             s = random_symmetrizable_seed(rng, 3)
-            eps, d = epsilon_matrix(s), s.fixed.d
+            eps, d = s.eps, s.fixed.d
             k = rng.randrange(3)
             assert mutate_epsilon(mutate_epsilon(eps, d, k), d, k) == eps
 
@@ -164,7 +163,7 @@ class TestMutateEpsilon:
             s = random_symmetrizable_seed(rng, 3)
             k = rng.randrange(3)
             assert epsilon_from_basis(mutate_seed(s, k)) == mutate_epsilon(
-                epsilon_matrix(s), s.fixed.d, k
+                s.eps, s.fixed.d, k
             )
 
     def test_rejects_non_symmetrizable(self):
@@ -343,7 +342,7 @@ class TestPrincipalDouble:
         s = seed_from_epsilon([[0, 2], [-1, 0]], d=(1, 2))
         ps = principal_double(s)
         assert ps.seed.fixed.d == (1, 2, 1, 2)
-        assert epsilon_matrix(ps.seed) == Matrix(
+        assert ps.seed.eps == Matrix(
             [[0, 2, 1, 0], [-1, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
         )
 
@@ -360,7 +359,7 @@ class TestPStarAndPicard:
 
     def test_kernel_matches_epsilon_kernel(self):
         s = markov_seed()
-        assert kernel_basis(p_star_matrix(s)) == kernel_basis(epsilon_matrix(s))
+        assert kernel_basis(p_star_matrix(s)) == kernel_basis(s.eps)
 
     def test_picard_markov(self):
         factors = picard_invariants(markov_seed())

@@ -46,7 +46,6 @@ from .rank2 import (
     complete_smooth_fan,
     fg_failure_flag,
     invariance_check,
-    k_to_dperp,
     non_fg_flag,
     seed_to_rank2,
     self_intersections,

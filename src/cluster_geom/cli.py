@@ -226,18 +226,15 @@ def cmd_rank2(args):
         "is_coprime_seed": is_coprime_seed(seed),
         "totally_coprime_sufficient": totally_coprime_sufficient(seed),
     }
-    weight_one = all(x == 1 for x in data.nu)
-    nfg = non_fg_flag(data)
-    out.update({
-        "supported": nfg["supported"],
-        "boundary_self_intersections": nfg["boundary_self_intersections"],
-        "all_minus_two": nfg["all_minus_two"],
-        "non_noetherian_principal": nfg["non_noetherian_principal"],
-    })
-    if weight_one:
+    if all(x == 1 for x in data.nu):
         form = symmetric_form(data)
+        nfg = non_fg_flag(form)
         fg = fg_failure_flag(form)
         out.update({
+            "supported": nfg["supported"],
+            "boundary_self_intersections": nfg["boundary_self_intersections"],
+            "all_minus_two": nfg["all_minus_two"],
+            "non_noetherian_principal": nfg["non_noetherian_principal"],
             "K_basis": [list(v) for v in form.basis],
             "gram": _encode_matrix(form.gram),
             "classification": fg["form_classification"],
@@ -253,6 +250,14 @@ def cmd_rank2(args):
         out["invariance_ok"] = ok if checked else None
     else:
         out.update({
+            "supported": False,
+            "note": (
+                "weighted data (some nu_i > 1) gives singular surfaces; such "
+                "examples can be non-finitely generated but are outside this checker"
+            ),
+            "boundary_self_intersections": None,
+            "all_minus_two": None,
+            "non_noetherian_principal": None,
             "K_basis": None,
             "gram": None,
             "classification": None,
@@ -260,7 +265,6 @@ def cmd_rank2(args):
             "fg_conjecture_possible": None,
             "invariance_checked_paths": [],
             "invariance_ok": None,
-            "note": nfg.get("note"),
         })
     _emit(out)
     return EXIT_OK

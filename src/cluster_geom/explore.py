@@ -218,6 +218,8 @@ def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
     truncated = False
     frontier = [0]
     for _ in range(depth):
+        if not frontier:  # the graph is complete; deeper levels add nothing
+            break
         next_frontier = []
         for nid in frontier:
             for k in unfrozen:

@@ -277,29 +277,14 @@ class BlowupSurface:
         )
         return toric - sum(x * y for x, y in zip(c1.exceptional, c2.exceptional))
 
-    def boundary_component_class(self, j):
-        """Proper transform of the j-th toric boundary divisor."""
-        toric = tuple(int(i == j) for i in range(self.fan.size))
-        exceptional = tuple(-int(c == j) for c in self.centers)
-        return DivisorClass(toric, exceptional)
 
-
-def blowup_surface(fan, assignments):
-    """Blow up one point on the boundary divisor of each assigned ray.
-
-    assignments: pairs (ray index, weight); only weight 1 is supported, the
-    weighted case produces singular surfaces which this intersection-form
-    model does not cover.
-    """
-    centers = []
-    for ray_idx, weight in assignments:
-        if weight != 1:
-            raise UnsupportedError(
-                "weighted blowups (nu > 1) give singular surfaces and are unsupported"
-            )
+def blowup_surface(fan, centers):
+    """Blow up one point on the boundary divisor of the ray with each given
+    index; an index may repeat, one point per occurrence."""
+    centers = tuple(centers)
+    for ray_idx in centers:
         if not 0 <= ray_idx < fan.size:
             raise ValidationError(f"ray index {ray_idx} out of range")
-        centers.append(ray_idx)
     selfints = self_intersections(fan)
     r = fan.size
     q_rows = [[0] * r for _ in range(r)]
@@ -315,7 +300,7 @@ def blowup_surface(fan, assignments):
             raise ValidationError("intersection form does not kill toric relations")
     counts = [centers.count(j) for j in range(r)]
     boundary = tuple(a - c for a, c in zip(selfints, counts))
-    return BlowupSurface(fan, tuple(centers), q, boundary)
+    return BlowupSurface(fan, centers, q, boundary)
 
 
 # -- the kernel pairing --------------------------------------------------------
@@ -330,58 +315,33 @@ def _require_weight_one(data):
 def _surface_for(ws, fan=None):
     if fan is None:
         fan = complete_smooth_fan(set(ws))
-    ray_index = []
     for w in ws:
         if tuple(w) not in fan.rays:
             raise ValidationError(f"fan does not contain the ray {w}")
-        ray_index.append(fan.index_of(w))
-    surface = blowup_surface(fan, [(j, 1) for j in ray_index])
-    return surface, tuple(ray_index)
-
-
-def k_to_dperp(data, a, fan=None):
-    """The divisor class attached to a kernel element sum a_i e_i: pull back
-    the unique toric class meeting the boundary divisor of each ray in the
-    total weight of its centers, and subtract a_i exceptional curves.
-
-    Returns (class, surface).  The class is orthogonal to every boundary
-    component, which is verified.
-    """
-    _require_weight_one(data)
-    a = tuple(a)
-    if len(a) != data.n or any(not isinstance(x, int) for x in a):
-        raise PreconditionError("kernel element must be an integer coefficient vector")
-    if any(x != 0 for x in (
-        sum(ai * wi[0] for ai, wi in zip(a, data.w)),
-        sum(ai * wi[1] for ai, wi in zip(a, data.w)),
-    )):
-        raise PreconditionError("vector is not in the kernel of the skew form")
-    surface, ray_index = _surface_for(data.w, fan)
-    (cls,) = _kernel_classes(surface, ray_index, [a])
-    for j in range(surface.fan.size):
-        if surface.intersect(cls, surface.boundary_component_class(j)) != 0:
-            raise ValidationError("class is not orthogonal to the boundary")
-    return cls, surface
+    return blowup_surface(fan, [fan.index_of(w) for w in ws])
 
 
 @dataclass(frozen=True)
 class KGram:
     """A fixed basis of the kernel of the skew form together with the Gram
-    matrix of the induced symmetric pairing, and the data they came from."""
+    matrix of the induced symmetric pairing, the data they came from and the
+    blown-up surface the pairing was read off."""
 
     data: Rank2Data
+    surface: BlowupSurface
     basis: tuple
     gram: Matrix
 
 
-def _kernel_classes(surface, ray_index, kernel_vectors):
+def _kernel_classes(surface, kernel_vectors):
     """The class of each kernel element a on the surface: the toric class x
     with Q x = c, where c_j is the total of a over the centers on ray j,
-    minus a_i times the i-th exceptional curve."""
+    minus a_i times the i-th exceptional curve.  The class is orthogonal to
+    every boundary component."""
     out = []
     for a in kernel_vectors:
         c = [0] * surface.fan.size
-        for ai, j in zip(a, ray_index):
+        for ai, j in zip(a, surface.centers):
             c[j] += ai
         x = solve_integer(surface.q, tuple(c))
         if x is None:
@@ -390,9 +350,8 @@ def _kernel_classes(surface, ray_index, kernel_vectors):
     return out
 
 
-def _gram_for_vectors(ws, kernel_vectors, fan=None):
-    surface, ray_index = _surface_for(ws, fan)
-    classes = _kernel_classes(surface, ray_index, kernel_vectors)
+def _gram_for_vectors(surface, kernel_vectors):
+    classes = _kernel_classes(surface, kernel_vectors)
     gram = Matrix([[surface.intersect(x, y) for y in classes] for x in classes])
     if gram.transpose() != gram:
         raise ValidationError("kernel pairing failed to be symmetric")
@@ -405,7 +364,8 @@ def symmetric_form(data, fan=None):
     wedge matrix of the vectors w."""
     _require_weight_one(data)
     basis = kernel_basis(Matrix([[wedge(u, v) for v in data.w] for u in data.w]))
-    return KGram(data, basis, _gram_for_vectors(data.w, basis, fan))
+    surface = _surface_for(data.w, fan)
+    return KGram(data, surface, basis, _gram_for_vectors(surface, basis))
 
 
 def invariance_check(form, path):
@@ -428,7 +388,7 @@ def invariance_check(form, path):
         ws.append(wi)
     binv = mutated.basis_inv
     carried = [binv.matvec(kappa) for kappa in form.basis]
-    return _gram_for_vectors(ws, carried) == form.gram
+    return _gram_for_vectors(_surface_for(ws), carried) == form.gram
 
 
 # -- classification ------------------------------------------------------------
@@ -507,28 +467,16 @@ def fg_failure_flag(form):
     }
 
 
-def non_fg_flag(data):
+def non_fg_flag(form):
     """Detector for non-finitely-generated upper cluster algebras with
-    principal (or general) coefficients: if every component of the boundary
-    anticanonical cycle has self-intersection -2, the algebra is
+    principal (or general) coefficients, read off the blown-up surface of a
+    kernel pairing (a KGram from symmetric_form): if every component of the
+    boundary anticanonical cycle has self-intersection -2, the algebra is
     non-Noetherian.
 
     Weight nu_i = 3 style inputs are known cases in the literature but fall
-    outside this checker (singular surfaces); they are reported as
-    unsupported rather than classified."""
-    if any(x != 1 for x in data.nu):
-        return {
-            "supported": False,
-            "note": (
-                "weighted data (some nu_i > 1) gives singular surfaces; such "
-                "examples can be non-finitely generated but are outside this checker"
-            ),
-            "boundary_self_intersections": None,
-            "all_minus_two": None,
-            "non_noetherian_principal": None,
-        }
-    surface, _ = _surface_for(data.w)
-    boundary = surface.boundary_self_intersections
+    outside this checker (singular surfaces); symmetric_form rejects them."""
+    boundary = form.surface.boundary_self_intersections
     all_minus_two = all(b == -2 for b in boundary)
     return {
         "supported": True,

@@ -230,7 +230,7 @@ def test_criterion_6_concrete_form_values():
     data = nine_ray_data()
     diff = (1, -1, 0, 0, 0, 0, 0, 0, 0)
     total = (1,) * 9
-    gram = _gram_for_vectors(data.w, [diff, total])
+    gram = _gram_for_vectors(symmetric_form(data).surface, [diff, total])
     assert gram[0, 0] == -2
     assert gram[1, 1] == 0
 
@@ -256,11 +256,11 @@ def test_criterion_7_non_fg_detector():
     """Nine-ray: all boundary self-intersections -2 and the principal
     coefficient ring is flagged non-Noetherian; cubic: flag false."""
     started = time.time()
-    nine = non_fg_flag(nine_ray_data())
+    nine = non_fg_flag(symmetric_form(nine_ray_data()))
     assert nine["boundary_self_intersections"] == [-2, -2, -2]
     assert nine["all_minus_two"] is True
     assert nine["non_noetherian_principal"] is True
-    cubic = non_fg_flag(cubic_data())
+    cubic = non_fg_flag(symmetric_form(cubic_data()))
     assert cubic["all_minus_two"] is False
     assert cubic["non_noetherian_principal"] is False
     _pass("criterion 7: non-finite-generation detector", started)

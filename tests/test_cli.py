@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from cluster_geom import cli
 
 CLI = [sys.executable, "-m", "cluster_geom"]
 A2_SKEW = [[0, 1], [-1, 0]]
+# byte-exact rank2 stdout, pinned so that refactors of the pipeline show
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args, env=None):
@@ -126,6 +130,18 @@ class TestExplore:
     def test_depth_zero(self, a2_file):
         doc = json.loads(run_cli("explore", a2_file, "--depth", "0").stdout)
         assert doc["nodes"] == 1
+
+    def test_huge_depth_stops_when_graph_is_complete(self, a2_file, capsys):
+        assert cli.main(["explore", a2_file, "--depth", "10"]) == 0
+        shallow = json.loads(capsys.readouterr().out)
+        started = time.perf_counter()
+        assert cli.main(["explore", a2_file, "--depth", str(10**18)]) == 0
+        elapsed = time.perf_counter() - started
+        deep = json.loads(capsys.readouterr().out)
+        assert elapsed < 1, f"explore kept looping for {elapsed:.2f}s"
+        assert deep["depth"] == 10**18
+        for key in ("nodes", "edges", "clusters"):
+            assert deep[key] == shallow[key]
 
     def test_markov_determinism(self, markov_file):
         a = run_cli("explore", markov_file, "--depth", "4")
@@ -406,6 +422,25 @@ class TestRank2:
         assert doc["supported"] is False
         assert doc["gram"] is None
         assert doc["epsilon"] == [[0, 3, -3], [-3, 0, 3], [3, -3, 0]]
+
+    @pytest.mark.parametrize("name, doc, extra", [
+        ("rank2_nine_ray_0_4_8",
+         {"w": [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3},
+         ["--mutations", "0,4,8"]),
+        ("rank2_cubic", {"w": [[1, 0], [0, 1], [-1, -1]]}, []),
+        ("rank2_weighted_triangle_0",
+         {"w": [[1, 0], [0, 1], [-1, -1]], "nu": [3, 3, 3]},
+         ["--mutations", "0"]),
+    ])
+    def test_golden_stdout(self, tmp_path, capsys, name, doc, extra):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["rank2", str(path), *extra]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"{name}.json").read_text()
+        keys = set(json.loads(out))
+        assert ("note" in keys) == ("nu" in doc)
+        assert "criterion" not in keys
 
     @pytest.mark.parametrize(
         "nu", [[1, 1, 1], [2, 2, 2]], ids=["weight-one", "weighted"]

@@ -8,8 +8,10 @@ import pytest
 from cluster_geom.errors import PreconditionError, UnsupportedError, ValidationError
 from cluster_geom.intmat import Matrix, kernel_basis
 from cluster_geom.rank2 import (
+    DivisorClass,
     Fan2D,
     Rank2Data,
+    _kernel_classes,
     blowup_surface,
     build_seed,
     classify_definiteness,
@@ -18,7 +20,6 @@ from cluster_geom.rank2 import (
     fg_failure_flag,
     inertia,
     invariance_check,
-    k_to_dperp,
     nine_ray_data,
     non_fg_flag,
     seed_to_rank2,
@@ -235,13 +236,13 @@ class TestSelfIntersections:
 class TestBlowupSurface:
     def test_one_center_per_line(self):
         fan = Fan2D(P2_RAYS)
-        surf = blowup_surface(fan, [(0, 1), (1, 1), (2, 1)])
+        surf = blowup_surface(fan, [0, 1, 2])
         assert surf.boundary_self_intersections == (0, 0, 0)
         assert surf.picard_rank == 4
 
     def test_three_centers_per_line(self):
         fan = Fan2D(P2_RAYS)
-        surf = blowup_surface(fan, [(j, 1) for j in range(3) for _ in range(3)])
+        surf = blowup_surface(fan, [j for j in range(3) for _ in range(3)])
         assert surf.boundary_self_intersections == (-2, -2, -2)
 
     def test_no_centers(self):
@@ -250,24 +251,48 @@ class TestBlowupSurface:
         assert surf.boundary_self_intersections == (1, 1, 1)
         assert surf.picard_rank == 1
 
-    def test_weighted_rejected(self):
-        fan = Fan2D(P2_RAYS)
-        with pytest.raises(UnsupportedError):
-            blowup_surface(fan, [(0, 3)])
+
+def class_of(data, a):
+    """The class of one kernel element on the surface of the data's pairing."""
+    surface = symmetric_form(data).surface
+    (cls,) = _kernel_classes(surface, [a])
+    return cls, surface
+
+
+def boundary_component(surface, j):
+    """Proper transform of the j-th toric boundary divisor."""
+    toric = tuple(int(i == j) for i in range(surface.fan.size))
+    exceptional = tuple(-int(c == j) for c in surface.centers)
+    return DivisorClass(toric, exceptional)
+
+
+def random_mixed_area_data():
+    """40 random weight-one configurations, some with steep rays."""
+    rng = random.Random(2718)
+    pool = [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1),
+            (1, 2), (-2, -1), (2, -3), (1, 60)]
+    out = []
+    while len(out) < 40:
+        ws = tuple(rng.choice(pool) for _ in range(rng.randint(3, 6)))
+        try:
+            out.append(Rank2Data(ws))
+        except ValidationError:
+            continue
+    return out
 
 
 class TestKToDPerp:
     def test_nine_ray_difference_vector(self):
         data = nine_ray_data()
         a = (1, -1, 0, 0, 0, 0, 0, 0, 0)
-        cls, surface = k_to_dperp(data, a)
+        cls, surface = class_of(data, a)
         # C = 0: the class is E_1 - E_0 with square -2
         assert all(x == 0 for x in surface.q.matvec(cls.toric))
         assert surface.intersect(cls, cls) == -2
 
     def test_cubic_anticanonical_vector(self):
         data = cubic_data()
-        cls, surface = k_to_dperp(data, (1, 1, 1))
+        cls, surface = class_of(data, (1, 1, 1))
         # C is a line class: C^2 = 1, and the full class has square -2
         toric_sq = sum(
             x * y for x, y in zip(surface.q.matvec(cls.toric), cls.toric)
@@ -277,28 +302,28 @@ class TestKToDPerp:
 
     def test_zero_class(self):
         data = cubic_data()
-        cls, surface = k_to_dperp(data, (0, 0, 0))
+        cls, surface = class_of(data, (0, 0, 0))
         assert surface.intersect(cls, cls) == 0
-
-    def test_not_in_kernel(self):
-        with pytest.raises(PreconditionError):
-            k_to_dperp(cubic_data(), (1, 0, 0))
-
-    def test_weighted_rejected(self):
-        with pytest.raises(UnsupportedError):
-            k_to_dperp(weighted_triangle_data(), (1, 1, 1))
 
     def test_gram_stable_under_relation_shift(self):
         # shifting the toric solution by a character relation does not move
         # intersection numbers
         data = nine_ray_data()
         a = (1, 1, 1, 1, 1, 1, 1, 1, 1)
-        cls, surface = k_to_dperp(data, a)
+        cls, surface = class_of(data, a)
         rel = tuple(u[0] for u in surface.fan.rays)  # <(1,0), u_i>
         shifted = tuple(x + r for x, r in zip(cls.toric, rel))
-        from cluster_geom.rank2 import DivisorClass
         cls2 = DivisorClass(shifted, cls.exceptional)
         assert surface.intersect(cls2, cls2) == surface.intersect(cls, cls)
+
+    def test_basis_classes_orthogonal_to_boundary(self):
+        for data in [nine_ray_data(), cubic_data()] + random_mixed_area_data():
+            form = symmetric_form(data)
+            surface = form.surface
+            for cls in _kernel_classes(surface, form.basis):
+                for j in range(surface.fan.size):
+                    component = boundary_component(surface, j)
+                    assert surface.intersect(cls, component) == 0
 
 
 class TestSymmetricForm:
@@ -318,7 +343,7 @@ class TestSymmetricForm:
         from cluster_geom.rank2 import _gram_for_vectors
         data = nine_ray_data()
         vecs = [(1, -1, 0, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1, 1, 1, 1)]
-        gram = _gram_for_vectors(data.w, vecs)
+        gram = _gram_for_vectors(symmetric_form(data).surface, vecs)
         assert gram[0, 0] == -2
         assert gram[1, 1] == 0
         assert gram == p2_oracle_gram(data, vecs)
@@ -341,19 +366,9 @@ class TestSymmetricForm:
             symmetric_form(weighted_triangle_data())
 
     def test_random_forms_match_mixed_area(self):
-        rng = random.Random(2718)
-        pool = [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1),
-                (1, 2), (-2, -1), (2, -3), (1, 60)]
-        done = 0
-        while done < 40:
-            ws = tuple(rng.choice(pool) for _ in range(rng.randint(3, 6)))
-            try:
-                data = Rank2Data(ws)
-            except ValidationError:
-                continue
+        for data in random_mixed_area_data():
             form = symmetric_form(data)
             assert form.gram == mixed_area_gram(data, form.basis)
-            done += 1
 
 
 class TestInvariance:
@@ -536,12 +551,12 @@ class TestFlags:
         assert rep["form_classification"] == "zero_rank"
 
     def test_non_fg_nine_ray(self):
-        rep = non_fg_flag(nine_ray_data())
+        rep = non_fg_flag(symmetric_form(nine_ray_data()))
         assert rep["all_minus_two"] is True
         assert rep["non_noetherian_principal"] is True
 
     def test_non_fg_cubic(self):
-        rep = non_fg_flag(cubic_data())
+        rep = non_fg_flag(symmetric_form(cubic_data()))
         assert rep["boundary_self_intersections"] == [0, 0, 0]
         assert rep["non_noetherian_principal"] is False
 
@@ -549,12 +564,20 @@ class TestFlags:
         data = Rank2Data(
             ((1, 0), (1, 0), (0, 1), (0, 1), (-1, -1))
         )
-        rep = non_fg_flag(data)
+        rep = non_fg_flag(symmetric_form(data))
         assert rep["boundary_self_intersections"] == [-1, -1, 0]
         assert rep["non_noetherian_principal"] is False
 
-    def test_non_fg_weighted_reported_unsupported(self):
-        rep = non_fg_flag(weighted_triangle_data())
+    def test_non_fg_weighted_reported_unsupported(self, tmp_path, capsys):
+        # weighted data never gets a surface, so the CLI reports it directly
+        from cluster_geom import cli
+        data = weighted_triangle_data()
+        with pytest.raises(UnsupportedError):
+            symmetric_form(data)
+        path = tmp_path / "weighted.json"
+        path.write_text(json.dumps({"w": data.w, "nu": data.nu}))
+        assert cli.main(["rank2", str(path)]) == 0
+        rep = json.loads(capsys.readouterr().out)
         assert rep["supported"] is False
         assert rep["non_noetherian_principal"] is None
 
@@ -574,7 +597,8 @@ class TestWorkCounts:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("symmetric_form", "inertia"):
+        counted = ("symmetric_form", "inertia", "complete_smooth_fan", "blowup_surface")
+        for name in counted:
             wrapper = counting(name, getattr(rank2, name))
             for module in (cli, rank2):
                 if hasattr(module, name):
@@ -584,4 +608,7 @@ class TestWorkCounts:
         assert json.loads(capsys.readouterr().out)["invariance_ok"] is True
         assert counts["symmetric_form"] == 1
         assert counts["inertia"] == 1
+        # one surface for the data and one for the mutated data
+        assert counts["complete_smooth_fan"] == 2
+        assert counts["blowup_surface"] == 2
         assert counts["Seed"] <= 2

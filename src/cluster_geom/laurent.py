@@ -5,22 +5,44 @@ term order used for serialization and leading-term selection is graded
 lexicographic, read descending: higher total degree first, ties broken by the
 lexicographically larger exponent tuple.
 
-Exact division works on its own representation: each exponent vector of the
-shifted operands is packed into one int (total degree in the top field, then
-the exponents), so that int order is graded-lex order, and the remainder is
-reduced through a max-heap of those ints (see exact_divide).
+Every polynomial caches its frame: the componentwise minimum and maximum of
+its exponent vectors, and its largest total degree less the minimum's sum.
+Over the integers the extreme terms of a product are products of extreme
+terms of the factors and cannot cancel, so a product's frame is the sum of
+its factors' frames and is set without a scan; a shift moves the frame
+along.  The frame is the one source of the product's packing and overflow
+test, of exact division's shift and degree test, and of min_exponents,
+max_total_degree and max_abs_exponent.
+
+Products and exact division work on packed exponents (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): an exponent vector, less a componentwise minimum, is
+packed into one int with one field per variable, the first variable in the
+top field, so that a monomial product is one int addition.  A product packs
+both factors in the product's frame, in fields of 1, 2, 4 or 8 bytes, the
+fewest that hold the product's largest span (maximum less minimum) in one
+variable.  A field of a product key never exceeds that span, so no carry
+crosses fields and no guard bit is needed, and whole-byte fields let all
+product keys be unpacked in one struct call.  Squares form each cross term
+once and double it; a monomial factor only shifts and scales the other.
+Division subtracts keys, so its fields carry one guard bit above the
+dividend's degree, which a borrow sets, and a total-degree field on top
+makes int order graded-lex order (see exact_divide).
 
 Exponents are kept below 2**62 in magnitude; crossing that bound raises
-ExponentOverflow rather than silently producing huge objects.
+ExponentOverflow rather than silently producing huge objects.  Since the
+frame of a product or a shift is exact, the test on frames raises exactly
+when some term would reach the bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import cycle, repeat
 from math import comb, lcm
-from operator import add, mul
+from operator import add, mul, sub
+from struct import unpack
 
 from .errors import ResourceLimitExceeded
 
@@ -41,12 +63,38 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
-def _max_abs_exponent(terms):
-    return max(map(abs, chain.from_iterable(terms)), default=0)
+def _field_weights(n, width):
+    """1 << width * (n - 1 - i) for variable i: the fields of a packed key."""
+    return tuple(1 << (width * i) for i in range(n - 1, -1, -1))
+
+
+def _pack(terms, lo, weights):
+    """{key: coefficient} with key = sum_i (e_i - lo_i) * weights[i]."""
+    offset = sum(map(mul, lo, weights))
+    return {sum(map(mul, e, weights)) - offset: c for e, c in terms.items()}
+
+
+# (bytes, struct code) of a product key's fields, by the bytes the
+# product's largest span needs; a span is below 2**63, so 8 bytes suffice
+_FIELD_SIZES = ((1, "B"), (1, "B"), (2, "H"), (4, "I"), (4, "I")) + ((8, "Q"),) * 4
+
+
+def _unpack(packed, lo, size, code):
+    """{exponents: coefficient} from {key: coefficient} with fields of
+    `size` bytes (struct code `code`), the first variable highest; lo is
+    added back and zero coefficients are dropped.  The keys are written to
+    one bytes object and split in one struct call."""
+    if 0 in packed.values():
+        packed = {k: c for k, c in packed.items() if c}
+    n = len(lo)
+    data = b"".join(map(int.to_bytes, packed, repeat(n * size), repeat("big")))
+    fields = map(add, unpack(f">{n * len(packed)}{code}", data), cycle(lo))
+    # each run of n fields is one exponent vector, in the order of the keys
+    return dict(zip(zip(*[fields] * n), packed.values()))
 
 
 class LaurentPolynomial:
-    __slots__ = ("nvars", "_terms", "_sorted")
+    __slots__ = ("nvars", "_terms", "_sorted", "_frame_cache")
 
     def __init__(self, nvars, terms=None):
         cleaned = {}
@@ -63,17 +111,19 @@ class LaurentPolynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "_frame_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
 
     @classmethod
-    def _raw(cls, nvars, terms):
-        # trusted constructor: terms already cleaned
+    def _raw(cls, nvars, terms, frame=None):
+        # trusted constructor: terms already cleaned, frame exact or None
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "_frame_cache", frame)
         return self
 
     @classmethod
@@ -124,18 +174,35 @@ class LaurentPolynomial:
     def n_terms(self):
         return len(self._terms)
 
+    def _frame(self):
+        """(componentwise min, componentwise max, max total degree - sum(min))
+        of the exponent vectors; the origin twice and 0 for the zero
+        polynomial.  Computed once and cached, like terms(), unless the
+        operation that made the polynomial already knew it."""
+        frame = self._frame_cache
+        if frame is None:
+            t = self._terms
+            if t:
+                cols = tuple(zip(*t))
+                lo = tuple(map(min, cols))
+                frame = (lo, tuple(map(max, cols)), max(map(sum, t)) - sum(lo))
+            else:
+                origin = (0,) * self.nvars
+                frame = (origin, origin, 0)
+            object.__setattr__(self, "_frame_cache", frame)
+        return frame
+
     def min_exponents(self):
         """Componentwise minimum of all exponent vectors (zero poly: origin)."""
-        if not self._terms:
-            return (0,) * self.nvars
-        cols = zip(*self._terms)
-        return tuple(min(c) for c in cols)
+        return self._frame()[0]
 
     def max_abs_exponent(self):
-        return _max_abs_exponent(self._terms)
+        lo, hi, _ = self._frame()
+        return max(map(abs, lo + hi), default=0)
 
     def max_total_degree(self):
-        return max((sum(e) for e in self._terms), default=0)
+        lo, _, top = self._frame()
+        return top + sum(lo)
 
     def has_nonnegative_coefficients(self):
         return all(c > 0 for c in self._terms.values())
@@ -164,6 +231,18 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product, by an int or a Laurent polynomial in the same ring.
+
+        The product's frame is the sum of the factors' frames (see the module
+        docstring), so ExponentOverflow is raised before any work, exactly
+        when a product term would reach the bound.  A monomial factor shifts
+        and scales the other.  Otherwise both factors are packed in the
+        product's frame, the product is accumulated on keys, where key
+        addition is monomial multiplication, and unpacked once.  A square
+        (`p * p` with one object, as every `__pow__` forms) adds each cross
+        term i < j once with a doubled coefficient, which halves the
+        coefficient multiplications.
+        """
         if isinstance(other, int):
             if other == 0:
                 return LaurentPolynomial.zero(self.nvars)
@@ -171,23 +250,41 @@ class LaurentPolynomial:
                 self.nvars, {e: other * c for e, c in self._terms.items()}
             )
         self._require_same_ring(other)
+        n = self.nvars
         a, b = self._terms, other._terms
+        if not a or not b:
+            return LaurentPolynomial.zero(n)
+        alo, ahi, atop = self._frame()
+        blo, bhi, btop = other._frame()
+        lo = tuple(map(add, alo, blo))
+        hi = tuple(map(add, ahi, bhi))
+        _check_exponents(lo + hi)
+        frame = (lo, hi, atop + btop)
         if len(a) < len(b):
-            a, b = b, a
+            a, b, alo, blo = b, a, blo, alo
+        if len(b) == 1:  # a monomial factor only shifts and scales the other
+            ((e, c),) = b.items()
+            out = {tuple(map(add, x, e)): c * y for x, y in a.items()}
+            return LaurentPolynomial._raw(n, out, frame)
+        size, code = _FIELD_SIZES[(max(map(sub, hi, lo)).bit_length() + 7) // 8]
+        weights = _field_weights(n, 8 * size)
+        pa = tuple(_pack(a, alo, weights).items())
         out = {}
-        for eb, cb in b.items():
-            for ea, ca in a.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        # |exponent| of a product term is at most the sum of the factors' maxima
-        if _max_abs_exponent(a) + _max_abs_exponent(b) >= EXPONENT_LIMIT:
-            for e in out:
-                _check_exponents(e)
-        return LaurentPolynomial._raw(self.nvars, out)
+        get = out.get
+        if other is self:
+            for i, (ka, ca) in enumerate(pa):
+                k = ka + ka
+                out[k] = get(k, 0) + ca * ca
+                ca += ca
+                for kb, cb in pa[i + 1:]:
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+        else:
+            for kb, cb in _pack(b, blo, weights).items():
+                for ka, ca in pa:
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+        return LaurentPolynomial._raw(n, _unpack(out, lo, size, code), frame)
 
     __rmul__ = __mul__
 
@@ -207,13 +304,14 @@ class LaurentPolynomial:
     def shift(self, exps):
         """Multiply by the monomial z^exps."""
         exps = tuple(exps)
-        if not any(exps):
-            return self
+        if not any(exps) or not self._terms:
+            return self  # the zero polynomial's frame bounds no terms
+        lo, hi, top = self._frame()
+        lo = tuple(map(add, lo, exps))
+        hi = tuple(map(add, hi, exps))
+        _check_exponents(lo + hi)
         out = {tuple(map(add, e, exps)): c for e, c in self._terms.items()}
-        if self.max_abs_exponent() + _max_abs_exponent((exps,)) >= EXPONENT_LIMIT:
-            for e in out:
-                _check_exponents(e)
-        return LaurentPolynomial._raw(self.nvars, out)
+        return LaurentPolynomial._raw(self.nvars, out, (lo, hi, top))
 
     def __eq__(self, other):
         return (
@@ -259,7 +357,7 @@ def binomial_power(v, a):
     if not isinstance(a, int) or a < 0:
         raise ValueError("binomial_power needs a nonnegative integer exponent")
     v = tuple(v)
-    check = a * _max_abs_exponent((v,)) >= EXPONENT_LIMIT
+    check = a * max(map(abs, v), default=0) >= EXPONENT_LIMIT
     terms = {}
     for j in range(a + 1):
         e = tuple(j * x for x in v)
@@ -273,7 +371,8 @@ def exact_divide(p, q):
     """The Laurent polynomial r with q * r = p, or None if none exists.
 
     Both operands are shifted so that their componentwise-minimal exponent is
-    zero.  Single-divisor reduction by the divisor's graded-lex leading term
+    zero; the shifts and the degree test below read the cached frames.
+    Single-divisor reduction by the divisor's graded-lex leading term
     then either ends with a zero remainder (success) or meets a remainder lead
     that the divisor's lead does not divide, which proves that no quotient
     exists.
@@ -297,28 +396,17 @@ def exact_divide(p, q):
     n = p.nvars
     if p.is_zero():
         return LaurentPolynomial.zero(n)
-    sp = p.min_exponents()
-    sq = q.min_exponents()
-    degree = p.max_total_degree() - sum(sp)
-    if q.max_total_degree() - sum(sq) > degree:
+    sp, phi, degree = p._frame()
+    sq, qhi, qdegree = q._frame()
+    if qdegree > degree:
         return None  # the divisor's lead cannot divide the dividend's
     width = degree.bit_length() + 1
-    guard = 0
-    for _ in range(n + 1):
-        guard = (guard << width) | (1 << (width - 1))
-
-    def pack(terms, shift):
-        base = sum(shift)
-        out = {}
-        for e, c in terms:
-            key = sum(e) - base
-            for x, s in zip(e, shift):
-                key = (key << width) | (x - s)
-            out[key] = c
-        return out
-
-    rem = pack(p.items(), sp)
-    rest = pack(q.items(), sq)
+    fields = _field_weights(n + 1, width)
+    guard = sum(fields) << (width - 1)
+    # the key's total degree sum_i (e_i - s_i) goes to the top field
+    weights = tuple(fields[0] + w for w in fields[1:])
+    rem = _pack(p._terms, sp, weights)
+    rest = _pack(q._terms, sq, weights)
     qlead = max(rest)
     qlc = rest.pop(qlead)
     rest = tuple(rest.items())
@@ -350,7 +438,11 @@ def exact_divide(p, q):
     field = (1 << width) - 1
     shifts = range((n - 1) * width, -1, -width)
     unpacked = {tuple((d >> s) & field for s in shifts): f for d, f in quotient.items()}
-    return LaurentPolynomial._raw(n, unpacked).shift(x - y for x, y in zip(sp, sq))
+    # q * r = p, so before its shift by sp - sq the quotient's frame is the
+    # difference of the shifted frames of p and q
+    span = tuple(map(sub, map(sub, phi, sp), map(sub, qhi, sq)))
+    frame = ((0,) * n, span, degree - qdegree)
+    return LaurentPolynomial._raw(n, unpacked, frame).shift(x - y for x, y in zip(sp, sq))
 
 
 class RationalExpression:
@@ -438,7 +530,7 @@ def monomial_twist(expr, v, g):
     """
     expr = _as_expression(expr)
     v = tuple(v)
-    vmax = _max_abs_exponent((v,))
+    vmax = max(map(abs, v), default=0)
 
     def twist_poly(p):
         if p.is_zero():

@@ -12,8 +12,13 @@ from cluster_geom import cli
 
 CLI = [sys.executable, "-m", "cluster_geom"]
 A2_SKEW = [[0, 1], [-1, 0]]
-# byte-exact rank2 stdout, pinned so that refactors of the pipeline show
+# byte-exact stdout of rank2 and of the Laurent workloads, pinned so that
+# refactors of the pipeline or of the polynomial kernels show
 GOLDEN = Path(__file__).parent / "golden"
+MARKOV = {"rank": 3, "skew": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}
+# the oriented 4-cycle with double arrows
+CYCLE4 = {"rank": 4, "skew": [[0, 2, 0, -2], [-2, 0, 2, 0], [0, -2, 0, 2], [2, 0, -2, 0]]}
+A4 = {"rank": 4, "skew": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]}
 
 
 def run_cli(*args, env=None):
@@ -454,6 +459,22 @@ class TestRank2:
         assert code == 2
         assert out.out == ""
         assert "out of range" in out.err
+
+
+class TestLaurentGolden:
+    @pytest.mark.parametrize("name, doc, command, extra", [
+        ("explore_markov_d6", MARKOV, "explore", ["--depth", "6"]),
+        ("explore_cycle4_d3", CYCLE4, "explore", ["--depth", "3"]),
+        ("explore_a4_d5_unlabeled", A4, "explore",
+         ["--depth", "5", "--dedup", "unlabeled"]),
+        ("laurent_check_markov_A100_d5", MARKOV, "laurent-check",
+         ["--side", "A", "--q", "1,0,0", "--depth", "5"]),
+    ])
+    def test_golden_stdout(self, tmp_path, capsys, name, doc, command, extra):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, str(path), *extra]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
 class TestDeterminism:

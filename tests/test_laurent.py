@@ -112,6 +112,113 @@ class TestRingOps:
         assert p ** a == expected
 
 
+def _schoolbook(p, q):
+    """The product term by term on exponent tuples: the route __mul__ took
+    before it packed exponents, kept here as an independent oracle."""
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return LP(p.nvars, out)
+
+
+def _fresh_frame(p):
+    """The frame of p computed from its terms, as a new polynomial would."""
+    return LP(p.nvars, dict(p.items()))._frame()
+
+
+@st.composite
+def _product_operands(draw):
+    """(p, q) in 1-9 variables with negative exponents, from the origin's
+    neighbourhood, across the 1-, 2- and 4-byte field boundaries, or
+    anywhere in [-2**60, 2**60]; either may be a single term or zero."""
+    n = draw(st.integers(1, 9))
+    exps = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([-257, -129, -128, 127, 128, 255, 256, -(1 << 16), 1 << 16]),
+        st.integers(-(1 << 60), 1 << 60),
+    )
+    coeffs = st.one_of(st.integers(-9, 9), st.integers(-(1 << 80), 1 << 80))
+
+    def poly():
+        keys = st.tuples(*[exps] * n)
+        return lp(n, draw(st.dictionaries(keys, coeffs, max_size=draw(st.sampled_from([1, 5])))))
+
+    return poly(), poly()
+
+
+class TestPackedProduct:
+    @given(_product_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_schoolbook_product(self, operands):
+        p, q = operands
+        twin = LP(p.nvars, dict(p.items()))  # equal to p, not the same object
+        for left, right in ((p, q), (q, p), (p, p), (p, twin)):
+            product = left * right
+            assert product == _schoolbook(left, right)
+            assert product._frame() == _fresh_frame(product)
+        # (p + q)(p - q): the cross terms cancel
+        assert (p + q) * (p - q) == _schoolbook(p + q, p - q) == p * p - q * q
+
+    @given(_product_operands(), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_power_matches_repeated_schoolbook(self, operands, k):
+        p, _ = operands
+        if p.max_abs_exponent() * k >= EXPONENT_LIMIT:
+            return
+        expected = LP.one(p.nvars)
+        for _ in range(k):
+            expected = _schoolbook(expected, p)
+        assert p ** k == expected
+
+    @given(_product_operands(), st.tuples(*[st.integers(-(1 << 60), 1 << 60)] * 9))
+    @settings(max_examples=60, deadline=None)
+    def test_frames_of_quotients_and_shifts(self, operands, move):
+        p, q = operands
+        move = move[: p.nvars]
+        shifted = p.shift(move)
+        assert shifted._frame() == _fresh_frame(shifted)
+        if not q.is_zero():
+            r = exact_divide(p * q, q)
+            assert r == p
+            assert r._frame() == _fresh_frame(r)
+        lo, hi, _ = _fresh_frame(p)
+        assert p.min_exponents() == lo
+        assert p.max_total_degree() == max((sum(e) for e, _ in p.items()), default=0)
+        assert p.max_abs_exponent() == max(map(abs, lo + hi), default=0)
+
+    def test_zero_factor(self):
+        p = lp(3, {(1, -2, 0): 4, (0, 0, 5): -1})
+        assert (p * LP.zero(3)).is_zero()
+        assert (LP.zero(3) * p).is_zero()
+        assert (p * 0).is_zero()
+
+    def test_no_variables(self):
+        assert LP.constant(0, 3) * LP.constant(0, -2) == LP.constant(0, -6)
+        assert LP.constant(0, 3) ** 2 == LP.constant(0, 9)
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["max", "min"])
+    def test_overflow_bound_on_either_side(self, side):
+        # the bound reached through the factors' maxima (side 1) or minima
+        # (side -1); two terms per factor, so the packed route runs
+        h = 1 << 61
+
+        def factor(x):
+            return lp(2, {(side * x, 0): 1, (0, 1): 1})
+
+        below = factor(h) * factor(h - 1)
+        assert below == _schoolbook(factor(h), factor(h - 1))
+        assert below.max_abs_exponent() == EXPONENT_LIMIT - 1
+        p = factor(h - 1)
+        assert (p * p).max_abs_exponent() == EXPONENT_LIMIT - 2
+        p = factor(h)
+        with pytest.raises(ExponentOverflow):
+            p * p
+        with pytest.raises(ExponentOverflow):
+            factor(h) * factor(h)
+
+
 class TestBinomialPower:
     def test_square(self):
         assert binomial_power((1, 0), 2) == lp(2, {(0, 0): 1, (1, 0): 2, (2, 0): 1})

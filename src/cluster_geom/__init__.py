@@ -14,14 +14,12 @@ from .explore import (
     explore,
     root_node,
     step,
-    unlabeled_seed_key,
     verify_laurent_A,
     verify_laurent_X,
 )
 from .intmat import (
     Matrix,
     cokernel_invariants,
-    divisibility_index,
     kernel_basis,
     smith_normal_form,
     solve_integer,

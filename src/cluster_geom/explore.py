@@ -113,7 +113,7 @@ def step(node, k, max_terms=None):
     return SeedNode(mutate_seed(seed, k), tuple(vars_new), node.depth + 1)
 
 
-# -- node and seed keys -------------------------------------------------------
+# -- node keys ---------------------------------------------------------------
 
 def _relabelings(fixed):
     """Permutations of the unfrozen indices that preserve the symmetrizers,
@@ -137,12 +137,6 @@ def _min_relabeling(fixed, eps_rows, labels):
         if best is None or cand < best:
             best = cand
     return best
-
-
-def unlabeled_seed_key(seed):
-    """Canonical form of (exchange matrix, basis) under simultaneous
-    relabelings of the unfrozen indices."""
-    return _min_relabeling(seed.fixed, seed.eps.data, seed.basis.transpose().data)
 
 
 def _node_key(node, dedup):

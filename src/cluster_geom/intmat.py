@@ -116,46 +116,18 @@ class Matrix:
         return f"Matrix({self.to_lists()!r})"
 
     def det(self):
-        """Exact determinant (Bareiss for integer input, Gauss over Q otherwise)."""
+        """Exact determinant of an integer matrix (Bareiss)."""
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
+        if not self.is_integral():
+            raise TypeError("determinant needs an integer matrix")
+        if self.rows == 0:
             return 1
-        if self.is_integral():
-            return _det_bareiss([list(r) for r in self.data])
-        m = [[Fraction(x) for x in row] for row in self.data]
-        sign = 1
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            for r in range(c + 1, n):
-                f = m[r][c] / m[c][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        out = Fraction(sign)
-        for i in range(n):
-            out *= m[i][i]
-        return _normalize_entry(out)
+        return _det_bareiss([list(r) for r in self.data])
 
     def rank(self):
-        """Rank over the rationals."""
-        m = [[Fraction(x) for x in row] for row in self.data]
-        rank = 0
-        for c in range(self.cols):
-            piv = next((r for r in range(rank, self.rows) if m[r][c] != 0), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            for r in range(self.rows):
-                if r != rank and m[r][c] != 0:
-                    f = m[r][c] / m[rank][c]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-        return rank
+        """Rank of an integer matrix: its nonzero Smith invariant factors."""
+        return _smith_reduce(self).rank()
 
     def inverse(self):
         """Exact inverse; entries are ints when the matrix is unimodular."""
@@ -202,15 +174,6 @@ def vector_gcd(v):
     for x in v:
         g = gcd(g, abs(x))
     return g
-
-
-def divisibility_index(v):
-    """Largest positive integer dividing every entry of v; v/index is primitive."""
-    if all(x == 0 for x in v):
-        raise ValueError("divisibility index of the zero vector is undefined")
-    if any(not isinstance(x, int) for x in v):
-        raise TypeError("divisibility index needs an integer vector")
-    return vector_gcd(v)
 
 
 class _SNFState:
@@ -266,6 +229,9 @@ class _SNFState:
         for row in self.u:
             row[i] = -row[i]
         self.ui[i] = [-x for x in self.ui[i]]
+
+    def rank(self):
+        return sum(1 for i in range(min(self.r, self.c)) if self.s[i][i] != 0)
 
     def pivot_search(self, t):
         best = None
@@ -407,8 +373,7 @@ def kernel_basis(a):
     if not a.is_integral():
         raise TypeError("kernel basis needs an integer matrix")
     st = _smith_reduce(a)
-    rank = sum(1 for i in range(min(a.rows, a.cols)) if st.s[i][i] != 0)
-    raw = [tuple(row[j] for row in st.vi) for j in range(rank, a.cols)]
+    raw = [tuple(row[j] for row in st.vi) for j in range(st.rank(), a.cols)]
     return hermite_row_basis(raw, a.cols)
 
 
@@ -433,11 +398,6 @@ def solve_integer(a, b):
                 return None
             y[i] = c[i] // d
     return tuple(sum(p * q for p, q in zip(row, y)) for row in st.vi)
-
-
-def lattice_span_equal(vectors_a, vectors_b, width):
-    """Do two integer vector families span the same sublattice of Z^width?"""
-    return hermite_row_basis(vectors_a, width) == hermite_row_basis(vectors_b, width)
 
 
 def is_saturated_family(vectors, width):

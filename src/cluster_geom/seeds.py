@@ -26,12 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import UnsupportedError, ValidationError
-from .intmat import (
-    Matrix,
-    cokernel_invariants,
-    lattice_span_equal,
-    vector_gcd,
-)
+from .intmat import Matrix, cokernel_invariants, vector_gcd
 
 
 def _as_int(x, what):
@@ -122,7 +117,13 @@ def _epsilon_from_basis(fixed, basis):
 class Seed:
     """A basis of the fixed lattice, expressed in initial coordinates.
 
-    Construction validates all structural invariants.  Seeds produced by
+    Construction validates the structural invariants: the basis matrix B
+    (columns e_i) is integral with det B = +-1, no unfrozen column has a
+    frozen coordinate (so the unfrozen e_i are a basis of the unfrozen
+    sublattice), and d_j divides d_i B[j, i] for all i, j (so the d_i e_i
+    are a basis of the sublattice N° spanned by the initial d_i e_i).  Given
+    det B = +-1, these entrywise conditions are equivalent to the lattice
+    equalities of the definition.  Seeds produced by
     mutate_seed take a fast internal path instead: the new basis is the old
     one after the column operation e_k -> -e_k, e_i -> e_i + [eps_ik]_+ e_k,
     which provably preserves the invariants, and the exchange matrix comes
@@ -159,20 +160,14 @@ class Seed:
             raise ValidationError("seed basis must be an integral n x n matrix")
         if abs(b.det()) != 1:
             raise ValidationError("seed basis is not unimodular")
-
-        def unit(i):
-            return tuple(int(a == i) for a in range(n))
-
+        # with det B = +-1, the unfrozen columns span the unfrozen
+        # sublattice iff they have no frozen coordinates, and the d_i e_i
+        # span D Z^n iff each lies in it (the two lattices have equal index)
         unf = fx.unfrozen
-        if not lattice_span_equal(
-            [b.column(i) for i in unf], [unit(i) for i in unf], n
-        ):
+        if any(b[f, i] for f in fx.frozen for i in unf):
             raise ValidationError("unfrozen columns do not span the unfrozen sublattice")
-        if not lattice_span_equal(
-            [tuple(fx.d[i] * x for x in b.column(i)) for i in range(n)],
-            [tuple(fx.d[i] * x for x in unit(i)) for i in range(n)],
-            n,
-        ):
+        d = fx.d
+        if any(d[i] * b[j, i] % d[j] for i in range(n) for j in range(n)):
             raise ValidationError("scaled columns d_i e_i do not span the expected sublattice")
         object.__setattr__(self, "eps", _epsilon_from_basis(fx, b))
 
@@ -252,6 +247,8 @@ def seed_from_epsilon(eps_rows, d=None, frozen=()):
     eps = Matrix(eps_rows)
     n = eps.rows
     dd = tuple(d) if d is not None else (1,) * n
+    if any(not isinstance(x, int) or x <= 0 for x in dd):
+        raise ValidationError("symmetrizers d must be positive integers")
     check_symmetrizable(eps, dd)
     skew = Matrix(
         [[Fraction(eps[i, j], dd[j]) for j in range(n)] for i in range(n)]
@@ -470,64 +467,26 @@ def picard_invariants(seed):
 
 # -- coprimality -------------------------------------------------------------
 
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_gcd_is_unit(c1, c2):
-    """Is gcd(1 + t^c1, 1 + t^c2) = 1 over the rationals?
-
-    Plain Euclidean algorithm on dense rational coefficient lists; degrees
-    here are divisibility indices of exchange binomials, so small.
-    """
-
-    def poly_mod(a, b):
-        a = _trim(a[:])
-        db, lb = len(b) - 1, b[-1]
-        while a and len(a) - 1 >= db:
-            da, la = len(a) - 1, a[-1]
-            f = la / lb
-            for i in range(db + 1):
-                a[da - db + i] -= f * b[i]
-            _trim(a)
-        return a
-
-    p1 = [Fraction(0)] * (c1 + 1)
-    p1[0] = p1[c1] = Fraction(1)
-    p2 = [Fraction(0)] * (c2 + 1)
-    p2[0] = p2[c2] = Fraction(1)
-    a, b = p1, p2
-    while b:
-        a, b = b, poly_mod(a, b)
-    return len(a) == 1
-
-
 def is_coprime_seed(seed):
     """Are the exchange binomials 1 + z^{v_k} pairwise coprime?
 
     Two such binomials share a factor iff the v's are proportional (up to
-    sign) and the univariate gcd of 1 + t^{c} along the common primitive
-    direction is non-trivial; constant binomials (v = 0) are units.
+    sign), with divisibility indices a and b along the common primitive
+    direction, and gcd(1 + t^a, 1 + t^b) is non-trivial.  That gcd is
+    1 + t^gcd(a, b) when a/gcd(a, b) and b/gcd(a, b) are both odd and 1
+    otherwise, so it is non-trivial iff a and b have the same 2-adic part
+    a & -a.  Constant binomials (v = 0) are units.
     """
-    data = []
+    seen = set()
     for i in seed.fixed.unfrozen:
         v = seed.v_vector(i)
-        if all(x == 0 for x in v):
+        if not any(v):
             continue
         c = vector_gcd(v)
-        prim = tuple(x // c for x in v)
-        neg = tuple(-x for x in prim)
-        if prim < neg:
-            prim = neg
-        data.append((prim, c))
-    for a in range(len(data)):
-        for b in range(a + 1, len(data)):
-            if data[a][0] != data[b][0]:
-                continue
-            if not _poly_gcd_is_unit(data[a][1], data[b][1]):
-                return False
+        key = (max(tuple(x // c for x in v), tuple(-x // c for x in v)), c & -c)
+        if key in seen:
+            return False
+        seen.add(key)
     return True
 
 

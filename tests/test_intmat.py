@@ -8,11 +8,9 @@ import pytest
 from cluster_geom.intmat import (
     Matrix,
     cokernel_invariants,
-    divisibility_index,
     hermite_row_basis,
     is_saturated_family,
     kernel_basis,
-    lattice_span_equal,
     smith_diagonal,
     smith_normal_form,
     solve_integer,
@@ -147,16 +145,6 @@ class TestCokernel:
         assert cokernel_invariants(Matrix([[0]])) == (0,)
 
 
-class TestDivisibilityIndex:
-    def test_values(self):
-        assert divisibility_index((2, 4, 6)) == 2
-        assert divisibility_index((-3, 0)) == 3
-
-    def test_zero_vector(self):
-        with pytest.raises(ValueError):
-            divisibility_index((0, 0))
-
-
 class TestSolveInteger:
     def test_p2_charge_matrix(self):
         q = Matrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
@@ -263,8 +251,12 @@ class TestTransformsFromReduction:
 
 class TestHermite:
     def test_span_equality(self):
-        assert lattice_span_equal([(2, 0), (0, 2), (1, 1)], [(1, 1), (2, 0)], 2)
-        assert not lattice_span_equal([(2, 0), (0, 2)], [(1, 0), (0, 1)], 2)
+        assert hermite_row_basis([(2, 0), (0, 2), (1, 1)], 2) == hermite_row_basis(
+            [(1, 1), (2, 0)], 2
+        )
+        assert hermite_row_basis([(2, 0), (0, 2)], 2) != hermite_row_basis(
+            [(1, 0), (0, 1)], 2
+        )
 
     def test_canonical(self):
         h = hermite_row_basis([(0, 3), (2, 1)], 2)
@@ -290,6 +282,66 @@ class TestMatrix:
         assert A2_EPS.rank() == 2
         assert Matrix.zeros(3, 3).rank() == 0
 
+    def test_det_and_rank_need_integers(self):
+        half = Matrix([[Fraction(1, 2)]])
+        with pytest.raises(TypeError):
+            half.det()
+        with pytest.raises(TypeError):
+            half.rank()
+
     def test_no_floats(self):
         with pytest.raises(TypeError):
             Matrix([[1.5]])
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the rank route Matrix.rank took before it counted the
+# nonzero Smith invariant factors, Gauss-Jordan elimination over Q.
+# ---------------------------------------------------------------------------
+
+def _fraction_rank(a):
+    m = [[Fraction(x) for x in row] for row in a.data]
+    rank = 0
+    for c in range(a.cols):
+        piv = next((r for r in range(rank, a.rows) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(a.rows):
+            if r != rank and m[r][c] != 0:
+                f = m[r][c] / m[rank][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+class TestSmithRank:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (4, 4), (3, 6)])
+    def test_random_matches_fraction_route(self, shape):
+        rng = random.Random(4242 + shape[0] * 10 + shape[1])
+        for _ in range(40):
+            a = random_matrix(rng, *shape, lo=-3, hi=3)
+            assert a.rank() == _fraction_rank(a)
+
+    def test_zero_matrices(self):
+        for shape in [(1, 1), (1, 4), (4, 1), (3, 3), (2, 5), (0, 0)]:
+            a = Matrix.zeros(*shape)
+            assert a.rank() == _fraction_rank(a) == 0
+
+    def test_rank_deficient(self):
+        rng = random.Random(31)
+        seen = set()
+        for n, rank in [(3, 1), (4, 1), (4, 2), (4, 3), (5, 2), (5, 4)]:
+            for _ in range(15):
+                a = _rank_deficient(rng, n, rank)
+                assert a.rank() == _fraction_rank(a) <= rank
+                seen.add(a.rank())
+        assert seen >= {1, 2, 3, 4}
+
+    def test_rectangular_products(self):
+        rng = random.Random(37)
+        for r, k, c in [(2, 1, 5), (5, 2, 3), (3, 2, 6), (6, 3, 4)]:
+            for _ in range(15):
+                a = random_matrix(rng, r, k, -4, 4) @ random_matrix(rng, k, c, -4, 4)
+                assert a.rank() == _fraction_rank(a) <= k
+

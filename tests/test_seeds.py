@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
 from cluster_geom.errors import UnsupportedError, ValidationError
-from cluster_geom.intmat import Matrix, kernel_basis
+from cluster_geom.intmat import Matrix, hermite_row_basis, kernel_basis
 from cluster_geom.laurent import (
     LaurentPolynomial,
     RationalExpression,
@@ -85,6 +88,11 @@ class TestFixedData:
     def test_gcd_of_d(self):
         with pytest.raises(ValidationError):
             seed_from_epsilon([[0, 2], [-2, 0]], d=(2, 2))
+
+    @pytest.mark.parametrize("d", [(0, 1), (1.0, 1.0)])
+    def test_seed_from_epsilon_rejects_bad_symmetrizers(self, d):
+        with pytest.raises(ValidationError, match="symmetrizers d must be positive integers"):
+            seed_from_epsilon([[0, 0], [0, 0]], d=d)
 
 
 class TestEpsilon:
@@ -198,14 +206,13 @@ class TestMutationInvariants:
         # the form kernel in coefficients is the kernel of eps^T (coefficient
         # vectors c with {sum c_j e_j, .} = 0); as a subgroup of the ambient
         # lattice it is untouched by mutation
-        from cluster_geom.intmat import lattice_span_equal
         rng = random.Random(20)
         for _ in range(60):
             s = random_symmetrizable_seed(rng, 4)
             m = mutate_seed(s, rng.randrange(4))
             before = [s.basis.matvec(a) for a in kernel_basis(s.eps.transpose())]
             after = [m.basis.matvec(a) for a in kernel_basis(m.eps.transpose())]
-            assert lattice_span_equal(before, after, 4)
+            assert hermite_row_basis(before, 4) == hermite_row_basis(after, 4)
 
     def test_double_mutation_dual_basis_map(self):
         # the double mutation carries the mutated dual basis back to the
@@ -411,6 +418,183 @@ class TestCoprimality:
         for mat in (A2, MARKOV, TRIPLED_TRIANGLE):
             ps = principal_double(seed_from_epsilon(mat))
             assert totally_coprime_sufficient(ps.seed)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracles: the routes is_coprime_seed and Seed validation took
+# before the closed forms, a Euclidean algorithm on dense rational
+# coefficient lists and a comparison of Hermite bases of spanned lattices.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _euclid_gcd_is_unit(c1, c2):
+    """Is gcd(1 + t^c1, 1 + t^c2) = 1 over the rationals?"""
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def poly_mod(a, b):
+        a = trim(a[:])
+        db, lb = len(b) - 1, b[-1]
+        while a and len(a) - 1 >= db:
+            da, f = len(a) - 1, a[-1] / lb
+            for i in range(db + 1):
+                a[da - db + i] -= f * b[i]
+            trim(a)
+        return a
+
+    def binomial(c):
+        p = [Fraction(0)] * (c + 1)
+        p[0] = p[c] = Fraction(1)
+        return p
+
+    a, b = binomial(c1), binomial(c2)
+    while b:
+        a, b = b, poly_mod(a, b)
+    return len(a) == 1
+
+
+def _proportional_seed(n, cs, at, r, frozen=()):
+    """Root seed with v_{at[k]} = cs[k] times the r-th dual basis vector."""
+    eps = [[0] * n for _ in range(n)]
+    for c, i in zip(cs, at):
+        eps[i][r], eps[r][i] = c, -c
+    return seed_from_epsilon(eps, frozen=frozen)
+
+
+class TestCoprimalityRule:
+    def test_euclid_matches_two_adic_parity(self):
+        for c1 in range(1, 65):
+            for c2 in range(1, 65):
+                coprime = _euclid_gcd_is_unit(c1, c2)
+                assert coprime == ((c1 & -c1) != (c2 & -c2)), (c1, c2)
+                seed = _proportional_seed(3, (c1, c2), (0, 1), 2)
+                assert is_coprime_seed(seed) == coprime, (c1, c2)
+
+    def test_proportional_pairs_at_chosen_indices(self):
+        rng = random.Random(41)
+        for c1 in range(1, 33):
+            for c2 in range(1, 33):
+                p, q, r, spare = rng.sample(range(4), 4)
+                sign = rng.choice((1, -1))
+                frozen = {spare} if rng.random() < 0.5 else ()
+                seed = _proportional_seed(4, (c1, sign * c2), (p, q), r, frozen)
+                assert is_coprime_seed(seed) == _euclid_gcd_is_unit(c1, c2), (c1, c2)
+
+    def test_proportional_triples(self):
+        for cs in ((1, 2, 4), (1, 2, 3), (3, 6, 12), (2, 6, 4), (5, 10, 7), (8, 24, 4)):
+            oracle = all(
+                _euclid_gcd_is_unit(a, b)
+                for k, a in enumerate(cs) for b in cs[k + 1:]
+            )
+            for sign in (1, -1):
+                seed = _proportional_seed(5, (cs[0], sign * cs[1], cs[2]), (4, 1, 2), 0)
+                assert is_coprime_seed(seed) == oracle, cs
+        assert is_coprime_seed(_proportional_seed(5, (1, 2, 4), (4, 1, 2), 0))
+        assert not is_coprime_seed(_proportional_seed(5, (1, 2, 3), (4, 1, 2), 0))
+
+
+def _hermite_route_error(fixed, basis):
+    """The message of the Hermite-span validation, or None if it accepts."""
+    n, d = fixed.n, fixed.d
+    if abs(basis.det()) != 1:
+        return "seed basis is not unimodular"
+
+    def unit(i):
+        return tuple(int(a == i) for a in range(n))
+
+    unf = fixed.unfrozen
+    if hermite_row_basis([basis.column(i) for i in unf], n) != hermite_row_basis(
+        [unit(i) for i in unf], n
+    ):
+        return "unfrozen columns do not span the unfrozen sublattice"
+    scaled = [tuple(d[i] * x for x in basis.column(i)) for i in range(n)]
+    if hermite_row_basis(scaled, n) != hermite_row_basis(
+        [tuple(d[i] * x for x in unit(i)) for i in range(n)], n
+    ):
+        return "scaled columns d_i e_i do not span the expected sublattice"
+    return None
+
+
+def _random_fixed(rng, n):
+    while True:
+        d = tuple(rng.choice((1, 2, 3)) for _ in range(n))
+        if gcd(*d) == 1:
+            break
+    frozen = {i for i in range(n) if rng.random() < 0.35}
+    skew = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            t = rng.randint(-2, 2)
+            skew[i][j], skew[j][i] = t, -t
+    return FixedData(n, Matrix(skew), d, frozen)
+
+
+def _random_basis(rng, fixed, kind):
+    """A product of elementary row operations row_j += c row_i and sign flips.
+
+    "kept" only uses operations that fix the unfrozen sublattice and the
+    lattice of the d_i e_i, so it satisfies both seed conditions; "free" uses
+    any c; "scaled" multiplies one column of a free basis by 0, 2 or 3."""
+    n, d = fixed.n, fixed.d
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(1, 3 * n)):
+        i, j = rng.sample(range(n), 2)
+        if kind == "kept":
+            if j in fixed.frozen and i not in fixed.frozen:
+                continue
+            c = rng.choice((-2, -1, 1, 2)) * (d[j] // gcd(d[i], d[j]))
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+        b[j] = [x + c * y for x, y in zip(b[j], b[i])]
+        if rng.random() < 0.2:
+            b[i] = [-x for x in b[i]]
+    if kind == "scaled":
+        col, f = rng.randrange(n), rng.choice((0, 2, 3))
+        for row in b:
+            row[col] *= f
+    return Matrix(b)
+
+
+class TestSeedValidationRoutes:
+    def test_entrywise_checks_match_hermite_spans(self):
+        rng = random.Random(43)
+        outcomes = Counter()
+        for _ in range(300):
+            fixed = _random_fixed(rng, rng.randint(2, 5))
+            basis = _random_basis(rng, fixed, rng.choice(("kept", "free", "free", "scaled")))
+            try:
+                Seed(fixed, basis)
+                got = None
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == _hermite_route_error(fixed, basis), (fixed.d, fixed.frozen, basis)
+            outcomes[got] += 1
+        assert len(outcomes) == 4
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_each_condition_broken_by_hand(self):
+        skew = Matrix([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+        cases = [
+            (FixedData(3, skew, (1, 1, 1), {2}), [[1, 0, 0], [0, 1, 0], [1, 0, 1]],
+             "unfrozen columns do not span the unfrozen sublattice"),
+            (FixedData(3, skew, (1, 2, 1)), [[1, 0, 0], [1, 1, 0], [0, 0, 1]],
+             "scaled columns d_i e_i do not span the expected sublattice"),
+            (FixedData(3, skew, (1, 2, 1)), [[1, 0, 0], [2, 1, 0], [0, 0, 1]], None),
+            (FixedData(3, skew, (1, 1, 1), {0}), [[1, 0, 0], [0, 1, 0], [1, 0, 1]], None),
+            (FixedData(3, skew), [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+             "seed basis is not unimodular"),
+        ]
+        for fixed, rows, message in cases:
+            basis = Matrix(rows)
+            assert _hermite_route_error(fixed, basis) == message
+            if message is None:
+                Seed(fixed, basis)
+            else:
+                with pytest.raises(ValidationError, match=message):
+                    Seed(fixed, basis)
 
 
 class TestFans:

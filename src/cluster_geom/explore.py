@@ -236,6 +236,15 @@ def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
 
 # -- depth-bounded Laurent verification ---------------------------------------
 
+def _unlink(link):
+    """The labels of a parent link (k, (k', (...))), root first."""
+    path = []
+    while link:
+        k, link = link
+        path.append(k)
+    return path[::-1]
+
+
 def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     """Walk every non-backtracking label path, carrying the expression of the
     monomial z^q on the current seed torus; report Laurent-ness.
@@ -246,7 +255,8 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     not extended, so their seeds are never mutated.  A path is extended with
     the reduced Laurent polynomial when the division succeeded (the Laurent
     form is unique, so the reports do not change) and with the unreduced
-    fraction otherwise.
+    fraction otherwise.  A path is carried as its length and a parent link
+    (last label, parent's link), and spelled out only for a witness.
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
@@ -256,19 +266,20 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     max_terms_seen = 1
     max_degree = 0
     witnesses = []
-    stack = [(seed, RationalExpression.from_monomial(q), ())] if depth > 0 else []
+    stack = [(seed, RationalExpression.from_monomial(q), 0, None)] if depth > 0 else []
     while stack:
-        cur_seed, expr, path = stack.pop()
-        extend = len(path) + 1 < depth
+        cur_seed, expr, length, link = stack.pop()
+        extend = length + 1 < depth
+        last = link[0] if link else None
         for k in labels:
-            if path and k == path[-1]:
+            if k == last:
                 continue
             nxt = apply_step(cur_seed, k, expr)
             as_poly = nxt.as_laurent()
             paths += 1
             if as_poly is None:
                 witnesses.append({
-                    "path": list(path + (k,)),
+                    "path": _unlink((k, link)),
                     "expression": nxt.to_str(),
                 })
             else:
@@ -280,7 +291,7 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
                     )
             if extend:
                 carried = nxt if as_poly is None else as_poly
-                stack.append((mutate_seed(cur_seed, k), carried, path + (k,)))
+                stack.append((mutate_seed(cur_seed, k), carried, length + 1, (k, link)))
     return {
         "side": side,
         "q": list(q),

@@ -399,12 +399,3 @@ def solve_integer(a, b):
             y[i] = c[i] // d
     return tuple(sum(p * q for p, q in zip(row, y)) for row in st.vi)
 
-
-def is_saturated_family(vectors, width):
-    """A family of independent integer vectors spans a saturated sublattice
-    iff all its Smith invariant factors are 1."""
-    m = Matrix(list(vectors))
-    if m.rows == 0:
-        return True
-    diag = smith_diagonal(m)
-    return all(d == 1 for d in diag[: m.rows]) and len([d for d in diag if d != 0]) == m.rows

@@ -10,9 +10,12 @@ its exponent vectors, and its largest total degree less the minimum's sum.
 Over the integers the extreme terms of a product are products of extreme
 terms of the factors and cannot cancel, so a product's frame is the sum of
 its factors' frames and is set without a scan; a shift moves the frame
-along.  The frame is the one source of the product's packing and overflow
-test, of exact division's shift and degree test, and of min_exponents,
-max_total_degree and max_abs_exponent.
+along, and a sum in which no term cancels takes the componentwise extremes
+of its summands' frames.  The frame is the one source of the product's
+packing and overflow test, of exact division's shift and degree test, and
+of min_exponents, max_total_degree and max_abs_exponent.  The sorted terms
+are cached too: an exact quotient is built in canonical order, and a shift
+keeps it, so neither is sorted again.
 
 Products and exact division work on packed exponents (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -24,10 +27,12 @@ fewest that hold the product's largest span (maximum less minimum) in one
 variable.  A field of a product key never exceeds that span, so no carry
 crosses fields and no guard bit is needed, and whole-byte fields let all
 product keys be unpacked in one struct call.  Squares form each cross term
-once and double it; a monomial factor only shifts and scales the other.
-Division subtracts keys, so its fields carry one guard bit above the
-dividend's degree, which a borrow sets, and a total-degree field on top
-makes int order graded-lex order (see exact_divide).
+once and double it; a monomial factor only shifts and scales the other,
+and a monomial divisor likewise.  Division subtracts keys, so its
+whole-byte fields carry one guard bit above the dividend's degree, which a
+borrow sets, and a total-degree field on top makes int order graded-lex
+order; the quotient leaves the heap in that order and is unpacked in one
+struct call (see exact_divide).
 
 Exponents are kept below 2**62 in magnitude; crossing that bound raises
 ExponentOverflow rather than silently producing huge objects.  Since the
@@ -38,11 +43,12 @@ when some term would reach the bound.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import cycle, repeat
 from math import comb, lcm
-from operator import add, mul, sub
-from struct import unpack
+from operator import add, mul, neg, sub
+from struct import Struct, unpack
 
 from .errors import ResourceLimitExceeded
 
@@ -63,9 +69,39 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+@lru_cache(maxsize=64)
 def _field_weights(n, width):
     """1 << width * (n - 1 - i) for variable i: the fields of a packed key."""
     return tuple(1 << (width * i) for i in range(n - 1, -1, -1))
+
+
+@lru_cache(maxsize=64)
+def _division_keys(n, size, code):
+    """(weights, guard, unpack) of exact division's keys in n variables with
+    fields of `size` bytes: a total-degree field on top, then e_0 ... e_{n-1}.
+    guard has the top bit of every field set, and unpack maps an iterable of
+    keys to their exponent tuples, in the same order, without the total
+    degree; with a struct code (fields of 1, 2, 4 or 8 bytes) that is one
+    struct call."""
+    width = 8 * size
+    fields = _field_weights(n + 1, width)
+    guard = sum(fields) << (width - 1)
+    # the key's total degree goes to the top field
+    weights = tuple(fields[0] + w for w in fields[1:])
+    if code:
+        split = Struct(f">{size}x{n}{code}").iter_unpack
+        length = (n + 1) * size
+
+        def unpack_keys(keys):
+            return split(b"".join(map(int.to_bytes, keys, repeat(length), repeat("big"))))
+    else:
+        mask = (1 << width) - 1
+        shifts = range((n - 1) * width, -1, -width)
+
+        def unpack_keys(keys):
+            return (tuple((d >> s) & mask for s in shifts) for d in keys)
+
+    return weights, guard, unpack_keys
 
 
 def _pack(terms, lo, weights):
@@ -74,8 +110,8 @@ def _pack(terms, lo, weights):
     return {sum(map(mul, e, weights)) - offset: c for e, c in terms.items()}
 
 
-# (bytes, struct code) of a product key's fields, by the bytes the
-# product's largest span needs; a span is below 2**63, so 8 bytes suffice
+# (bytes, struct code) of a packed key's fields, by the bytes its largest
+# field value needs; a product's span is below 2**63, so 8 bytes suffice
 _FIELD_SIZES = ((1, "B"), (1, "B"), (2, "H"), (4, "I"), (4, "I")) + ((8, "Q"),) * 4
 
 
@@ -214,15 +250,31 @@ class LaurentPolynomial:
             raise ValueError("variable count mismatch")
 
     def __add__(self, other):
+        """The sum.  When no term cancels, the support is the union of the
+        supports, so the frame follows from the summands' frames."""
         self._require_same_ring(other)
+        # the zero polynomial's frame bounds no terms
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
+        get = out.get
+        cancelled = False
         for e, c in other._terms.items():
-            s = out.get(e, 0) + c
+            s = get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return LaurentPolynomial._raw(self.nvars, out)
+                del out[e]
+                cancelled = True
+        if cancelled:
+            return LaurentPolynomial._raw(self.nvars, out)
+        alo, ahi, atop = self._frame()
+        blo, bhi, btop = other._frame()
+        lo = tuple(map(min, alo, blo))
+        top = max(atop + sum(alo), btop + sum(blo)) - sum(lo)
+        return LaurentPolynomial._raw(self.nvars, out, (lo, tuple(map(max, ahi, bhi)), top))
 
     def __neg__(self):
         return LaurentPolynomial._raw(self.nvars, {e: -c for e, c in self._terms.items()})
@@ -302,7 +354,8 @@ class LaurentPolynomial:
         return LaurentPolynomial.one(self.nvars) if result is None else result
 
     def shift(self, exps):
-        """Multiply by the monomial z^exps."""
+        """Multiply by the monomial z^exps.  A shift keeps graded-lex order,
+        so sorted terms, when cached, stay sorted."""
         exps = tuple(exps)
         if not any(exps) or not self._terms:
             return self  # the zero polynomial's frame bounds no terms
@@ -310,8 +363,14 @@ class LaurentPolynomial:
         lo = tuple(map(add, lo, exps))
         hi = tuple(map(add, hi, exps))
         _check_exponents(lo + hi)
-        out = {tuple(map(add, e, exps)): c for e, c in self._terms.items()}
-        return LaurentPolynomial._raw(self.nvars, out, (lo, hi, top))
+        ordered = self._sorted
+        if ordered is None:
+            out = {tuple(map(add, e, exps)): c for e, c in self._terms.items()}
+            return LaurentPolynomial._raw(self.nvars, out, (lo, hi, top))
+        ordered = tuple((tuple(map(add, e, exps)), c) for e, c in ordered)
+        shifted = LaurentPolynomial._raw(self.nvars, dict(ordered), (lo, hi, top))
+        object.__setattr__(shifted, "_sorted", ordered)
+        return shifted
 
     def __eq__(self, other):
         return (
@@ -370,9 +429,12 @@ def binomial_power(v, a):
 def exact_divide(p, q):
     """The Laurent polynomial r with q * r = p, or None if none exists.
 
-    Both operands are shifted so that their componentwise-minimal exponent is
-    zero; the shifts and the degree test below read the cached frames.
-    Single-divisor reduction by the divisor's graded-lex leading term
+    A monomial divisor c z^e only shifts and scales: r is p / c shifted by
+    -e, and exists exactly when c divides every coefficient of p.
+
+    Otherwise both operands are shifted so that their componentwise-minimal
+    exponent is zero; the shifts and the degree test below read the cached
+    frames.  Single-divisor reduction by the divisor's graded-lex leading term
     then either ends with a zero remainder (success) or meets a remainder lead
     that the divisor's lead does not divide, which proves that no quotient
     exists.
@@ -380,14 +442,19 @@ def exact_divide(p, q):
     Every remainder term has nonnegative exponents and a total degree of at
     most D, the largest total degree of the shifted dividend.  So each
     exponent vector packs into one int: the total degree in the top field,
-    then e_0 ... e_{n-1}, every field wide enough for D plus one guard bit.
-    Int order is then graded-lex order, a monomial product is one int
-    addition, and the divisor's lead divides a term exactly when their
-    difference has no guard bit set.  The remainder is a dict plus a max-heap
-    of its keys with lazy deletion (Monagan and Pearce, "Sparse polynomial
-    division using a heap", J. Symb. Comp. 2011): each step takes the largest
-    live key, and every term it adds is smaller, so a processed key never
-    returns.  Only the quotient is unpacked.
+    then e_0 ... e_{n-1}, every field the fewest whole bytes (1, 2, 4, 8 or
+    more) that hold D plus one guard bit.  Int order is then graded-lex
+    order, a monomial product is one int addition, and the divisor's lead
+    divides a term exactly when their difference has no guard bit set.  The
+    remainder is a dict plus a max-heap of its keys with lazy deletion
+    (Monagan and Pearce, "Sparse polynomial division using a heap",
+    J. Symb. Comp. 2011): each step takes the largest live key, and every
+    term it adds is smaller, so a processed key never returns.
+
+    Quotient terms are therefore found in descending graded-lex order.  Only
+    the quotient is unpacked, in that order and in one struct call, so its
+    sorted terms() are cached as it is built, and the final shift by the
+    difference of the minima keeps them.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
@@ -396,15 +463,22 @@ def exact_divide(p, q):
     n = p.nvars
     if p.is_zero():
         return LaurentPolynomial.zero(n)
+    if len(q._terms) == 1:  # a monomial divisor only shifts and scales
+        ((e, c),) = q._terms.items()
+        if c != 1:
+            if any(x % c for x in p._terms.values()):
+                return None
+            p = LaurentPolynomial._raw(
+                n, {x: y // c for x, y in p._terms.items()}, p._frame()
+            )
+        return p.shift(map(neg, e))
     sp, phi, degree = p._frame()
     sq, qhi, qdegree = q._frame()
     if qdegree > degree:
         return None  # the divisor's lead cannot divide the dividend's
-    width = degree.bit_length() + 1
-    fields = _field_weights(n + 1, width)
-    guard = sum(fields) << (width - 1)
-    # the key's total degree sum_i (e_i - s_i) goes to the top field
-    weights = tuple(fields[0] + w for w in fields[1:])
+    need = (degree.bit_length() + 8) // 8  # bytes for D and a guard bit
+    size, code = _FIELD_SIZES[need] if need < len(_FIELD_SIZES) else (need, None)
+    weights, guard, unpack_keys = _division_keys(n, size, code)
     rem = _pack(p._terms, sp, weights)
     rest = _pack(q._terms, sq, weights)
     qlead = max(rest)
@@ -435,14 +509,14 @@ def exact_divide(p, q):
                     rem[t] = s
                 else:
                     del rem[t]
-    field = (1 << width) - 1
-    shifts = range((n - 1) * width, -1, -width)
-    unpacked = {tuple((d >> s) & field for s in shifts): f for d, f in quotient.items()}
+    # the keys were found in descending order, which is graded-lex order
+    ordered = tuple(zip(unpack_keys(quotient), quotient.values()))
     # q * r = p, so before its shift by sp - sq the quotient's frame is the
     # difference of the shifted frames of p and q
     span = tuple(map(sub, map(sub, phi, sp), map(sub, qhi, sq)))
-    frame = ((0,) * n, span, degree - qdegree)
-    return LaurentPolynomial._raw(n, unpacked, frame).shift(x - y for x, y in zip(sp, sq))
+    r = LaurentPolynomial._raw(n, dict(ordered), ((0,) * n, span, degree - qdegree))
+    object.__setattr__(r, "_sorted", ordered)
+    return r.shift(map(sub, sp, sq))
 
 
 class RationalExpression:

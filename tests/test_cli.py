@@ -19,6 +19,9 @@ MARKOV = {"rank": 3, "skew": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}
 # the oriented 4-cycle with double arrows
 CYCLE4 = {"rank": 4, "skew": [[0, 2, 0, -2], [-2, 0, 2, 0], [0, -2, 0, 2], [2, 0, -2, 0]]}
 A4 = {"rank": 4, "skew": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]}
+D4 = {"rank": 4, "skew": [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]}
+# skew-symmetrizable with d = (1, 3): type G2, 8 clusters
+G2 = {"rank": 2, "skew": [[0, 1], [-1, 0]], "d": [1, 3]}
 
 
 def run_cli(*args, env=None):
@@ -469,6 +472,9 @@ class TestLaurentGolden:
          ["--depth", "5", "--dedup", "unlabeled"]),
         ("laurent_check_markov_A100_d5", MARKOV, "laurent-check",
          ["--side", "A", "--q", "1,0,0", "--depth", "5"]),
+        ("explore_g2_d10", G2, "explore", ["--depth", "10"]),
+        ("laurent_check_d4_X_d5", D4, "laurent-check",
+         ["--side", "X", "--q=0,0,-1,-1", "--depth", "5"]),
     ])
     def test_golden_stdout(self, tmp_path, capsys, name, doc, command, extra):
         path = tmp_path / "seed.json"

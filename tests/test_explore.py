@@ -277,6 +277,22 @@ class TestVerifyLaurent:
 
 
 class TestWitnesses:
+    def test_witness_paths_follow_the_seed_paths(self):
+        # every step is a witness; the seeds track their own paths, so the
+        # witness paths, spelled out from parent links, must equal them
+        seed = seed_from_epsilon(D4)
+        bad = RationalExpression(LP.one(4), LP(4, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1}))
+        visited = []
+
+        def apply_step(cur_seed, k, expr):
+            visited.append(list(cur_seed.path + (k,)))
+            return bad
+
+        rep = _verify_along_paths(seed, "A", (1, 0, 0, 0), apply_step, 4, None)
+        assert rep["paths_checked"] == len(visited) == 4 + 12 + 36 + 108
+        assert [w["path"] for w in rep["witnesses"]] == visited
+        assert all(a != b for path in visited for a, b in zip(path, path[1:]))
+
     def test_non_laurent_child_is_reported_and_carried_unreduced(self):
         seed = seed_from_epsilon(A2)
         bad = RationalExpression(LP.one(2), LP(2, {(0, 0): 1, (1, 0): 1}))

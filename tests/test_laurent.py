@@ -10,6 +10,7 @@ from cluster_geom.laurent import (
     ExponentOverflow,
     LaurentPolynomial,
     RationalExpression,
+    _grlex_key,
     binomial_power,
     exact_divide,
     monomial_twist,
@@ -352,6 +353,99 @@ class TestExactDivide:
         q = lp(2, {(1, 0): 1})
         r = exact_divide(p, q)
         assert r == lp(2, {(-2, 0): 1, (-1, 1): 1})
+
+
+def _fresh_terms(p):
+    """The terms of p sorted afresh, not read from a cache."""
+    return tuple(sorted(p.items(), key=lambda t: _grlex_key(t[0]), reverse=True))
+
+
+@st.composite
+def _monomial_divisions(draw):
+    """(p, q) with q = c z^e for c in {+-1, +-2, +-3}, e anywhere in
+    [-2**40, 2**40], and p from _division_operands."""
+    p, _, _ = draw(_division_operands())
+    e = draw(st.tuples(*[st.integers(-(1 << 40), 1 << 40)] * p.nvars))
+    return p, LP.monomial(e, draw(st.sampled_from([1, -1, 2, -2, 3, -3])))
+
+
+class TestFastDivisionRoutes:
+    @given(_monomial_divisions())
+    @settings(max_examples=150, deadline=None)
+    def test_monomial_divisor_matches_the_max_scan_reduction(self, operands):
+        p, q = operands
+        for num in (p * q, p):
+            r = exact_divide(num, q)
+            assert r == _max_scan_divide(num, q)
+            if r is None:
+                ((_, c),) = q.items()
+                assert any(x % c for _, x in num.items())
+            else:
+                assert q * r == num
+                assert r._frame() == _fresh_frame(r)
+
+    def test_monomial_coefficient_must_divide(self):
+        p = lp(2, {(1, 0): 4, (0, 3): 6})
+        assert exact_divide(p, LP.monomial((1, 1), -2)) == lp(2, {(0, -1): -2, (-1, 2): -3})
+        assert exact_divide(p, LP.monomial((1, 1), 3)) is None
+        assert exact_divide(p, LP.monomial((0, 0), 4)) is None
+
+    @given(_division_operands(), st.tuples(*[st.integers(-(1 << 40), 1 << 40)] * 5))
+    @settings(max_examples=150, deadline=None)
+    def test_quotient_terms_are_in_canonical_order(self, operands, move):
+        p, q, _ = operands
+        if q.is_zero():
+            return
+        r = exact_divide(p * q, q)
+        if q.n_terms() > 1 and not p.is_zero():
+            assert r._sorted is not None  # cached while the quotient was built
+        shifted = r.shift(move[: r.nvars])
+        for poly in (r, shifted):
+            assert poly.terms() == _fresh_terms(poly)
+            assert poly._frame() == _fresh_frame(poly)
+
+    @given(_product_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_sum_frame_equals_a_fresh_scan(self, operands):
+        p, q = operands
+        total = p + q
+        a, b = dict(p.items()), dict(q.items())
+        cancelled = any(a[e] + c == 0 for e, c in b.items() if e in a)
+        if cancelled:
+            assert total._frame_cache is None
+        elif a and b:
+            assert total._frame_cache == _fresh_frame(total)
+
+    def test_cancelling_sum_leaves_the_frame_unset(self):
+        x = LP.variable(2, 0)
+        y = LP.variable(2, 1)
+        assert ((x + y) + (-x))._frame_cache is None
+        assert (x - x)._frame_cache is None
+        # no cancellation: the frame is set, and spans both summands
+        assert (x * x + LP.monomial((0, -3)))._frame_cache == ((0, -3), (2, 0), 5)
+
+    def test_keys_wider_than_eight_byte_fields(self):
+        # a dividend degree of 9 * 2**60 needs 65 bits with the guard bit,
+        # past every struct field, so the quotient is unpacked field by field
+        a = 3 << 59
+        q = lp(3, {(a, a, a): 1, (0, 0, 0): 1})
+        r = lp(3, {(a, a, a): 1, (0, 1, 0): -2, (0, 0, 0): -1})
+        assert (q * r).max_total_degree() == 9 << 60
+        quotient = exact_divide(q * r, q)
+        assert quotient == r == _max_scan_divide(q * r, q)
+        assert quotient.terms() == _fresh_terms(quotient)
+        assert exact_divide(q * r + LP.variable(3, 2), q) is None
+
+    @pytest.mark.parametrize("c", [1, -2])
+    def test_monomial_divisor_overflow(self, c):
+        h = 1 << 61
+        p = lp(2, {(h, 0): 2, (0, 1): 2})
+        below = exact_divide(p, LP.monomial((1 - h, 0), c))
+        assert below.max_abs_exponent() == EXPONENT_LIMIT - 1
+        with pytest.raises(ExponentOverflow):
+            exact_divide(p, LP.monomial((-h, 0), c))
+        with pytest.raises(ExponentOverflow):
+            exact_divide(lp(2, {(-h, 0): 2, (0, 1): 2}), LP.monomial((h, 5), c))
 
 
 class TestRationalExpression:

@@ -11,7 +11,17 @@ falsify the implementation, not the theory.
 Graph nodes are identified by (exchange matrix, cluster variables): mutation
 is involutive on that pair, while the underlying bases return from a double
 mutation only up to a linear shear.  The optional "unlabeled" mode also
-quotients by simultaneous relabelings of the unfrozen indices.
+quotients by simultaneous relabelings of the unfrozen indices that keep the
+symmetrizers.  The cluster variables of a seed are algebraically independent
+(Fomin and Zelevinsky, "Cluster algebras I"), hence pairwise distinct, so
+sorting the unfrozen indices by (symmetrizer, variable) fixes the one
+relabeling that can match; the key is the node permuted by that sort.
+
+Within one explore call each exchange relation is solved once: the new
+variable depends only on k, the old variable and the variables that row k
+touches, with their exponents.  A repeat of that data, and the backtracking
+step that reverses a solved relation, reuse the variable and only mutate the
+seed.
 
 Everything runs serially in one thread: the work is pure Python and holds
 the GIL, so threads cannot speed it up.
@@ -19,9 +29,7 @@ the GIL, so threads cannot speed it up.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import (
     LaurentViolation,
@@ -29,32 +37,17 @@ from .errors import (
     ResourceLimitExceeded,
     ValidationError,
 )
-from .laurent import (
+from .laurent import (  # noqa: F401  (the term cap's names stay importable here)
+    DEFAULT_MAX_TERMS,
+    MAX_TERMS_ENV,
     LaurentPolynomial,
     RationalExpression,
     exact_divide,
     inverse_pullback_A,
     inverse_pullback_X,
+    max_terms_limit,
 )
 from .seeds import Seed, mutate_seed
-
-MAX_TERMS_ENV = "CLUSTER_GEOM_MAX_TERMS"
-DEFAULT_MAX_TERMS = 200_000
-
-
-def max_terms_limit(explicit=None):
-    limit = explicit
-    if limit is None:
-        raw = os.environ.get(MAX_TERMS_ENV)
-        if not raw:
-            return DEFAULT_MAX_TERMS
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise ValidationError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}")
-    if limit < 1:
-        raise ValidationError(f"the term cap must be at least 1, got {limit}")
-    return limit
 
 
 @dataclass(frozen=True)
@@ -94,59 +87,53 @@ def step(node, k, max_terms=None):
     seed = node.seed
     if k in seed.fixed.frozen:
         raise ValidationError(f"cannot mutate at frozen index {k}")
-    limit = max_terms_limit(max_terms)
     p = exchange_polynomial(node, k)
     old = node.cluster_vars[k]
-    new_var = exact_divide(p, old)
+    new_var = exact_divide(p, old, max_terms_limit(max_terms))
     if new_var is None:
         raise LaurentViolation(
             f"exchange relation at index {k} failed exact division",
             path=seed.path + (k,),
             expression=RationalExpression(p, old),
         )
-    if new_var.n_terms() > limit:
-        raise ResourceLimitExceeded(
-            f"cluster variable exceeds {limit} terms (set {MAX_TERMS_ENV} to raise)"
-        )
+    return _exchanged(node, k, new_var)
+
+
+def _exchanged(node, k, new_var):
+    """The child of a node at index k, whose k-th variable is new_var."""
     vars_new = list(node.cluster_vars)
     vars_new[k] = new_var
-    return SeedNode(mutate_seed(seed, k), tuple(vars_new), node.depth + 1)
+    return SeedNode(mutate_seed(node.seed, k), tuple(vars_new), node.depth + 1)
 
 
 # -- node keys ---------------------------------------------------------------
 
-def _relabelings(fixed):
-    """Permutations of the unfrozen indices that preserve the symmetrizers,
-    as full index orders.  Brute force; meant for small ranks."""
-    unf = fixed.unfrozen
-    for perm in permutations(unf):
-        if any(fixed.d[a] != fixed.d[b] for a, b in zip(unf, perm)):
-            continue
-        mapping = dict(zip(unf, perm))
-        yield [mapping.get(i, i) for i in range(fixed.n)]
-
-
-def _min_relabeling(fixed, eps_rows, labels):
-    """Least (exchange matrix, per-index labels) over the relabelings."""
-    best = None
-    for order in _relabelings(fixed):
-        cand = (
-            tuple(tuple(eps_rows[a][b] for b in order) for a in order),
-            tuple(labels[a] for a in order),
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def _node_key(node, dedup):
-    eps = node.seed.eps
+    """(exchange matrix, per-index variable terms), permuted in unlabeled
+    mode by the sort of the unfrozen indices by (d_i, terms) into the
+    unfrozen positions, themselves sorted by d; frozen indices stay."""
+    eps = node.seed.eps.data
     terms = tuple(v.terms() for v in node.cluster_vars)
     if dedup == "labeled":
-        return (eps.data, terms)
+        return (eps, terms)
     if dedup != "unlabeled":
         raise ValidationError(f"unknown dedup policy {dedup!r}")
-    return _min_relabeling(node.seed.fixed, eps.data, terms)
+    fixed = node.seed.fixed
+    d = fixed.d
+    ranked = sorted(fixed.unfrozen, key=lambda i: (d[i], terms[i]))
+    for a, b in zip(ranked, ranked[1:]):
+        if d[a] == d[b] and terms[a] == terms[b]:
+            raise ValidationError(
+                f"cluster variables {a} and {b} are equal, so the node has no "
+                "canonical relabeling"
+            )
+    order = list(range(fixed.n))
+    for pos, i in zip(sorted(fixed.unfrozen, key=d.__getitem__), ranked):
+        order[pos] = i
+    return (
+        tuple(tuple(eps[a][b] for b in order) for a in order),
+        tuple(terms[a] for a in order),
+    )
 
 
 @dataclass(frozen=True)
@@ -211,17 +198,34 @@ def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
     edges = []
     truncated = False
     frontier = [0]
+    # (k, id(old), ((id(v), e) for e != 0 in row k)) -> (new, variables):
+    # the variables hold every object the key names, so no id is reused
+    solved = {}
     for _ in range(depth):
         if not frontier:  # the graph is complete; deeper levels add nothing
             break
         next_frontier = []
         for nid in frontier:
+            node = nodes[nid]
             for k in unfrozen:
-                try:
-                    child = step(nodes[nid], k, max_terms=limit)
-                except ResourceLimitExceeded:
-                    truncated = True
-                    continue
+                old = node.cluster_vars[k]
+                row = node.seed.eps.data[k]
+                ref = tuple((id(v), e) for v, e in zip(node.cluster_vars, row) if e)
+                hit = solved.get((k, id(old), ref))
+                if hit is None:
+                    try:
+                        child = step(node, k, max_terms=limit)
+                    except ResourceLimitExceeded:
+                        truncated = True
+                        continue
+                    new = child.cluster_vars[k]
+                    solved[(k, id(old), ref)] = (new, node.cluster_vars)
+                    # row k of the child's matrix is minus row k, and the
+                    # exchange polynomial is symmetric in its two monomials
+                    inverse = tuple((i, -e) for i, e in ref)
+                    solved[(k, id(new), inverse)] = (old, child.cluster_vars)
+                else:
+                    child = _exchanged(node, k, hit[0])
                 key = _node_key(child, dedup)
                 cid = ids.get(key)
                 if cid is None:
@@ -275,7 +279,7 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
             if k == last:
                 continue
             nxt = apply_step(cur_seed, k, expr)
-            as_poly = nxt.as_laurent()
+            as_poly = nxt.as_laurent(limit)
             paths += 1
             if as_poly is None:
                 witnesses.append({
@@ -285,10 +289,6 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
             else:
                 max_terms_seen = max(max_terms_seen, as_poly.n_terms())
                 max_degree = max(max_degree, as_poly.max_abs_exponent())
-                if as_poly.n_terms() > limit:
-                    raise ResourceLimitExceeded(
-                        f"expression exceeds {limit} terms"
-                    )
             if extend:
                 carried = nxt if as_poly is None else as_poly
                 stack.append((mutate_seed(cur_seed, k), carried, length + 1, (k, link)))

@@ -42,6 +42,7 @@ when some term would reach the bound.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -50,13 +51,38 @@ from math import comb, lcm
 from operator import add, mul, neg, sub
 from struct import Struct, unpack
 
-from .errors import ResourceLimitExceeded
+from .errors import ResourceLimitExceeded, ValidationError
 
 EXPONENT_LIMIT = 1 << 62
+MAX_TERMS_ENV = "CLUSTER_GEOM_MAX_TERMS"
+DEFAULT_MAX_TERMS = 200_000
 
 
 class ExponentOverflow(ResourceLimitExceeded, ArithmeticError):
     """An exponent reached EXPONENT_LIMIT in magnitude."""
+
+
+def max_terms_limit(explicit=None):
+    """The term cap: `explicit` if given, else CLUSTER_GEOM_MAX_TERMS, else
+    DEFAULT_MAX_TERMS.  A cap below 1 or an unparsable value is rejected."""
+    limit = explicit
+    if limit is None:
+        raw = os.environ.get(MAX_TERMS_ENV)
+        if not raw:
+            return DEFAULT_MAX_TERMS
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise ValidationError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}")
+    if limit < 1:
+        raise ValidationError(f"the term cap must be at least 1, got {limit}")
+    return limit
+
+
+def _quotient_too_large(limit):
+    return ResourceLimitExceeded(
+        f"quotient exceeds {limit} terms (set {MAX_TERMS_ENV} to raise)"
+    )
 
 
 def _check_exponents(exps):
@@ -426,8 +452,13 @@ def binomial_power(v, a):
     return LaurentPolynomial._raw(len(v), terms)
 
 
-def exact_divide(p, q):
+def exact_divide(p, q, max_terms=None):
     """The Laurent polynomial r with q * r = p, or None if none exists.
+
+    The quotient may have at most `max_terms` terms (max_terms_limit's
+    default when None); ResourceLimitExceeded is raised as soon as it has
+    more, so the work of a division is bounded by the cap, not by the
+    dividend's degree.
 
     A monomial divisor c z^e only shifts and scales: r is p / c shifted by
     -e, and exists exactly when c divides every coefficient of p.
@@ -449,7 +480,10 @@ def exact_divide(p, q):
     remainder is a dict plus a max-heap of its keys with lazy deletion
     (Monagan and Pearce, "Sparse polynomial division using a heap",
     J. Symb. Comp. 2011): each step takes the largest live key, and every
-    term it adds is smaller, so a processed key never returns.
+    term it adds is smaller, so a processed key never returns.  Every step
+    that does not end the division adds a quotient term, and each quotient
+    term pushes at most |q| - 1 keys, so fewer than |p| + (cap + 1) * |q|
+    steps run before the cap is hit.
 
     Quotient terms are therefore found in descending graded-lex order.  Only
     the quotient is unpacked, in that order and in one struct call, so its
@@ -463,6 +497,7 @@ def exact_divide(p, q):
     n = p.nvars
     if p.is_zero():
         return LaurentPolynomial.zero(n)
+    limit = max_terms_limit(max_terms)
     if len(q._terms) == 1:  # a monomial divisor only shifts and scales
         ((e, c),) = q._terms.items()
         if c != 1:
@@ -471,6 +506,8 @@ def exact_divide(p, q):
             p = LaurentPolynomial._raw(
                 n, {x: y // c for x, y in p._terms.items()}, p._frame()
             )
+        if len(p._terms) > limit:
+            raise _quotient_too_large(limit)
         return p.shift(map(neg, e))
     sp, phi, degree = p._frame()
     sq, qhi, qdegree = q._frame()
@@ -497,6 +534,8 @@ def exact_divide(p, q):
             return None
         f = c // qlc
         quotient[d] = f
+        if len(quotient) > limit:
+            raise _quotient_too_large(limit)
         for eq, cq in rest:
             t = d + eq
             s = rem.get(t)
@@ -558,9 +597,10 @@ class RationalExpression:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    def as_laurent(self):
-        """The equal Laurent polynomial, or None when the fraction is not one."""
-        return exact_divide(self.num, self.den)
+    def as_laurent(self, max_terms=None):
+        """The equal Laurent polynomial, or None when the fraction is not one;
+        the term cap is exact_divide's."""
+        return exact_divide(self.num, self.den, max_terms)
 
     def equals(self, other):
         """Exact equality as rational functions (cross multiplication)."""

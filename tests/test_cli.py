@@ -22,6 +22,9 @@ A4 = {"rank": 4, "skew": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1,
 D4 = {"rank": 4, "skew": [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]}
 # skew-symmetrizable with d = (1, 3): type G2, 8 clusters
 G2 = {"rank": 2, "skew": [[0, 1], [-1, 0]], "d": [1, 3]}
+# type B3 (d = (1, 1, 2)), 20 clusters; and A3 with one frozen index, 14
+B3 = {"rank": 3, "skew": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "d": [1, 1, 2]}
+A3_FROZEN = {**A4, "frozen": [3]}
 
 
 def run_cli(*args, env=None):
@@ -475,6 +478,10 @@ class TestLaurentGolden:
         ("explore_g2_d10", G2, "explore", ["--depth", "10"]),
         ("laurent_check_d4_X_d5", D4, "laurent-check",
          ["--side", "X", "--q=0,0,-1,-1", "--depth", "5"]),
+        ("explore_b3_d8_unlabeled", B3, "explore",
+         ["--depth", "8", "--dedup", "unlabeled"]),
+        ("explore_a3_frozen_d8_unlabeled", A3_FROZEN, "explore",
+         ["--depth", "8", "--dedup", "unlabeled"]),
     ])
     def test_golden_stdout(self, tmp_path, capsys, name, doc, command, extra):
         path = tmp_path / "seed.json"

@@ -1,12 +1,20 @@
+import importlib
+import random
+from itertools import permutations
+
 import pytest
+from test_acceptance import random_symmetrizable_seed
 
 from cluster_geom.errors import (
+    ClusterGeomError,
     PreconditionError,
     ResourceLimitExceeded,
     ValidationError,
 )
 from cluster_geom.explore import (
     MAX_TERMS_ENV,
+    SeedNode,
+    _node_key,
     _verify_along_paths,
     exchange_polynomial,
     explore,
@@ -25,11 +33,17 @@ from cluster_geom.rank2 import build_seed, nine_ray_data
 from cluster_geom.seeds import seed_from_epsilon
 
 LP = LaurentPolynomial
+# the module, which the package's `explore` function shadows as an attribute
+explore_module = importlib.import_module("cluster_geom.explore")
 
 A2 = [[0, 1], [-1, 0]]
 MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
 CYCLE4 = [[0, 2, 0, -2], [-2, 0, 2, 0], [0, -2, 0, 2], [2, 0, -2, 0]]
 D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
+A5 = [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0],
+      [0, 0, -1, 0, 1], [0, 0, 0, -1, 0]]
+# type B3: skew [[0,1,0],[-1,0,1],[0,-1,0]] with d = (1, 1, 2)
+B3 = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
 
 
 def a2_root():
@@ -209,10 +223,148 @@ class TestFrozenCoefficients:
             assert n.cluster_vars[3] == LP(4, {(0, 0, 0, 1): 1})
 
 
+def _brute_force_key(node):
+    """Least (exchange matrix, per-index terms) over all relabelings of the
+    unfrozen indices that keep the symmetrizers: the unlabeled key as it
+    was first defined, by trying all n! relabelings."""
+    fixed = node.seed.fixed
+    eps = node.seed.eps.data
+    labels = tuple(v.terms() for v in node.cluster_vars)
+    unf = fixed.unfrozen
+    best = None
+    for perm in permutations(unf):
+        if any(fixed.d[a] != fixed.d[b] for a, b in zip(unf, perm)):
+            continue
+        mapping = dict(zip(unf, perm))
+        order = [mapping.get(i, i) for i in range(fixed.n)]
+        cand = (
+            tuple(tuple(eps[a][b] for b in order) for a in order),
+            tuple(labels[a] for a in order),
+        )
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _partition(keys):
+    """The index of the first equal key, for each key."""
+    first = {}
+    return [first.setdefault(key, i) for i, key in enumerate(keys)]
+
+
+def _relabeled(node, rng):
+    """The node under a random relabeling of its unfrozen indices that keeps
+    the symmetrizers."""
+    fixed = node.seed.fixed
+    order = list(range(fixed.n))
+    for d in set(fixed.d):
+        block = [i for i in fixed.unfrozen if fixed.d[i] == d]
+        for i, j in zip(block, rng.sample(block, len(block))):
+            order[i] = j
+    eps = node.seed.eps.data
+    seed = seed_from_epsilon(
+        [[eps[a][b] for b in order] for a in order], fixed.d, fixed.frozen
+    )
+    return SeedNode(seed, tuple(node.cluster_vars[a] for a in order), node.depth)
+
+
+def _random_seeds():
+    """Random seeds of rank 2 to 6 from the acceptance generator, most with
+    some d_i != 1, each also with its last index frozen."""
+    rng = random.Random(31)
+    for n in (2, 3, 4, 5, 6):
+        seed = random_symmetrizable_seed(rng, n)
+        yield seed
+        yield seed_from_epsilon(seed.eps.data, seed.fixed.d, {n - 1})
+
+
 class TestKeys:
     def test_equal_seeds_equal_keys(self):
         s = seed_from_epsilon(A2)
         assert s == seed_from_epsilon(A2)
+
+    @pytest.mark.parametrize("seed", [
+        *_random_seeds(),
+        seed_from_epsilon(D4),
+        seed_from_epsilon(B3, (1, 1, 2)),
+        seed_from_epsilon(A5, frozen={4}),
+    ], ids=lambda s: f"n{s.n}-d{''.join(map(str, s.fixed.d))}-f{len(s.fixed.frozen)}")
+    def test_sorted_key_matches_the_brute_force_key(self, seed):
+        # the nodes of a labeled explore, each followed by a relabeled copy:
+        # both keys must merge every copy with its node and agree on the rest
+        rng = random.Random(seed.n)
+        nodes = []
+        for node in explore(seed, 3, max_terms=300).nodes:
+            nodes += [node, _relabeled(node, rng)]
+        sorted_keys = [_node_key(node, "unlabeled") for node in nodes]
+        partition = _partition(sorted_keys)
+        assert partition == _partition(map(_brute_force_key, nodes))
+        assert partition[1::2] == partition[0::2]
+
+    @pytest.mark.parametrize("eps, d", [(A5, None), (D4, None), (B3, (1, 1, 2))])
+    def test_unlabeled_graph_matches_the_brute_force_key(self, eps, d, monkeypatch):
+        seed = seed_from_epsilon(eps, d)
+        fast = explore(seed, 6, dedup="unlabeled")
+        monkeypatch.setattr(
+            explore_module, "_node_key", lambda node, dedup: _brute_force_key(node)
+        )
+        slow = explore(seed, 6, dedup="unlabeled")
+        assert fast.edges == slow.edges
+        assert fast.report() == slow.report()
+
+    def test_equal_variables_have_no_canonical_key(self):
+        x0 = LP.variable(2, 0)
+        node = SeedNode(seed_from_epsilon(A2), (x0, x0))
+        assert _node_key(node, "labeled")
+        with pytest.raises(ClusterGeomError, match="are equal"):
+            _node_key(node, "unlabeled")
+
+
+class TestSolvedRelations:
+    @pytest.mark.parametrize("eps, d, depth", [
+        (A5, None, 5), (D4, None, 5), (MARKOV, None, 4), (B3, (1, 1, 2), 6),
+    ])
+    def test_every_node_replays_along_its_path(self, eps, d, depth):
+        root = root_node(seed_from_epsilon(eps, d))
+        for dedup in ("labeled", "unlabeled"):
+            for node in explore(root, depth, dedup=dedup).nodes:
+                replay = root
+                for k in node.seed.path:
+                    replay = step(replay, k)
+                assert replay.seed.eps == node.seed.eps
+                assert replay.cluster_vars == node.cluster_vars
+
+    @pytest.mark.parametrize("eps, d", [(A5, None), (MARKOV, None), (B3, (1, 1, 2))])
+    def test_a_backtracking_step_reuses_the_grandparents_variable(
+            self, eps, d, monkeypatch):
+        children, solved = [], []
+        exchanged, public_step = explore_module._exchanged, explore_module.step
+
+        def record_child(node, k, new_var):
+            child = exchanged(node, k, new_var)
+            children.append((node, k, child))
+            return child
+
+        def record_step(node, k, max_terms=None):
+            solved.append((node, k))
+            return public_step(node, k, max_terms)
+
+        monkeypatch.setattr(explore_module, "_exchanged", record_child)
+        monkeypatch.setattr(explore_module, "step", record_step)
+        graph = explore(seed_from_epsilon(eps, d), 4)
+        by_path = {node.seed.path: node for node in graph.nodes}
+        backtracks = 0
+        for node, k, child in children:
+            path = node.seed.path
+            if path and path[-1] == k:
+                backtracks += 1
+                grandparent = by_path[path[:-1]]
+                assert child.cluster_vars[k] is grandparent.cluster_vars[k]
+        # every expanded node but the root has a backtracking edge, solved
+        # by the step that made the node
+        expanded = [node for node in graph.nodes if 0 < node.depth < 4]
+        assert backtracks == len(expanded)
+        assert len(solved) <= len(graph.edges) - backtracks
 
 
 class TestVerifyLaurent:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cluster_geom.errors import ResourceLimitExceeded
 from cluster_geom.laurent import (
     EXPONENT_LIMIT,
+    MAX_TERMS_ENV,
     ExponentOverflow,
     LaurentPolynomial,
     RationalExpression,
@@ -237,10 +238,11 @@ class TestBinomialPower:
             binomial_power((1,), -1)
 
 
-def _max_scan_divide(p, q):
+def _max_scan_divide(p, q, max_terms=None):
     """Single-divisor reduction that rescans the whole remainder for its
     graded-lex maximum at every step: the route exact_divide took before it
-    packed keys into a heap, kept here as a differential oracle."""
+    packed keys into a heap, kept here as a differential oracle.  With a
+    cap, it raises once the quotient has more than max_terms terms."""
     if p.is_zero():
         return LP.zero(p.nvars)
     sp, sq = p.min_exponents(), q.min_exponents()
@@ -258,6 +260,8 @@ def _max_scan_divide(p, q):
             return None
         f = c // qlc
         quotient[diff] = f
+        if max_terms is not None and len(quotient) > max_terms:
+            raise ResourceLimitExceeded("quotient over the cap")
         for eq, cq in qhat.items():
             t = tuple(x + y for x, y in zip(diff, eq))
             s = rem.get(t, 0) - f * cq
@@ -292,16 +296,51 @@ def _division_operands(draw):
     return poly(4), poly(4), poly(3)
 
 
+def _capped(divide, p, q, cap):
+    try:
+        return divide(p, q, cap)
+    except ResourceLimitExceeded:
+        return "over the cap"
+
+
 class TestExactDivide:
     @given(_division_operands())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_max_scan_reduction(self, operands):
+        # A quotient past the cap can have up to 2**40 terms, and dividing
+        # by 1 + x takes one step per term.  The cap of 20 sits above the
+        # 19 terms a dividend here can have, so a monomial divisor, which
+        # exact_divide checks whole and the oracle term by term, never
+        # reaches it.
         p, q, r = operands
         if q.is_zero():
             return
-        assert exact_divide(p * q, q) == p
+        assert exact_divide(p * q, q, 20) == p
         for num in (p * q, p * q + r, p):
-            assert exact_divide(num, q) == _max_scan_divide(num, q)
+            expected = _capped(_max_scan_divide, num, q, 20)
+            assert _capped(exact_divide, num, q, 20) == expected
+
+    def test_a_huge_quotient_stops_at_the_default_cap(self, monkeypatch):
+        # (x^(2^40) + 1) / (1 + x) has no Laurent quotient, and the reduction
+        # would find that out only after 2^40 quotient terms
+        monkeypatch.delenv(MAX_TERMS_ENV, raising=False)
+        p = lp(1, {(1 << 40,): 1, (0,): 1})
+        q = lp(1, {(0,): 1, (1,): 1})
+        with pytest.raises(ResourceLimitExceeded):
+            exact_divide(p, q)
+        with pytest.raises(ResourceLimitExceeded):
+            RationalExpression(p, q).as_laurent()
+
+    def test_the_cap_bounds_the_quotient_not_the_dividend(self):
+        x = LP.variable(1, 0)
+        q = LP.one(1) + x
+        r = (q + x * x) ** 2  # five terms
+        assert exact_divide(q * r, q, 5) == r
+        with pytest.raises(ResourceLimitExceeded):
+            exact_divide(q * r, q, 4)
+        assert exact_divide(r, x, 5) == r.shift((-1,))
+        with pytest.raises(ResourceLimitExceeded):
+            exact_divide(r, x, 4)
 
     def test_divisor_lead_exceeds_a_component(self):
         # x^2 / (1 + y^2): the divisor's lead y^2 has the dividend's total

@@ -257,9 +257,12 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     expression by an exact linear change of monomial basis, so Laurent-ness
     and term counts are unaffected.  Paths of full length are checked but
     not extended, so their seeds are never mutated.  A path is extended with
-    the reduced Laurent polynomial when the division succeeded (the Laurent
-    form is unique, so the reports do not change) and with the unreduced
-    fraction otherwise.  A path is carried as its length and a parent link
+    the reduced Laurent polynomial when the step's result is Laurent (the
+    Laurent form is unique, so the reports do not change) and with the
+    unreduced fraction otherwise.  The pullbacks twist a Laurent polynomial
+    line by line and return it reduced, so a Laurent step divides no
+    fraction; after a witness its fraction takes monomial_twist's general
+    route.  A path is carried as its length and a parent link
     (last label, parent's link), and spelled out only for a witness.
     """
     if depth < 0:

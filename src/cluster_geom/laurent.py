@@ -43,7 +43,6 @@ when some term would reach the bound.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import cycle, repeat
@@ -623,7 +622,11 @@ class RationalExpression:
 #   X-side (lattice characters):       z^n -> z^n (1 + z^{e_k})^{-[n, e_k]}
 #
 # The inverse maps are the same twists with the opposite exponent sign, in the
-# data of the same source seed.
+# data of the same source seed.  Both exponents vanish on the twist vector,
+# so they are constant on each line m + Zv, and the pullback of a regular
+# function is regular exactly when, line by line, it keeps its order along
+# {1 + z^v = 0} (GHK); monomial_twist checks that with one exact division
+# per line.
 # ---------------------------------------------------------------------------
 
 def _as_expression(expr):
@@ -634,16 +637,161 @@ def _as_expression(expr):
     raise TypeError("expected a LaurentPolynomial or RationalExpression")
 
 
+class LinearForm:
+    """m -> sum_a ints[a] * m[a] / den, with integer weights `ints` over one
+    common denominator `den`; a value that is not an integer raises
+    ValueError(message).  The pullbacks pass their twist exponent as a
+    LinearForm, which tells monomial_twist that it is linear."""
+
+    __slots__ = ("ints", "den", "message")
+
+    def __init__(self, ints, den, message):
+        self.ints = tuple(ints)
+        self.den = den
+        self.message = message
+
+    def __call__(self, m):
+        num = sum(map(mul, self.ints, m))
+        if num % self.den:
+            raise ValueError(self.message)
+        return num // self.den
+
+    def __neg__(self):
+        return LinearForm(map(neg, self.ints), self.den, self.message)
+
+    def kills(self, v):
+        """Whether the form vanishes at v."""
+        return not sum(map(mul, self.ints, v))
+
+
+@lru_cache(maxsize=64)
+def _pascal_row(a):
+    """(comb(a, 0), ..., comb(a, a)): the coefficients of (1 + t)^a."""
+    return tuple(comb(a, j) for j in range(a + 1))
+
+
+def _times_binomial(coeffs, a):
+    """Dense coefficients, lowest first, of P(t) (1 + t)^a."""
+    row = _pascal_row(a)
+    out = [0] * (len(coeffs) + a)
+    for i, c in enumerate(coeffs):
+        if c:
+            out[i:i + a + 1] = map(add, out[i:i + a + 1], map(mul, row, repeat(c)))
+    return out
+
+
+def _over_binomial(coeffs, b):
+    """Dense coefficients, lowest first, of P(t) / (1 + t)^b, or None when
+    (1 + t)^b does not divide P (whose lowest coefficient is nonzero):
+    synthetic division by 1 + t from the top, b times."""
+    for _ in range(b):
+        quotient = []
+        carry = 0
+        for c in reversed(coeffs[1:]):
+            carry = c - carry
+            quotient.append(carry)
+        if coeffs[0] != carry:
+            return None
+        coeffs = quotient[::-1]
+    return coeffs
+
+
+def _twist_lines(p, v, g):
+    """sum_m c_m z^m (1 + z^v)^{g(m)} for p = sum_m c_m z^m, v != 0 and a
+    linear form g with g(v) = 0, as a Laurent polynomial; or None when it
+    is not one, or when the general route's exponent test would fire, so
+    that the general route gives its fraction or raises ExponentOverflow.
+
+    g is constant on each line m + Zv, and in t = z^v the line's terms form
+    a polynomial P(t), twisted to P(t) (1 + t)^a.  Distinct lines share no
+    monomial, so the twist is a Laurent polynomial exactly when
+    (1 + t)^{-a} divides P(t) on every line with a < 0.  A single term with
+    a >= 0 is a shifted binomial power.  Otherwise every line is twisted on
+    dense coefficients (lines with wide gaps take the general route), and
+    the results are written on packed keys in p's frame widened by
+    max(0, max a) v, which holds every output term; packing is linear, so
+    the line's j-th term lies j key(v) above its lowest, and all keys are
+    unpacked at once."""
+    terms = p._terms
+    if not terms:
+        return p
+    if len(terms) == 1:
+        ((m, c),) = terms.items()
+        a = g(m)
+        if a < 0:
+            return None
+        # raises ExponentOverflow exactly when the general route does
+        return binomial_power(v, a).shift(m) * c
+    i0 = next(i for i, x in enumerate(v) if x)
+    vi = v[i0]
+    lines = {}
+    for m, c in terms.items():
+        s = m[i0] // vi
+        rep = tuple([x - s * y for x, y in zip(m, v)])
+        line = lines.get(rep)
+        if line is None:
+            lines[rep] = {s: c}
+        else:
+            line[s] = c
+    powers = [(rep, line, g(rep), min(line), max(line)) for rep, line in lines.items()]
+    low = min(a for _, _, a, _, _ in powers)
+    high = max(a for _, _, a, _, _ in powers)
+    floor = max(0, -low)
+    # the general route's exponent test, covering its denominator too
+    vmax = max(map(abs, v))
+    if max(p.max_abs_exponent() + high * vmax, 0) + floor * vmax >= EXPONENT_LIMIT:
+        return None
+    # the dense lines may hold at most twice as many coefficients as the
+    # general route's twisted numerator; lines with wide gaps go there, and
+    # a huge quotient stops at the term cap of its division
+    dense = sum(top - bottom + 1 + max(a, 0) for _, _, a, bottom, top in powers)
+    if dense > 2 * sum(len(line) * (a + floor + 1) for _, line, a, _, _ in powers):
+        return None
+    lo, hi, _ = p._frame()
+    wide = tuple(max(0, high) * x for x in v)
+    lo = tuple(x + min(0, w) for x, w in zip(lo, wide))
+    hi = tuple(x + max(0, w) for x, w in zip(hi, wide))
+    size, code = _FIELD_SIZES[(max(map(sub, hi, lo)).bit_length() + 7) // 8]
+    weights = _field_weights(len(v), 8 * size)
+    step = sum(map(mul, v, weights))
+    offset = sum(map(mul, lo, weights))
+    out = {}
+    for rep, line, a, bottom, top in powers:
+        coeffs = [0] * (top - bottom + 1)
+        for s, c in line.items():
+            coeffs[s - bottom] = c
+        if a > 0:
+            coeffs = _times_binomial(coeffs, a)
+        elif a < 0:
+            coeffs = _over_binomial(coeffs, -a)
+            if coeffs is None:
+                return None
+        key = sum(map(mul, rep, weights)) - offset + bottom * step
+        for c in coeffs:
+            if c:
+                out[key] = c
+            key += step
+    return LaurentPolynomial._raw(p.nvars, _unpack(out, lo, size, code))
+
+
 def monomial_twist(expr, v, g):
     """Apply z^m -> z^m (1 + z^v)^{g(m)} to a rational expression.
 
-    Negative powers of the binomial are routed into the denominator; no
+    When g is a LinearForm with g(v) = 0, v != 0 and expr is a Laurent
+    polynomial, the twist is taken line by line (see _twist_lines), and a
+    Laurent result comes back reduced, over the denominator 1.  Everything
+    else, and every result that is not Laurent, takes the general route:
+    negative powers of the binomial are routed into the denominator and no
     reduction is attempted.  Each side is accumulated in one dict: a term
     c z^m with twist exponent a adds c * comb(a, j) at m + j v for j = 0..a,
     with the expansion of (1 + z^v)^a built once per distinct a.
     """
     expr = _as_expression(expr)
     v = tuple(v)
+    if isinstance(g, LinearForm) and expr.den.is_one() and any(v) and g.kills(v):
+        twisted = _twist_lines(expr.num, v, g)
+        if twisted is not None:
+            return RationalExpression(twisted)
     vmax = max(map(abs, v), default=0)
 
     def twist_poly(p):
@@ -682,36 +830,28 @@ def monomial_twist(expr, v, g):
 
 
 def _integral_form(weights, message):
-    """m -> sum_a weights[a] * m[a] for rational weights, evaluated as one
-    integer dot product over their common denominator; a value that is not
-    an integer raises ValueError(message)."""
+    """The LinearForm m -> sum_a weights[a] * m[a] for int or Fraction
+    weights, kept as integer weights over their common denominator."""
     den = lcm(*(w.denominator for w in weights))
-    ints = tuple(int(w * den) for w in weights)
-
-    def value(m):
-        num = sum(map(mul, ints, m))
-        if num % den:
-            raise ValueError(message)
-        return num // den
-
-    return value
+    return LinearForm([int(w * den) for w in weights], den, message)
 
 
 def _a_side_exponent(seed, k):
-    """m -> <d_k e_k, m>."""
-    dk = seed.fixed.d[k]
+    """m -> <d_k e_k, m>: the weights d_k e_k[a] / d_a, over lcm(d)."""
     d = seed.fixed.d
-    weights = [Fraction(dk * x, d[a]) for a, x in enumerate(seed.e_vector(k))]
-    return _integral_form(weights, "pairing <d_k e_k, m> is not integral")
+    den = lcm(*d)
+    ints = [d[k] * x * (den // d[a]) for a, x in enumerate(seed.e_vector(k))]
+    return LinearForm(ints, den, "pairing <d_k e_k, m> is not integral")
 
 
 def pullback_A(seed, k, expr):
     """Pullback of a dual-side function along the mutation at k (source seed
-    data): z^m -> z^m (1 + z^{v_k})^{-<d_k e_k, m>}."""
+    data): z^m -> z^m (1 + z^{v_k})^{-<d_k e_k, m>}.  The exponent vanishes
+    at v_k (<d_k e_k, v_k> = d_k {e_k, e_k} = 0), so a Laurent polynomial
+    is twisted line by line (see monomial_twist)."""
     if k in seed.fixed.frozen:
         raise ValueError(f"index {k} is frozen")
-    a_of = _a_side_exponent(seed, k)
-    return monomial_twist(expr, seed.v_vector(k), lambda m: -a_of(m))
+    return monomial_twist(expr, seed.v_vector(k), -_a_side_exponent(seed, k))
 
 
 def inverse_pullback_A(seed, k, expr):
@@ -722,8 +862,7 @@ def inverse_pullback_A(seed, k, expr):
     monomial basis)."""
     if k in seed.fixed.frozen:
         raise ValueError(f"index {k} is frozen")
-    a_of = _a_side_exponent(seed, k)
-    return monomial_twist(expr, seed.v_vector(k), a_of)
+    return monomial_twist(expr, seed.v_vector(k), _a_side_exponent(seed, k))
 
 
 def _x_side_exponent(seed, k):
@@ -739,15 +878,15 @@ def _x_side_exponent(seed, k):
 
 def pullback_X(seed, k, expr):
     """Pullback of a lattice-side function along the mutation at k:
-    z^n -> z^n (1 + z^{e_k})^{-[n, e_k]}."""
+    z^n -> z^n (1 + z^{e_k})^{-[n, e_k]}.  The exponent vanishes at e_k
+    ([e_k, e_k] = 0), so a Laurent polynomial is twisted line by line (see
+    monomial_twist)."""
     if k in seed.fixed.frozen:
         raise ValueError(f"index {k} is frozen")
-    a_of = _x_side_exponent(seed, k)
-    return monomial_twist(expr, seed.e_vector(k), lambda n: -a_of(n))
+    return monomial_twist(expr, seed.e_vector(k), -_x_side_exponent(seed, k))
 
 
 def inverse_pullback_X(seed, k, expr):
     if k in seed.fixed.frozen:
         raise ValueError(f"index {k} is frozen")
-    a_of = _x_side_exponent(seed, k)
-    return monomial_twist(expr, seed.e_vector(k), a_of)
+    return monomial_twist(expr, seed.e_vector(k), _x_side_exponent(seed, k))

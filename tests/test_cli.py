@@ -482,6 +482,10 @@ class TestLaurentGolden:
          ["--depth", "8", "--dedup", "unlabeled"]),
         ("explore_a3_frozen_d8_unlabeled", A3_FROZEN, "explore",
          ["--depth", "8", "--dedup", "unlabeled"]),
+        ("laurent_check_b3_A111_d8", B3, "laurent-check",
+         ["--side", "A", "--q=1,1,1", "--depth", "8"]),
+        ("laurent_check_a3_frozen_A1111_d7", A3_FROZEN, "laurent-check",
+         ["--side", "A", "--q=1,1,1,1", "--depth", "7"]),
     ])
     def test_golden_stdout(self, tmp_path, capsys, name, doc, command, extra):
         path = tmp_path / "seed.json"

@@ -28,9 +28,10 @@ from cluster_geom.laurent import (
     LaurentPolynomial,
     RationalExpression,
     inverse_pullback_A,
+    pullback_A,
 )
 from cluster_geom.rank2 import build_seed, nine_ray_data
-from cluster_geom.seeds import seed_from_epsilon
+from cluster_geom.seeds import mutate_seed, seed_from_epsilon
 
 LP = LaurentPolynomial
 # the module, which the package's `explore` function shadows as an attribute
@@ -42,6 +43,7 @@ CYCLE4 = [[0, 2, 0, -2], [-2, 0, 2, 0], [0, -2, 0, 2], [2, 0, -2, 0]]
 D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 A5 = [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0],
       [0, 0, -1, 0, 1], [0, 0, 0, -1, 0]]
+A3 = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
 # type B3: skew [[0,1,0],[-1,0,1],[0,-1,0]] with d = (1, 1, 2)
 B3 = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
 
@@ -475,3 +477,31 @@ class TestWitnesses:
             else:
                 assert isinstance(expr, LaurentPolynomial) and expr == reduced
         assert dict(seen)[(1,)] is bad
+
+
+class TestPullbackOracle:
+    @pytest.mark.parametrize("seed", [
+        seed_from_epsilon(A3),
+        seed_from_epsilon(MARKOV),
+        seed_from_epsilon(D4),
+        seed_from_epsilon(B3, (1, 1, 2)),
+    ], ids=["A3", "Markov", "D4", "B3"])
+    def test_explore_variables_are_composite_pullbacks(self, seed):
+        # GHK: A-side mutation is the pullback along the birational map, so
+        # the variable z^{f_i} of the seed at the end of a path, pulled back
+        # step by step to the root torus, is the variable explore reaches
+        graph = explore(seed, 4)
+        edges = {(source, k): target for source, k, target in graph.edges}
+        labels = sorted(seed.fixed.unfrozen)
+        rng = random.Random(seed.n + sum(seed.fixed.d))
+        for _ in range(25):
+            path = [rng.choice(labels) for _ in range(rng.randint(1, 4))]
+            seeds, nid = [seed], 0
+            for k in path:
+                seeds.append(mutate_seed(seeds[-1], k))
+                nid = edges[(nid, k)]
+            for i, variable in enumerate(graph.nodes[nid].cluster_vars):
+                expr = RationalExpression.from_monomial(seeds[-1].f_vector(i))
+                for source, k in reversed(list(zip(seeds, path))):
+                    expr = pullback_A(source, k, expr).as_laurent()
+                assert expr == variable, (path, i)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import random_symmetrizable_seed
 
 from cluster_geom.errors import ResourceLimitExceeded
 from cluster_geom.laurent import (
@@ -10,12 +11,17 @@ from cluster_geom.laurent import (
     MAX_TERMS_ENV,
     ExponentOverflow,
     LaurentPolynomial,
+    LinearForm,
     RationalExpression,
+    _a_side_exponent,
     _grlex_key,
+    _x_side_exponent,
     binomial_power,
     exact_divide,
     monomial_twist,
+    pullback_A,
 )
+from cluster_geom.seeds import mutate_seed, seed_from_epsilon
 
 LP = LaurentPolynomial
 
@@ -558,3 +564,162 @@ class TestMonomialTwist:
         p = LP.monomial((2, 0))
         out = monomial_twist(p, (0, 1), lambda m: 0)
         assert out.as_laurent() == p
+
+
+def general_twist(expr, v, g):
+    """monomial_twist through its general route: a plain callable."""
+    return monomial_twist(expr, v, lambda m: g(m))
+
+
+def pullback_forms(seed, k):
+    """(v, g) of the A- and X-side twists at k, in both directions."""
+    a, x = _a_side_exponent(seed, k), _x_side_exponent(seed, k)
+    v, e = seed.v_vector(k), seed.e_vector(k)
+    return [(v, -a), (v, a), (e, -x), (e, x)]
+
+
+class TestLineTwist:
+    def test_matches_the_general_route_on_pullback_forms(self):
+        # random d-skew-symmetrizable seeds of rank 2-4, some with a frozen
+        # index, each mutated up to twice; Laurent inputs p (1 + z^v)^j and
+        # inputs that are mostly not Laurent after the twist
+        rng = random.Random(41)
+        seen = {"laurent": 0, "fraction": 0}
+        for _ in range(120):
+            n = rng.randint(2, 4)
+            seed = random_symmetrizable_seed(rng, n)
+            if rng.random() < 0.4:
+                seed = seed_from_epsilon(seed.eps.data, seed.fixed.d, {n - 1})
+            for _ in range(rng.randint(0, 2)):
+                seed = mutate_seed(seed, rng.choice(sorted(seed.fixed.unfrozen)))
+            k = rng.choice(sorted(seed.fixed.unfrozen))
+            for v, g in pullback_forms(seed, k):
+                assert g.kills(v)
+                terms = {
+                    tuple(rng.randint(-3, 3) for _ in range(n)): rng.choice([-3, -1, 1, 2])
+                    for _ in range(rng.randint(1, 5))
+                }
+                p = lp(n, terms)
+                if any(v) and rng.random() < 0.6:
+                    p = p * binomial_power(v, rng.randint(0, 4))
+                reference = general_twist(p, v, g)
+                out = monomial_twist(p, v, g)
+                reduced = reference.as_laurent()
+                if reduced is None or not any(v):
+                    assert (out.num, out.den) == (reference.num, reference.den)
+                    seen["fraction"] += 1
+                else:
+                    assert out.den.is_one() and out.num == reduced
+                    seen["laurent"] += 1
+        assert min(seen.values()) > 100, seen
+
+    def test_pullback_returns_the_reduced_polynomial(self):
+        s = seed_from_epsilon([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
+        # a = -m_0 >= -1 on every line, so (1 + z^v) makes the twist Laurent
+        p = lp(3, {(1, 0, 0): 1, (1, 2, 0): 1, (0, 1, 1): 3}) * binomial_power(s.v_vector(0), 1)
+        out = pullback_A(s, 0, p)
+        assert out.den.is_one()
+        assert out.num == general_twist(p, s.v_vector(0), -_a_side_exponent(s, 0)).as_laurent()
+
+    def test_single_term_with_a_negative_exponent_keeps_the_fraction(self):
+        g = LinearForm((1, 1), 1, "unused")
+        out = monomial_twist(LP.monomial((-2, 0)), (1, -1), g)
+        assert out.num == LP.monomial((-2, 0))
+        assert out.den == binomial_power((1, -1), 2)
+
+    def test_zero_polynomial(self):
+        out = monomial_twist(LP.zero(2), (1, -1), LinearForm((1, 1), 1, "unused"))
+        assert out.num.is_zero() and out.den.is_one()
+
+    def test_fraction_inputs_take_the_general_route(self):
+        g = LinearForm((1, 1), 1, "unused")
+        b = binomial_power((1, -1), 1)
+        frac = RationalExpression(b * b, b)
+        out = monomial_twist(frac, (1, -1), g)
+        reference = general_twist(frac, (1, -1), g)
+        assert (out.num, out.den) == (reference.num, reference.den)
+        assert not out.den.is_one()
+
+    def test_zero_ray_vector_takes_the_general_route(self):
+        # index 2 is isolated, so v_2 = 0 lies in the kernel on the A side
+        s = seed_from_epsilon([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        assert s.v_vector(2) == (0, 0, 0)
+        g = _a_side_exponent(s, 2)
+        p = lp(3, {(1, 0, -1): 3, (0, 2, 2): 1})
+        for form in (g, -g):
+            out = monomial_twist(p, (0, 0, 0), form)
+            reference = general_twist(p, (0, 0, 0), form)
+            assert (out.num, out.den) == (reference.num, reference.den)
+        # z^m -> 2^{m_2} z^m
+        expected = RationalExpression(lp(3, {(1, 0, -1): 3, (0, 2, 2): 8}), LP.constant(3, 2))
+        assert monomial_twist(p, (0, 0, 0), g).equals(expected)
+
+    def test_non_integral_form_raises_the_same_error(self):
+        g = LinearForm((1, 1), 2, "not integral")
+        p = lp(2, {(1, 1): 1, (2, 0): 1, (0, 1): 1})
+        for twist in (monomial_twist, general_twist):
+            with pytest.raises(ValueError, match="not integral"):
+                twist(p, (1, -1), g)
+
+    def test_exponent_overflow_in_the_widened_frame(self):
+        h = EXPONENT_LIMIT
+        g = LinearForm((1, 1), 1, "unused")  # g(m) = m0 + m1, g(v) = 0
+        v = (1, -1)
+        # two terms on one line, twisted by (1 + z^v)^2, the top one to h
+        p = lp(2, {(h - 3, -(h - 5)): 1, (h - 2, -(h - 4)): 1})
+        for twist in (monomial_twist, general_twist):
+            with pytest.raises(ExponentOverflow):
+                twist(p, v, g)
+        with pytest.raises(ExponentOverflow):
+            monomial_twist(LP.monomial((h - 2, -(h - 4))), v, g)
+        # a line with a = -1 sets a floor of 1, and the general route then
+        # expands the other line, with a = 0, to m + v = (h, -h)
+        p = lp(2, {(h - 1, -(h - 1)): 1, (0, -1): 1, (1, -2): 1})
+        for twist in (monomial_twist, general_twist):
+            with pytest.raises(ExponentOverflow):
+                twist(p, v, g)
+        # (1 + z^v)^2 itself reaches the bound, though its shift by m would not
+        q = h >> 1
+        for twist in (monomial_twist, general_twist):
+            with pytest.raises(ExponentOverflow):
+                twist(LP.monomial((-q, 2)), (q, 0), LinearForm((0, 1), 1, "unused"))
+        # one step below the bound the line route runs
+        p = lp(2, {(h - 4, -(h - 6)): 1, (h - 3, -(h - 5)): 1})
+        out = monomial_twist(p, v, g)
+        assert out.den.is_one()
+        assert out.num == general_twist(p, v, g).as_laurent()
+        assert out.num.max_abs_exponent() == h - 1
+
+    def test_lines_with_wide_gaps_take_the_general_route(self):
+        # a dense line of 2**40 coefficients is never built
+        n = 1 << 40
+        p = lp(1, {(0,): 1, (n,): 1})
+        out = monomial_twist(p, (1,), LinearForm((0,), 1, "unused"))
+        assert (out.num, out.den) == (p, LP.one(1))
+        # (1 + t^(n+1)) / (1 + t) is Laurent, with n + 1 terms: its
+        # division stops at the term cap
+        p = lp(2, {(0, -1): 1, (n + 1, -1): 1})
+        out = monomial_twist(p, (1, 0), LinearForm((0, 1), 1, "unused"))
+        assert (out.num, out.den) == (p, binomial_power((1, 0), 1))
+        with pytest.raises(ResourceLimitExceeded):
+            out.as_laurent(20)
+
+    def test_term_cap_at_the_result_size(self):
+        s = seed_from_epsilon([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
+        v, g = s.v_vector(1), _a_side_exponent(s, 1)
+        p = lp(3, {(1, 0, 0): 2, (0, 1, 1): 1, (2, 1, 0): -1}) * binomial_power(v, 3)
+        out = monomial_twist(p, v, g)
+        reference = general_twist(p, v, g)
+        size = out.num.n_terms()
+        assert size > 1
+        assert out.as_laurent(size) == reference.as_laurent(size) == out.num
+        for fraction in (out, reference):
+            with pytest.raises(ResourceLimitExceeded):
+                fraction.as_laurent(size - 1)
+
+    def test_linear_form_negation(self):
+        g = LinearForm((3, -1, 0), 2, "odd")
+        assert (-g)((1, 1, 5)) == -g((1, 1, 5)) == -1
+        assert g.kills((1, 3, 7)) and not g.kills((1, 0, 0))
+        with pytest.raises(ValueError, match="odd"):
+            (-g)((1, 0, 0))

@@ -829,19 +829,16 @@ def monomial_twist(expr, v, g):
     return RationalExpression(num, den)
 
 
-def _integral_form(weights, message):
-    """The LinearForm m -> sum_a weights[a] * m[a] for int or Fraction
-    weights, kept as integer weights over their common denominator."""
-    den = lcm(*(w.denominator for w in weights))
-    return LinearForm([int(w * den) for w in weights], den, message)
+def _pairing_form(seed, k, vec, message):
+    """m -> sum_a d_k vec[a] m[a] / d_a, kept as integer weights over lcm(d)."""
+    d = seed.fixed.d
+    den = lcm(*d)
+    return LinearForm([d[k] * x * (den // d[a]) for a, x in enumerate(vec)], den, message)
 
 
 def _a_side_exponent(seed, k):
     """m -> <d_k e_k, m>: the weights d_k e_k[a] / d_a, over lcm(d)."""
-    d = seed.fixed.d
-    den = lcm(*d)
-    ints = [d[k] * x * (den // d[a]) for a, x in enumerate(seed.e_vector(k))]
-    return LinearForm(ints, den, "pairing <d_k e_k, m> is not integral")
+    return _pairing_form(seed, k, seed.e_vector(k), "pairing <d_k e_k, m> is not integral")
 
 
 def pullback_A(seed, k, expr):
@@ -866,14 +863,10 @@ def inverse_pullback_A(seed, k, expr):
 
 
 def _x_side_exponent(seed, k):
-    """n -> d_k [n, e_k]."""
-    dk = seed.fixed.d[k]
-    ek = seed.e_vector(k)
-    skew = seed.fixed.skew
-    weights = [
-        dk * sum(skew[a, b] * x for b, x in enumerate(ek)) for a in range(seed.n)
-    ]
-    return _integral_form(weights, "bracket [n, e_k] is not integral")
+    """n -> d_k [n, e_k]: the weights -d_k v_k[a] / d_a, over lcm(d), since
+    [e_a, e_k] = -{e_k, e_a} = -v_k[a] / d_a."""
+    v = [-x for x in seed.v_vector(k)]
+    return _pairing_form(seed, k, v, "bracket [n, e_k] is not integral")
 
 
 def pullback_X(seed, k, expr):

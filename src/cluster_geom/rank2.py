@@ -162,9 +162,6 @@ class Fan2D:
     def size(self):
         return len(self.rays)
 
-    def index_of(self, ray):
-        return self.rays.index(tuple(ray))
-
 
 def _ccw_sorted(rays):
     def half(u):
@@ -179,63 +176,69 @@ def _ccw_sorted(rays):
     return sorted(rays, key=cmp_to_key(cmp))
 
 
-def complete_smooth_fan(rays):
-    """Deterministic smooth completion containing every input ray.
+def _bezout(u):
+    """(p, q) with p u_0 + q u_1 = 1, for a primitive u (extended Euclid)."""
+    (r0, p0, q0), (r1, p1, q1) = (u[0], 1, 0), (u[1], 0, 1)
+    while r1:
+        t = r0 // r1
+        r0, p0, q0, r1, p1, q1 = r1, p1, q1, r0 - t * r1, p0 - t * p1, q0 - t * q1
+    return (p0, q0) if r0 == 1 else (-p0, -q0)
 
-    Steps: sort the distinct rays counterclockwise; while some cyclically
-    consecutive pair spans a non-convex or degenerate angle, insert the
-    90-degree rotation of the first ray; then subdivide every non-smooth
-    cone by the unique primitive interior ray (v + a u)/det, repeating until
-    all consecutive determinants are one (continued-fraction resolution).
-    """
+
+def _resolve_cone(u, v):
+    """The rays, in order from u, that resolve the cone from u to v
+    (det(u, v) > 0): its Hirzebruch-Jung continued fraction.  With
+    p u_0 + q u_1 = 1, the first is w = (v + a u)/det, a = -(p v_0 + q v_1)
+    mod det.  det(u, w) = 1 makes (-u_1, u_0) a Bezout pair of w, so the
+    cone from w to v, of det a, has a = -det mod a."""
+    out = []
+    det = wedge(u, v)
+    if det > 1:
+        p, q = _bezout(u)
+        a = -(p * v[0] + q * v[1]) % det
+        while det > 1:
+            u = ((v[0] + a * u[0]) // det, (v[1] + a * u[1]) // det)
+            out.append(u)
+            det, a = a, -det % a
+    return out
+
+
+def complete_smooth_fan(rays):
+    """Deterministic smooth completion containing every input ray, in one
+    pass over the counterclockwise-sorted distinct rays: each ray u is
+    paired with the next one v (a single ray pairs with itself); while
+    det(u, v) <= 0, the 90-degree rotation of u is inserted and becomes the
+    new u; every cone so made is resolved by its continued fraction (see
+    _resolve_cone).  The work is linear in the number of rays out."""
     rays = [tuple(r) for r in rays]
     if not rays:
         raise ValidationError("need at least one ray")
     for r in rays:
         if len(r) != 2 or r == (0, 0) or vector_gcd(r) != 1:
             raise ValidationError(f"ray {r} must be a primitive integer pair")
-    out = _ccw_sorted(set(rays))
-    while True:
-        for i, u in enumerate(out):
-            v = out[(i + 1) % len(out)]
-            if len(out) == 1 or wedge(u, v) <= 0:
-                out.insert(i + 1, rot90(u))
-                break
-        else:
-            break
-    changed = True
-    while changed:
-        changed = False
-        for i, u in enumerate(out):
-            v = out[(i + 1) % len(out)]
-            det = wedge(u, v)
-            if det > 1:
-                a = next(
-                    a for a in range(1, det)
-                    if (v[0] + a * u[0]) % det == 0 and (v[1] + a * u[1]) % det == 0
-                )
-                out.insert(i + 1, ((v[0] + a * u[0]) // det, (v[1] + a * u[1]) // det))
-                changed = True
-                break
+    ccw = _ccw_sorted(set(rays))
+    out = []
+    for u, v in zip(ccw, ccw[1:] + ccw[:1]):
+        out.append(u)
+        while wedge(u, v) <= 0:
+            w = rot90(u)
+            out += _resolve_cone(u, w) + [w]
+            u = w
+        out += _resolve_cone(u, v)
     return Fan2D(tuple(out))
 
 
 def self_intersections(fan):
-    """Self-intersection numbers a_i of the boundary divisors, from the wall
-    relations u_{i-1} + u_{i+1} = -a_i u_i."""
-    out = []
+    """Self-intersection numbers a_i of the boundary divisors, read off the
+    walls: u_{i-1} + u_{i+1} = -a_i u_i and det(u_{i-1}, u_i) = 1 give
+    a_i = -det(u_{i-1}, u_{i+1}).  Each wall relation is checked: together
+    they say that the toric form kills the relations sum <m, u_i> D_i."""
     rays = fan.rays
-    r = len(rays)
-    for i, u in enumerate(rays):
-        s = tuple(p + n for p, n in zip(rays[i - 1], rays[(i + 1) % r]))
-        if u[0] != 0:
-            if s[0] % u[0] or s[1] * u[0] != s[0] * u[1]:
-                raise ValidationError("wall relation unsolvable: malformed fan")
-            a = -(s[0] // u[0])
-        else:
-            if s[1] % u[1] or s[0] != 0:
-                raise ValidationError("wall relation unsolvable: malformed fan")
-            a = -(s[1] // u[1])
+    out = []
+    for p, u, n in zip(rays[-1:] + rays[:-1], rays, rays[1:] + rays[:1]):
+        a = -wedge(p, n)
+        if p[0] + n[0] + a * u[0] or p[1] + n[1] + a * u[1]:
+            raise ValidationError("intersection form does not kill toric relations")
         out.append(a)
     return tuple(out)
 
@@ -257,24 +260,33 @@ class BlowupSurface:
     boundary divisors, with its integral intersection form.
 
     centers[i] is the ray index carrying the i-th blown-up point.  The
-    toric block of the intersection form is Q (self-intersections on the
-    diagonal, ones between cyclically adjacent rays); exceptional curves are
-    mutually orthogonal with square -1 and meet no pulled-back divisor.
-    """
+    toric block Q of the form is read off the fan's walls: the toric
+    self-intersections a_i on the diagonal, ones between cyclically adjacent
+    rays.  Exceptional curves are mutually orthogonal with square -1 and
+    meet no pulled-back divisor."""
 
     fan: Fan2D
     centers: tuple
-    q: Matrix
+    toric_self_intersections: tuple
     boundary_self_intersections: tuple
 
     @property
     def picard_rank(self):
         return self.fan.size + len(self.centers) - 2
 
+    @property
+    def q(self):
+        """The toric block as a dense r x r Matrix, built on each read."""
+        r = self.fan.size
+        rows = [[0] * r for _ in range(r)]
+        for i, a in enumerate(self.toric_self_intersections):
+            rows[i][i] = a
+            rows[i][i - 1] = rows[i][(i + 1) % r] = 1
+        return Matrix(rows)
+
     def intersect(self, c1, c2):
-        toric = sum(
-            x * y for x, y in zip(self.q.matvec(c1.toric), c2.toric)
-        )
+        x, y, a = c1.toric, c2.toric, self.toric_self_intersections
+        toric = sum(x[i] * (a[i] * y[i] + y[i - 1]) + x[i - 1] * y[i] for i in range(len(a)))
         return toric - sum(x * y for x, y in zip(c1.exceptional, c2.exceptional))
 
 
@@ -282,25 +294,14 @@ def blowup_surface(fan, centers):
     """Blow up one point on the boundary divisor of the ray with each given
     index; an index may repeat, one point per occurrence."""
     centers = tuple(centers)
+    counts = [0] * fan.size
     for ray_idx in centers:
         if not 0 <= ray_idx < fan.size:
             raise ValidationError(f"ray index {ray_idx} out of range")
+        counts[ray_idx] += 1
     selfints = self_intersections(fan)
-    r = fan.size
-    q_rows = [[0] * r for _ in range(r)]
-    for i in range(r):
-        q_rows[i][i] = selfints[i]
-        q_rows[i][(i + 1) % r] += 1
-        q_rows[i][(i - 1) % r] += 1
-    q = Matrix(q_rows)
-    # the descended form must kill the character relations sum <m, u_i> D_i
-    for m in ((1, 0), (0, 1)):
-        rel = tuple(m[0] * u[0] + m[1] * u[1] for u in fan.rays)
-        if any(x != 0 for x in q.matvec(rel)):
-            raise ValidationError("intersection form does not kill toric relations")
-    counts = [centers.count(j) for j in range(r)]
     boundary = tuple(a - c for a, c in zip(selfints, counts))
-    return BlowupSurface(fan, centers, q, boundary)
+    return BlowupSurface(fan, centers, selfints, boundary)
 
 
 # -- the kernel pairing --------------------------------------------------------
@@ -315,10 +316,11 @@ def _require_weight_one(data):
 def _surface_for(ws, fan=None):
     if fan is None:
         fan = complete_smooth_fan(set(ws))
+    index = {ray: i for i, ray in enumerate(fan.rays)}
     for w in ws:
-        if tuple(w) not in fan.rays:
+        if tuple(w) not in index:
             raise ValidationError(f"fan does not contain the ray {w}")
-    return blowup_surface(fan, [fan.index_of(w) for w in ws])
+    return blowup_surface(fan, [index[tuple(w)] for w in ws])
 
 
 @dataclass(frozen=True)
@@ -338,12 +340,13 @@ def _kernel_classes(surface, kernel_vectors):
     with Q x = c, where c_j is the total of a over the centers on ray j,
     minus a_i times the i-th exceptional curve.  The class is orthogonal to
     every boundary component."""
+    q = surface.q
     out = []
     for a in kernel_vectors:
         c = [0] * surface.fan.size
         for ai, j in zip(a, surface.centers):
             c[j] += ai
-        x = solve_integer(surface.q, tuple(c))
+        x = solve_integer(q, tuple(c))
         if x is None:
             raise ValidationError("no integral toric class matches a kernel element")
         out.append(DivisorClass(tuple(x), tuple(-ai for ai in a)))

@@ -442,6 +442,9 @@ class TestRank2:
         ("rank2_weighted_triangle_0",
          {"w": [[1, 0], [0, 1], [-1, -1]], "nu": [3, 3, 3]},
          ["--mutations", "0"]),
+        # a 44-ray fan: the cone from (1, 0) to (1, 40) resolves into a
+        # continued-fraction chain of 39 rays
+        ("rank2_w40_2", {"w": [[1, 0], [0, 1], [1, 40]]}, ["--mutations", "2"]),
     ])
     def test_golden_stdout(self, tmp_path, capsys, name, doc, extra):
         path = tmp_path / "in.json"
@@ -486,6 +489,9 @@ class TestLaurentGolden:
          ["--side", "A", "--q=1,1,1", "--depth", "8"]),
         ("laurent_check_a3_frozen_A1111_d7", A3_FROZEN, "laurent-check",
          ["--side", "A", "--q=1,1,1,1", "--depth", "7"]),
+        # the X side with d != 1 (189 paths)
+        ("laurent_check_b3_X_d6", B3, "laurent-check",
+         ["--side", "X", "--q=0,0,-1", "--depth", "6"]),
     ])
     def test_golden_stdout(self, tmp_path, capsys, name, doc, command, extra):
         path = tmp_path / "seed.json"

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,6 +12,7 @@ from cluster_geom.rank2 import (
     DivisorClass,
     Fan2D,
     Rank2Data,
+    _ccw_sorted,
     _kernel_classes,
     blowup_surface,
     build_seed,
@@ -22,6 +24,7 @@ from cluster_geom.rank2 import (
     invariance_check,
     nine_ray_data,
     non_fg_flag,
+    rot90,
     seed_to_rank2,
     self_intersections,
     weighted_triangle_data,
@@ -114,6 +117,61 @@ def mixed_area_gram(data, kernel_vectors):
 P2_RAYS = ((1, 0), (0, 1), (-1, -1))
 
 
+def random_primitive_rays(rng, count, bound):
+    rays = []
+    while len(rays) < count:
+        v = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if v != (0, 0):
+            g = gcd(*v)
+            rays.append((v[0] // g, v[1] // g))
+    return rays
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the earlier generic routes to the fan and its wall data.  The
+# completion rescans from the start after every inserted ray and finds each
+# subdividing ray by a linear search; the self-intersections solve each wall
+# relation u_{i-1} + u_{i+1} = -a_i u_i by coordinates.
+# ---------------------------------------------------------------------------
+
+def restarting_completion(rays):
+    out = _ccw_sorted(set(rays))
+    while True:
+        for i, u in enumerate(out):
+            v = out[(i + 1) % len(out)]
+            if len(out) == 1 or wedge(u, v) <= 0:
+                out.insert(i + 1, rot90(u))
+                break
+        else:
+            break
+    changed = True
+    while changed:
+        changed = False
+        for i, u in enumerate(out):
+            v = out[(i + 1) % len(out)]
+            det = wedge(u, v)
+            if det > 1:
+                a = next(
+                    a for a in range(1, det)
+                    if (v[0] + a * u[0]) % det == 0 and (v[1] + a * u[1]) % det == 0
+                )
+                out.insert(i + 1, ((v[0] + a * u[0]) // det, (v[1] + a * u[1]) // det))
+                changed = True
+                break
+    return tuple(out)
+
+
+def wall_solver_self_intersections(fan):
+    out = []
+    rays = fan.rays
+    for i, u in enumerate(rays):
+        s = tuple(p + n for p, n in zip(rays[i - 1], rays[(i + 1) % len(rays)]))
+        k = 0 if u[0] != 0 else 1
+        assert s[k] % u[k] == 0 and s[0] * u[1] == s[1] * u[0]
+        out.append(-(s[k] // u[k]))
+    return tuple(out)
+
+
 class TestRank2Data:
     def test_validates_primitivity(self):
         with pytest.raises(ValidationError):
@@ -203,19 +261,31 @@ class TestFans:
 
     def test_random_completions(self):
         rng = random.Random(21)
-        from math import gcd
         for _ in range(50):
-            rays = []
-            for _ in range(rng.randint(1, 6)):
-                while True:
-                    v = (rng.randint(-5, 5), rng.randint(-5, 5))
-                    if v != (0, 0):
-                        g = gcd(abs(v[0]), abs(v[1]))
-                        rays.append((v[0] // g, v[1] // g))
-                        break
+            rays = random_primitive_rays(rng, rng.randint(1, 6), 5)
             fan = complete_smooth_fan(rays)
             for r in rays:
                 assert r in fan.rays
+
+    def test_differential_against_the_restarting_completion(self):
+        # the one-pass continued-fraction completion inserts the same rays
+        # in the same order as the scan that restarts after every insertion
+        rng = random.Random(1313)
+        for _ in range(3000):
+            rays = random_primitive_rays(rng, rng.randint(1, 6), 9)
+            fan = complete_smooth_fan(rays)
+            assert fan.rays == restarting_completion(rays)
+            assert self_intersections(fan) == wall_solver_self_intersections(fan)
+
+    def test_steep_ray_completes_in_linear_time(self):
+        # the cone from (1, 0) to (1, 10^5) takes the 10^5 - 1 rays (1, j),
+        # and three quarter turns close the fan from (0, 1)
+        fan = complete_smooth_fan(((1, 0), (0, 1), (1, 10**5)))
+        assert fan.size == 10**5 + 4
+        assert fan.rays[:3] == ((1, 0), (1, 1), (1, 2))
+        assert fan.rays[-4:] == ((1, 10**5), (0, 1), (-1, 0), (0, -1))
+        ints = self_intersections(fan)
+        assert ints[fan.rays.index((0, 1))] == -(10**5)
 
 
 class TestSelfIntersections:
@@ -226,7 +296,7 @@ class TestSelfIntersections:
         for a in range(5):
             fan = Fan2D(((1, 0), (0, 1), (-1, a), (0, -1)))
             ints = self_intersections(fan)
-            assert ints[fan.index_of((0, 1))] == -a
+            assert ints[fan.rays.index((0, 1))] == -a
 
     def test_p1xp1(self):
         fan = Fan2D(((1, 0), (0, 1), (-1, 0), (0, -1)))
@@ -250,6 +320,26 @@ class TestBlowupSurface:
         surf = blowup_surface(fan, [])
         assert surf.boundary_self_intersections == (1, 1, 1)
         assert surf.picard_rank == 1
+
+    def test_intersect_matches_the_dense_form(self):
+        # the O(r) wall-data pairing equals x Q y - sum of exceptional products
+        rng = random.Random(77)
+        for _ in range(200):
+            fan = complete_smooth_fan(random_primitive_rays(rng, rng.randint(1, 4), 5))
+            centers = [rng.randrange(fan.size) for _ in range(rng.randint(0, 4))]
+            surface = blowup_surface(fan, centers)
+            q = surface.q
+            for _ in range(5):
+                x, y = (
+                    DivisorClass(
+                        tuple(rng.randint(-4, 4) for _ in range(fan.size)),
+                        tuple(rng.randint(-4, 4) for _ in centers),
+                    )
+                    for _ in range(2)
+                )
+                dense = sum(a * b for a, b in zip(q.matvec(x.toric), y.toric))
+                exceptional = sum(a * b for a, b in zip(x.exceptional, y.exceptional))
+                assert surface.intersect(x, y) == dense - exceptional
 
 
 def class_of(data, a):

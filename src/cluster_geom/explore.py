@@ -17,11 +17,14 @@ symmetrizers.  The cluster variables of a seed are algebraically independent
 sorting the unfrozen indices by (symmetrizer, variable) fixes the one
 relabeling that can match; the key is the node permuted by that sort.
 
-Within one explore call each exchange relation is solved once: the new
-variable depends only on k, the old variable and the variables that row k
-touches, with their exponents.  A repeat of that data, and the backtracking
-step that reverses a solved relation, reuse the variable and only mutate the
-seed.
+Within one explore call every cluster variable is one object: a variable
+equal to one already found is replaced by it, and each object has a rank,
+the order in which its value was first found.  Node keys hold ranks, not
+terms.  Each exchange relation is solved once: the new variable depends
+only on the old variable and the variables that row k touches, with their
+exponents, up to one sign for all of them, and not on k or the labels.  A
+repeat of that data, and the backtracking step that reverses a solved
+relation, reuse the variable and only mutate the seed.
 
 Everything runs serially in one thread: the work is pure Python and holds
 the GIL, so threads cannot speed it up.
@@ -108,21 +111,23 @@ def _exchanged(node, k, new_var):
 
 # -- node keys ---------------------------------------------------------------
 
-def _node_key(node, dedup):
-    """(exchange matrix, per-index variable terms), permuted in unlabeled
-    mode by the sort of the unfrozen indices by (d_i, terms) into the
-    unfrozen positions, themselves sorted by d; frozen indices stay."""
+def _node_key(node, ranks, dedup):
+    """(exchange matrix, per-index variable ranks), permuted in unlabeled
+    mode by the sort of the unfrozen indices by (d_i, rank) into the
+    unfrozen positions, themselves sorted by d; frozen indices stay.
+
+    ranks[i] stands for the value of the i-th variable: equal ranks for
+    equal values, distinct ranks for distinct ones."""
     eps = node.seed.eps.data
-    terms = tuple(v.terms() for v in node.cluster_vars)
     if dedup == "labeled":
-        return (eps, terms)
+        return (eps, ranks)
     if dedup != "unlabeled":
         raise ValidationError(f"unknown dedup policy {dedup!r}")
     fixed = node.seed.fixed
     d = fixed.d
-    ranked = sorted(fixed.unfrozen, key=lambda i: (d[i], terms[i]))
+    ranked = sorted(fixed.unfrozen, key=lambda i: (d[i], ranks[i]))
     for a, b in zip(ranked, ranked[1:]):
-        if d[a] == d[b] and terms[a] == terms[b]:
+        if d[a] == d[b] and ranks[a] == ranks[b]:
             raise ValidationError(
                 f"cluster variables {a} and {b} are equal, so the node has no "
                 "canonical relabeling"
@@ -132,7 +137,7 @@ def _node_key(node, dedup):
         order[pos] = i
     return (
         tuple(tuple(eps[a][b] for b in order) for a in order),
-        tuple(terms[a] for a in order),
+        tuple(ranks[a] for a in order),
     )
 
 
@@ -141,7 +146,9 @@ class ExchangeGraph:
     """Deduplicated depth-bounded exchange graph.
 
     nodes[i] is the first-discovered representative of identity class i;
-    edges are (source id, mutation index, target id).
+    edges are (source id, mutation index, target id).  explore builds one
+    object per variable value, shared by every node that holds the value,
+    so report() reads each variable once and compares them by identity.
     """
 
     nodes: tuple
@@ -149,29 +156,22 @@ class ExchangeGraph:
     depth: int
     truncated: bool
 
-    def cluster_sets(self):
-        """Distinct unordered clusters (sets of variables) among the nodes."""
-        out = set()
-        for node in self.nodes:
-            out.add(frozenset(v.terms() for v in node.cluster_vars))
-        return out
-
     def report(self):
-        max_terms = 0
-        nonneg = True
-        for node in self.nodes:
-            for v in node.cluster_vars:
-                max_terms = max(max_terms, v.n_terms())
-                nonneg = nonneg and v.has_nonnegative_coefficients()
+        variables = {
+            id(v): v for node in self.nodes for v in node.cluster_vars
+        }.values()
+        clusters = {frozenset(map(id, node.cluster_vars)) for node in self.nodes}
         return {
             "depth": self.depth,
             "nodes": len(self.nodes),
             "edges": len(self.edges),
-            "clusters": len(self.cluster_sets()),
+            "clusters": len(clusters),
             "laurent_ok": True,
             "witnesses": [],
-            "max_terms": max_terms,
-            "nonnegative_coefficients_observed": nonneg,
+            "max_terms": max((v.n_terms() for v in variables), default=0),
+            "nonnegative_coefficients_observed": all(
+                v.has_nonnegative_coefficients() for v in variables
+            ),
             "truncated": self.truncated,
         }
 
@@ -193,45 +193,70 @@ def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
         root = root_node(root)
     limit = max_terms_limit(max_terms)
     unfrozen = root.seed.fixed.unfrozen
+    variables = []  # rank -> the one object with that value
+    rank_of = {}  # terms -> rank
+
+    def intern(v):
+        """The rank of v's value; v stands for the value if it is new."""
+        rank = rank_of.setdefault(v.terms(), len(variables))
+        if rank == len(variables):
+            variables.append(v)
+        return rank
+
+    root_ranks = tuple(map(intern, root.cluster_vars))
+    root = SeedNode(root.seed, tuple(variables[r] for r in root_ranks), root.depth)
     nodes = [root]
-    ids = {_node_key(root, dedup): 0}
+    ranks_of = [root_ranks]  # node id -> ranks of its variables
+    ids = {_node_key(root, root_ranks, dedup): 0}
     edges = []
     truncated = False
     frontier = [0]
-    # (k, id(old), ((id(v), e) for e != 0 in row k)) -> (new, variables):
-    # the variables hold every object the key names, so no id is reused
+    # (rank of old, relation) -> rank of new, where the relation is the
+    # rank-sorted (rank, exponent) pairs of the nonzero entries of row k,
+    # negated if the first exponent is negative: the exchange polynomial is
+    # symmetric in its two monomials.  A seed's variables are distinct, so
+    # negating keeps the sort order.
     solved = {}
     for _ in range(depth):
         if not frontier:  # the graph is complete; deeper levels add nothing
             break
         next_frontier = []
         for nid in frontier:
-            node = nodes[nid]
+            node, ranks = nodes[nid], ranks_of[nid]
             for k in unfrozen:
-                old = node.cluster_vars[k]
-                row = node.seed.eps.data[k]
-                ref = tuple((id(v), e) for v, e in zip(node.cluster_vars, row) if e)
-                hit = solved.get((k, id(old), ref))
-                if hit is None:
+                relation = sorted(
+                    (ranks[j], e) for j, e in enumerate(node.seed.eps.data[k]) if e
+                )
+                if relation and relation[0][1] < 0:
+                    relation = [(r, -e) for r, e in relation]
+                relation = tuple(relation)
+                new = solved.get((ranks[k], relation))
+                if new is None:
                     try:
                         child = step(node, k, max_terms=limit)
                     except ResourceLimitExceeded:
                         truncated = True
                         continue
-                    new = child.cluster_vars[k]
-                    solved[(k, id(old), ref)] = (new, node.cluster_vars)
-                    # row k of the child's matrix is minus row k, and the
-                    # exchange polynomial is symmetric in its two monomials
-                    inverse = tuple((i, -e) for i, e in ref)
-                    solved[(k, id(new), inverse)] = (old, child.cluster_vars)
+                    var = child.cluster_vars[k]
+                    new = intern(var)
+                    if var is not variables[new]:  # found before, elsewhere
+                        vars_new = list(child.cluster_vars)
+                        vars_new[k] = variables[new]
+                        child = SeedNode(child.seed, tuple(vars_new), child.depth)
+                    # row k of the child's matrix is minus row k, which
+                    # gives the same relation
+                    solved[(ranks[k], relation)] = new
+                    solved[(new, relation)] = ranks[k]
                 else:
-                    child = _exchanged(node, k, hit[0])
-                key = _node_key(child, dedup)
+                    child = _exchanged(node, k, variables[new])
+                child_ranks = ranks[:k] + (new,) + ranks[k + 1:]
+                key = _node_key(child, child_ranks, dedup)
                 cid = ids.get(key)
                 if cid is None:
                     cid = len(nodes)
                     ids[key] = cid
                     nodes.append(child)
+                    ranks_of.append(child_ranks)
                     next_frontier.append(cid)
                 edges.append((nid, k, cid))
         frontier = next_frontier

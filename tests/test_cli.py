@@ -25,6 +25,8 @@ G2 = {"rank": 2, "skew": [[0, 1], [-1, 0]], "d": [1, 3]}
 # type B3 (d = (1, 1, 2)), 20 clusters; and A3 with one frozen index, 14
 B3 = {"rank": 3, "skew": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "d": [1, 1, 2]}
 A3_FROZEN = {**A4, "frozen": [3]}
+# plane data: three rays each through (1, 0), (0, 1) and (-1, -1)
+NINE_RAY = {"w": [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3}
 
 
 def run_cli(*args, env=None):
@@ -492,6 +494,10 @@ class TestLaurentGolden:
         # the X side with d != 1 (189 paths)
         ("laurent_check_b3_X_d6", B3, "laurent-check",
          ["--side", "X", "--q=0,0,-1", "--depth", "6"]),
+        # labeled graphs whose exchange relations repeat under other labels
+        # (384 and 427 nodes)
+        ("explore_d4_d6", D4, "explore", ["--depth", "6"]),
+        ("explore_nine_ray_d3", NINE_RAY, "explore", ["--depth", "3"]),
     ])
     def test_golden_stdout(self, tmp_path, capsys, name, doc, command, extra):
         path = tmp_path / "seed.json"

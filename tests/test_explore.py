@@ -52,6 +52,15 @@ def a2_root():
     return root_node(seed_from_epsilon(A2))
 
 
+def _ranks(node, rank_of):
+    """The ranks of a node's variables, numbering values in the order they
+    are first seen through rank_of (a dict from terms to rank), as explore
+    numbers them."""
+    return tuple(
+        rank_of.setdefault(v.terms(), len(rank_of)) for v in node.cluster_vars
+    )
+
+
 # The five A2 cluster variables, frozen from hand-iterating the exchange
 # relation: A0, A1, (1+A1)/A0, (1+A0+A1)/(A0 A1), (1+A0)/A1.
 A2_VARS = [
@@ -137,12 +146,12 @@ class TestA2Periodicity:
     def test_node_key_period_ten(self):
         # labeled identity = (exchange matrix, cluster variables): the
         # alternating walk first repeats after ten steps
-        from cluster_geom.explore import _node_key
         node = a2_root()
-        keys = [_node_key(node, "labeled")]
+        rank_of = {}
+        keys = [_node_key(node, _ranks(node, rank_of), "labeled")]
         for t in range(20):
             node = step(node, t % 2)
-            keys.append(_node_key(node, "labeled"))
+            keys.append(_node_key(node, _ranks(node, rank_of), "labeled"))
         first_repeat = next(
             t for t in range(1, 21) if keys[t] == keys[0]
         )
@@ -155,10 +164,15 @@ class TestExplore:
         assert len(g.nodes) == 1
         assert len(g.edges) == 0
 
+    def test_rank_zero(self):
+        # no variables: one node, one empty cluster, no terms
+        rep = explore(seed_from_epsilon([]), 2).report()
+        assert (rep["nodes"], rep["clusters"], rep["max_terms"]) == (1, 1, 0)
+
     def test_a2_labeled_graph_is_ten_cycle(self):
         g = explore(a2_root(), 12)
         assert len(g.nodes) == 10
-        assert len(g.cluster_sets()) == 5
+        assert g.report()["clusters"] == 5
         # every node has exactly two distinct neighbours
         neighbours = {i: set() for i in range(len(g.nodes))}
         for u, _, v in g.edges:
@@ -169,15 +183,18 @@ class TestExplore:
     def test_a2_unlabeled_pentagon(self):
         g = explore(a2_root(), 12, dedup="unlabeled")
         assert len(g.nodes) == 5
-        assert len(g.cluster_sets()) == 5
+        assert g.report()["clusters"] == 5
 
     def test_edges_involutive(self):
-        from cluster_geom.explore import _node_key
         g = explore(root_node(seed_from_epsilon(MARKOV)), 3)
-        key_to_id = {_node_key(n, "labeled"): i for i, n in enumerate(g.nodes)}
+        rank_of = {}
+
+        def key(node):
+            return _node_key(node, _ranks(node, rank_of), "labeled")
+
+        key_to_id = {key(n): i for i, n in enumerate(g.nodes)}
         for u, k, v in g.edges:
-            back = step(g.nodes[v], k)
-            assert key_to_id[_node_key(back, "labeled")] == u
+            assert key_to_id[key(step(g.nodes[v], k))] == u
 
     def test_markov_depth3_laurent_and_positive(self):
         g = explore(root_node(seed_from_epsilon(MARKOV)), 3)
@@ -298,7 +315,10 @@ class TestKeys:
         nodes = []
         for node in explore(seed, 3, max_terms=300).nodes:
             nodes += [node, _relabeled(node, rng)]
-        sorted_keys = [_node_key(node, "unlabeled") for node in nodes]
+        rank_of = {}
+        sorted_keys = [
+            _node_key(node, _ranks(node, rank_of), "unlabeled") for node in nodes
+        ]
         partition = _partition(sorted_keys)
         assert partition == _partition(map(_brute_force_key, nodes))
         assert partition[1::2] == partition[0::2]
@@ -307,19 +327,27 @@ class TestKeys:
     def test_unlabeled_graph_matches_the_brute_force_key(self, eps, d, monkeypatch):
         seed = seed_from_epsilon(eps, d)
         fast = explore(seed, 6, dedup="unlabeled")
-        monkeypatch.setattr(
-            explore_module, "_node_key", lambda node, dedup: _brute_force_key(node)
-        )
+        keyed = []
+
+        def brute_force_key(node, ranks, dedup):
+            keyed.append(node)
+            return _brute_force_key(node)
+
+        monkeypatch.setattr(explore_module, "_node_key", brute_force_key)
         slow = explore(seed, 6, dedup="unlabeled")
+        # the oracle keyed the root and every child
+        assert len(keyed) == len(slow.edges) + 1
         assert fast.edges == slow.edges
         assert fast.report() == slow.report()
 
     def test_equal_variables_have_no_canonical_key(self):
         x0 = LP.variable(2, 0)
         node = SeedNode(seed_from_epsilon(A2), (x0, x0))
-        assert _node_key(node, "labeled")
+        assert _node_key(node, (0, 0), "labeled")
         with pytest.raises(ClusterGeomError, match="are equal"):
-            _node_key(node, "unlabeled")
+            _node_key(node, (0, 0), "unlabeled")
+        with pytest.raises(ClusterGeomError, match="are equal"):
+            explore(node, 1, dedup="unlabeled")
 
 
 class TestSolvedRelations:
@@ -367,6 +395,38 @@ class TestSolvedRelations:
         expanded = [node for node in graph.nodes if 0 < node.depth < 4]
         assert backtracks == len(expanded)
         assert len(solved) <= len(graph.edges) - backtracks
+
+
+    @pytest.mark.parametrize("eps", [A5, D4], ids=["A5", "D4"])
+    def test_each_relation_is_solved_once_and_each_value_is_one_object(
+            self, eps, monkeypatch):
+        solved = []
+        public_step = explore_module.step
+
+        def record_step(node, k, max_terms=None):
+            child = public_step(node, k, max_terms)
+            solved.append((node, k, child))
+            return child
+
+        monkeypatch.setattr(explore_module, "step", record_step)
+        graph = explore(seed_from_epsilon(eps), 6)
+        relations = set()
+        for node, k, child in solved:
+            pairs = [
+                (v.terms(), e)
+                for v, e in zip(node.cluster_vars, node.seed.eps.data[k]) if e
+            ]
+            neighbours = min(
+                tuple(sorted(pairs)), tuple(sorted((t, -e) for t, e in pairs))
+            )
+            # the relation read both ways: old and new are interchangeable
+            ends = frozenset(
+                (node.cluster_vars[k].terms(), child.cluster_vars[k].terms())
+            )
+            relations.add((ends, neighbours))
+        assert len(relations) == len(solved)
+        variables = [v for node in graph.nodes for v in node.cluster_vars]
+        assert len({id(v) for v in variables}) == len({v.terms() for v in variables})
 
 
 class TestVerifyLaurent:

@@ -396,7 +396,6 @@ class TestSolvedRelations:
         assert backtracks == len(expanded)
         assert len(solved) <= len(graph.edges) - backtracks
 
-
     @pytest.mark.parametrize("eps", [A5, D4], ids=["A5", "D4"])
     def test_each_relation_is_solved_once_and_each_value_is_one_object(
             self, eps, monkeypatch):

@@ -265,15 +265,6 @@ def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
 
 # -- depth-bounded Laurent verification ---------------------------------------
 
-def _unlink(link):
-    """The labels of a parent link (k, (k', (...))), root first."""
-    path = []
-    while link:
-        k, link = link
-        path.append(k)
-    return path[::-1]
-
-
 def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     """Walk every non-backtracking label path, carrying the expression of the
     monomial z^q on the current seed torus; report Laurent-ness.
@@ -287,8 +278,8 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     unreduced fraction otherwise.  The pullbacks twist a Laurent polynomial
     line by line and return it reduced, so a Laurent step divides no
     fraction; after a witness its fraction takes monomial_twist's general
-    route.  A path is carried as its length and a parent link
-    (last label, parent's link), and spelled out only for a witness.
+    route.  A path is carried as its seed, whose path mutate_seed extends by
+    a parent link, and spelled out only for a witness.
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
@@ -300,9 +291,8 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     witnesses = []
     stack = [(seed, RationalExpression.from_monomial(q), 0, None)] if depth > 0 else []
     while stack:
-        cur_seed, expr, length, link = stack.pop()
+        cur_seed, expr, length, last = stack.pop()
         extend = length + 1 < depth
-        last = link[0] if link else None
         for k in labels:
             if k == last:
                 continue
@@ -311,7 +301,7 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
             paths += 1
             if as_poly is None:
                 witnesses.append({
-                    "path": _unlink((k, link)),
+                    "path": [*cur_seed.path[len(seed.path):], k],
                     "expression": nxt.to_str(),
                 })
             else:
@@ -319,7 +309,7 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
                 max_degree = max(max_degree, as_poly.max_abs_exponent())
             if extend:
                 carried = nxt if as_poly is None else as_poly
-                stack.append((mutate_seed(cur_seed, k), carried, length + 1, (k, link)))
+                stack.append((mutate_seed(cur_seed, k), carried, length + 1, k))
     return {
         "side": side,
         "q": list(q),

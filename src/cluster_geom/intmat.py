@@ -57,11 +57,6 @@ class Matrix:
     def zeros(r, c):
         return Matrix([[0] * c for _ in range(r)])
 
-    @staticmethod
-    def diagonal(entries):
-        n = len(entries)
-        return Matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]

@@ -9,13 +9,14 @@ Every polynomial caches its frame: the componentwise minimum and maximum of
 its exponent vectors, and its largest total degree less the minimum's sum.
 Over the integers the extreme terms of a product are products of extreme
 terms of the factors and cannot cancel, so a product's frame is the sum of
-its factors' frames and is set without a scan; a shift moves the frame
+its factors' frames and is set without a scan, and an exact quotient's is
+the difference of the dividend's and the divisor's; a shift moves the frame
 along, and a sum in which no term cancels takes the componentwise extremes
-of its summands' frames.  The frame is the one source of the product's
-packing and overflow test, of exact division's shift and degree test, and
-of min_exponents, max_total_degree and max_abs_exponent.  The sorted terms
-are cached too: an exact quotient is built in canonical order, and a shift
-keeps it, so neither is sorted again.
+of its summands' frames.  The frame is the one source of the packing and
+overflow test of products and quotients, of exact division's degree test,
+and of min_exponents, max_total_degree and max_abs_exponent.  The sorted
+terms are cached too: an exact quotient is built in canonical order, so it
+is never sorted again.
 
 Products and exact division work on packed exponents (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -25,19 +26,19 @@ top field, so that a monomial product is one int addition.  A product packs
 both factors in the product's frame, in fields of 1, 2, 4 or 8 bytes, the
 fewest that hold the product's largest span (maximum less minimum) in one
 variable.  A field of a product key never exceeds that span, so no carry
-crosses fields and no guard bit is needed, and whole-byte fields let all
-product keys be unpacked in one struct call.  Squares form each cross term
+crosses fields and no guard bit is needed.  Squares form each cross term
 once and double it; a monomial factor only shifts and scales the other,
 and a monomial divisor likewise.  Division subtracts keys, so its
 whole-byte fields carry one guard bit above the dividend's degree, which a
 borrow sets, and a total-degree field on top makes int order graded-lex
-order; the quotient leaves the heap in that order and is unpacked in one
-struct call (see exact_divide).
+order; the quotient leaves the heap in that order (see exact_divide).
+_unpack turns the keys of a product, a line twist or a quotient into
+exponent tuples and adds the minimum back in the same pass.
 
 Exponents are kept below 2**62 in magnitude; crossing that bound raises
 ExponentOverflow rather than silently producing huge objects.  Since the
-frame of a product or a shift is exact, the test on frames raises exactly
-when some term would reach the bound.
+frame of a product, a quotient or a shift is exact, the test on frames
+raises exactly when some term would reach the bound.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from heapq import heapify, heappop, heappush
 from itertools import cycle, repeat
 from math import comb, lcm
 from operator import add, mul, neg, sub
-from struct import Struct, unpack
+from struct import unpack
 
 from .errors import ResourceLimitExceeded, ValidationError
 
@@ -101,32 +102,14 @@ def _field_weights(n, width):
 
 
 @lru_cache(maxsize=64)
-def _division_keys(n, size, code):
-    """(weights, guard, unpack) of exact division's keys in n variables with
-    fields of `size` bytes: a total-degree field on top, then e_0 ... e_{n-1}.
-    guard has the top bit of every field set, and unpack maps an iterable of
-    keys to their exponent tuples, in the same order, without the total
-    degree; with a struct code (fields of 1, 2, 4 or 8 bytes) that is one
-    struct call."""
+def _division_keys(n, size):
+    """(weights, guard) of exact division's keys in n variables with fields
+    of `size` bytes: a total-degree field on top, then e_0 ... e_{n-1}.
+    guard has the top bit of every field set."""
     width = 8 * size
     fields = _field_weights(n + 1, width)
-    guard = sum(fields) << (width - 1)
     # the key's total degree goes to the top field
-    weights = tuple(fields[0] + w for w in fields[1:])
-    if code:
-        split = Struct(f">{size}x{n}{code}").iter_unpack
-        length = (n + 1) * size
-
-        def unpack_keys(keys):
-            return split(b"".join(map(int.to_bytes, keys, repeat(length), repeat("big"))))
-    else:
-        mask = (1 << width) - 1
-        shifts = range((n - 1) * width, -1, -width)
-
-        def unpack_keys(keys):
-            return (tuple((d >> s) & mask for s in shifts) for d in keys)
-
-    return weights, guard, unpack_keys
+    return tuple(fields[0] + w for w in fields[1:]), sum(fields) << (width - 1)
 
 
 def _pack(terms, lo, weights):
@@ -135,22 +118,36 @@ def _pack(terms, lo, weights):
     return {sum(map(mul, e, weights)) - offset: c for e, c in terms.items()}
 
 
-# (bytes, struct code) of a packed key's fields, by the bytes its largest
-# field value needs; a product's span is below 2**63, so 8 bytes suffice
+# (bytes, struct code) of a packed key's fields, by the whole bytes their
+# largest value needs
 _FIELD_SIZES = ((1, "B"), (1, "B"), (2, "H"), (4, "I"), (4, "I")) + ((8, "Q"),) * 4
 
 
+def _field_size(bits):
+    """(bytes, struct code) of the fewest whole-byte fields that hold `bits`
+    bits: 1, 2, 4 or 8 bytes with their struct code, or more bytes and None."""
+    need = (bits + 7) // 8
+    return _FIELD_SIZES[need] if need < len(_FIELD_SIZES) else (need, None)
+
+
 def _unpack(packed, lo, size, code):
-    """{exponents: coefficient} from {key: coefficient} with fields of
-    `size` bytes (struct code `code`), the first variable highest; lo is
-    added back and zero coefficients are dropped.  The keys are written to
-    one bytes object and split in one struct call."""
+    """{exponents: coefficient} from {key: coefficient}, in the order of the
+    keys and without zero coefficients: n = len(lo) fields of `size` bytes,
+    the first variable highest, each plus its entry of lo.  With a struct
+    code the keys are written to one bytes object and split in one struct
+    call; wider fields are read one by one."""
     if 0 in packed.values():
         packed = {k: c for k, c in packed.items() if c}
     n = len(lo)
-    data = b"".join(map(int.to_bytes, packed, repeat(n * size), repeat("big")))
-    fields = map(add, unpack(f">{n * len(packed)}{code}", data), cycle(lo))
-    # each run of n fields is one exponent vector, in the order of the keys
+    if code:
+        data = b"".join(map(int.to_bytes, packed, repeat(n * size), repeat("big")))
+        fields = map(add, unpack(f">{n * len(packed)}{code}", data), cycle(lo))
+    else:
+        width = 8 * size
+        mask = (1 << width) - 1
+        shifts = range((n - 1) * width, -1, -width)
+        fields = (((k >> s) & mask) + x for k in packed for s, x in zip(shifts, lo))
+    # each run of n fields is one exponent vector
     return dict(zip(zip(*[fields] * n), packed.values()))
 
 
@@ -212,9 +209,9 @@ class LaurentPolynomial:
     def terms(self):
         """Terms as ((exponents, coefficient), ...) in descending canonical order.
 
-        Sorted once per polynomial and cached: the polynomial is immutable, and
-        node keys re-read the terms of every variable a node shares with its
-        parent.
+        Sorted once per polynomial and cached, since the polynomial is
+        immutable; an exact quotient is built in this order and caches it
+        from the start.
         """
         cached = self._sorted
         if cached is None:
@@ -343,7 +340,7 @@ class LaurentPolynomial:
             ((e, c),) = b.items()
             out = {tuple(map(add, x, e)): c * y for x, y in a.items()}
             return LaurentPolynomial._raw(n, out, frame)
-        size, code = _FIELD_SIZES[(max(map(sub, hi, lo)).bit_length() + 7) // 8]
+        size, code = _field_size(max(map(sub, hi, lo)).bit_length())
         weights = _field_weights(n, 8 * size)
         pa = tuple(_pack(a, alo, weights).items())
         out = {}
@@ -379,8 +376,8 @@ class LaurentPolynomial:
         return LaurentPolynomial.one(self.nvars) if result is None else result
 
     def shift(self, exps):
-        """Multiply by the monomial z^exps.  A shift keeps graded-lex order,
-        so sorted terms, when cached, stay sorted."""
+        """Multiply by the monomial z^exps.  The frame moves along, so the
+        exponent bound is tested on the frame alone."""
         exps = tuple(exps)
         if not any(exps) or not self._terms:
             return self  # the zero polynomial's frame bounds no terms
@@ -388,14 +385,8 @@ class LaurentPolynomial:
         lo = tuple(map(add, lo, exps))
         hi = tuple(map(add, hi, exps))
         _check_exponents(lo + hi)
-        ordered = self._sorted
-        if ordered is None:
-            out = {tuple(map(add, e, exps)): c for e, c in self._terms.items()}
-            return LaurentPolynomial._raw(self.nvars, out, (lo, hi, top))
-        ordered = tuple((tuple(map(add, e, exps)), c) for e, c in ordered)
-        shifted = LaurentPolynomial._raw(self.nvars, dict(ordered), (lo, hi, top))
-        object.__setattr__(shifted, "_sorted", ordered)
-        return shifted
+        out = {tuple(map(add, e, exps)): c for e, c in self._terms.items()}
+        return LaurentPolynomial._raw(self.nvars, out, (lo, hi, top))
 
     def __eq__(self, other):
         return (
@@ -462,18 +453,19 @@ def exact_divide(p, q, max_terms=None):
     A monomial divisor c z^e only shifts and scales: r is p / c shifted by
     -e, and exists exactly when c divides every coefficient of p.
 
-    Otherwise both operands are shifted so that their componentwise-minimal
-    exponent is zero; the shifts and the degree test below read the cached
-    frames.  Single-divisor reduction by the divisor's graded-lex leading term
+    Otherwise both operands are packed less their componentwise minima, and
+    the packing and the degree test below read the cached frames.
+    Single-divisor reduction by the divisor's graded-lex leading term
     then either ends with a zero remainder (success) or meets a remainder lead
     that the divisor's lead does not divide, which proves that no quotient
     exists.
 
-    Every remainder term has nonnegative exponents and a total degree of at
-    most D, the largest total degree of the shifted dividend.  So each
-    exponent vector packs into one int: the total degree in the top field,
-    then e_0 ... e_{n-1}, every field the fewest whole bytes (1, 2, 4, 8 or
-    more) that hold D plus one guard bit.  Int order is then graded-lex
+    Every remainder term, less the dividend's minimum, has nonnegative
+    exponents and a total degree of at most D, the dividend's largest total
+    degree less its minimum's sum.  So each exponent vector packs into one
+    int: the total degree in the top field, then e_0 ... e_{n-1}, every field
+    the fewest whole bytes (1, 2, 4, 8 or more) that hold D plus one guard
+    bit.  Int order is then graded-lex
     order, a monomial product is one int addition, and the divisor's lead
     divides a term exactly when their difference has no guard bit set.  The
     remainder is a dict plus a max-heap of its keys with lazy deletion
@@ -485,9 +477,11 @@ def exact_divide(p, q, max_terms=None):
     steps run before the cap is hit.
 
     Quotient terms are therefore found in descending graded-lex order.  Only
-    the quotient is unpacked, in that order and in one struct call, so its
-    sorted terms() are cached as it is built, and the final shift by the
-    difference of the minima keeps them.
+    the quotient is unpacked, in that order and straight to its exponents:
+    its frame is exact (min p - min q, max p - max q, D_p - D_q), its keys
+    lie at min p - min q, which the unpacking adds back, and its sorted
+    terms() are cached as it is built.  ExponentOverflow is raised when that
+    frame reaches the bound, even where neither operand does.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
@@ -512,14 +506,14 @@ def exact_divide(p, q, max_terms=None):
     sq, qhi, qdegree = q._frame()
     if qdegree > degree:
         return None  # the divisor's lead cannot divide the dividend's
-    need = (degree.bit_length() + 8) // 8  # bytes for D and a guard bit
-    size, code = _FIELD_SIZES[need] if need < len(_FIELD_SIZES) else (need, None)
-    weights, guard, unpack_keys = _division_keys(n, size, code)
+    size, code = _field_size(degree.bit_length() + 1)  # D and a guard bit
+    weights, guard = _division_keys(n, size)
     rem = _pack(p._terms, sp, weights)
     rest = _pack(q._terms, sq, weights)
     qlead = max(rest)
     qlc = rest.pop(qlead)
     rest = tuple(rest.items())
+    low = (1 << (8 * size * n)) - 1
     heap = [-key for key in rem]
     heapify(heap)
     quotient = {}
@@ -532,7 +526,7 @@ def exact_divide(p, q, max_terms=None):
         if d & guard or c % qlc:
             return None
         f = c // qlc
-        quotient[d] = f
+        quotient[d & low] = f  # without its total-degree field
         if len(quotient) > limit:
             raise _quotient_too_large(limit)
         for eq, cq in rest:
@@ -547,14 +541,16 @@ def exact_divide(p, q, max_terms=None):
                     rem[t] = s
                 else:
                     del rem[t]
+    # q * r = p, so the quotient's frame is the difference of the frames of
+    # p and q, and its packed keys lie at sp - sq
+    lo = tuple(map(sub, sp, sq))
+    hi = tuple(map(sub, phi, qhi))
+    _check_exponents(lo + hi)
+    terms = _unpack(quotient, lo, size, code)
+    r = LaurentPolynomial._raw(n, terms, (lo, hi, degree - qdegree))
     # the keys were found in descending order, which is graded-lex order
-    ordered = tuple(zip(unpack_keys(quotient), quotient.values()))
-    # q * r = p, so before its shift by sp - sq the quotient's frame is the
-    # difference of the shifted frames of p and q
-    span = tuple(map(sub, map(sub, phi, sp), map(sub, qhi, sq)))
-    r = LaurentPolynomial._raw(n, dict(ordered), ((0,) * n, span, degree - qdegree))
-    object.__setattr__(r, "_sorted", ordered)
-    return r.shift(map(sub, sp, sq))
+    object.__setattr__(r, "_sorted", tuple(terms.items()))
+    return r
 
 
 class RationalExpression:
@@ -751,7 +747,7 @@ def _twist_lines(p, v, g):
     wide = tuple(max(0, high) * x for x in v)
     lo = tuple(x + min(0, w) for x, w in zip(lo, wide))
     hi = tuple(x + max(0, w) for x, w in zip(hi, wide))
-    size, code = _FIELD_SIZES[(max(map(sub, hi, lo)).bit_length() + 7) // 8]
+    size, code = _field_size(max(map(sub, hi, lo)).bit_length())
     weights = _field_weights(len(v), 8 * size)
     step = sum(map(mul, v, weights))
     offset = sum(map(mul, lo, weights))

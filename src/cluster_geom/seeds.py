@@ -85,9 +85,6 @@ class FixedData:
     def unfrozen(self):
         return tuple(i for i in range(self.n) if i not in self.frozen)
 
-    def d_matrix(self):
-        return Matrix.diagonal(list(self.d))
-
     def __eq__(self, other):
         return (
             isinstance(other, FixedData)
@@ -102,9 +99,10 @@ class FixedData:
 
 
 def _epsilon_from_basis(fixed, basis):
-    """Definitional exchange matrix: (B^T skew B) D, with integrality checked
-    off the frozen block."""
-    eps = basis.transpose() @ fixed.skew @ basis @ fixed.d_matrix()
+    """Definitional exchange matrix: (B^T skew B) D, column j of B^T skew B
+    scaled by d_j, with integrality checked off the frozen block."""
+    gram = basis.transpose() @ fixed.skew @ basis
+    eps = Matrix([[x * dj for x, dj in zip(row, fixed.d)] for row in gram.data])
     for i in range(fixed.n):
         for j in range(fixed.n):
             if i in fixed.frozen and j in fixed.frozen:
@@ -131,12 +129,13 @@ class Seed:
     of both epsilon routes on random seeds.
     """
 
-    __slots__ = ("fixed", "basis", "path", "eps", "_basis_inv")
+    __slots__ = ("fixed", "basis", "_base", "_link", "eps", "_basis_inv")
 
     def __init__(self, fixed, basis, path=()):
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "path", tuple(path))
+        object.__setattr__(self, "_base", tuple(path))
+        object.__setattr__(self, "_link", None)
         object.__setattr__(self, "_basis_inv", None)
         self._validate_and_derive()
 
@@ -144,11 +143,12 @@ class Seed:
         raise AttributeError("Seed is immutable")
 
     @classmethod
-    def _trusted(cls, fixed, basis, path, eps):
+    def _trusted(cls, fixed, basis, base, link, eps):
         self = object.__new__(cls)
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "path", tuple(path))
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_link", link)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "_basis_inv", None)
         return self
@@ -182,6 +182,18 @@ class Seed:
     @property
     def n(self):
         return self.fixed.n
+
+    @property
+    def path(self):
+        """The labels the seed was built with, then one per mutate_seed,
+        spelled out from parent links (last label, parent's link): a
+        mutation copies no path."""
+        labels = []
+        link = self._link
+        while link:
+            k, link = link
+            labels.append(k)
+        return self._base + tuple(reversed(labels))
 
     def __hash__(self):
         return hash((self.fixed, self.basis))
@@ -342,7 +354,8 @@ def mutate_seed(seed, k):
     return Seed._trusted(
         seed.fixed,
         Matrix._trusted(tuple(basis)),
-        seed.path + (k,),
+        seed._base,
+        (k, seed._link),
         mutate_epsilon(eps, seed.fixed.d, k),
     )
 

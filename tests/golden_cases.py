@@ -1,0 +1,93 @@
+"""The golden stdout cases: byte-exact stdout of rank2 and of the Laurent
+workloads, pinned in golden/<name>.json so that refactors of the pipeline
+or of the polynomial kernels show.
+
+CASES maps each name to (seed document, argv), where argv is the command
+and its options; the seed file goes right after the command.
+tests/test_cli.py runs every case in-process.  Run as a script with a
+command prefix, this module runs every case through that command and
+compares its stdout, byte for byte, with the golden file:
+
+    PYTHONPATH=src python tests/golden_cases.py python -m cluster_geom
+    python tests/golden_cases.py cluster-geom
+
+It prints one line per case and exits 1 if any case differs or fails.
+"""
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN = Path(__file__).parent / "golden"
+MARKOV = {"rank": 3, "skew": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}
+# the oriented 4-cycle with double arrows
+CYCLE4 = {"rank": 4, "skew": [[0, 2, 0, -2], [-2, 0, 2, 0], [0, -2, 0, 2], [2, 0, -2, 0]]}
+A4 = {"rank": 4, "skew": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]}
+D4 = {"rank": 4, "skew": [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]}
+# skew-symmetrizable with d = (1, 3): type G2, 8 clusters
+G2 = {"rank": 2, "skew": [[0, 1], [-1, 0]], "d": [1, 3]}
+# type B3 (d = (1, 1, 2)), 20 clusters; and A3 with one frozen index, 14
+B3 = {"rank": 3, "skew": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "d": [1, 1, 2]}
+A3_FROZEN = {**A4, "frozen": [3]}
+# plane data: three rays each through (1, 0), (0, 1) and (-1, -1)
+NINE_RAY = {"w": [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3}
+TRIANGLE = {"w": [[1, 0], [0, 1], [-1, -1]]}
+
+CASES = {
+    "rank2_nine_ray_0_4_8": (NINE_RAY, ["rank2", "--mutations", "0,4,8"]),
+    "rank2_cubic": (TRIANGLE, ["rank2"]),
+    "rank2_weighted_triangle_0": ({**TRIANGLE, "nu": [3, 3, 3]}, ["rank2", "--mutations", "0"]),
+    # a 44-ray fan: the cone from (1, 0) to (1, 40) resolves into a
+    # continued-fraction chain of 39 rays
+    "rank2_w40_2": ({"w": [[1, 0], [0, 1], [1, 40]]}, ["rank2", "--mutations", "2"]),
+    "explore_markov_d6": (MARKOV, ["explore", "--depth", "6"]),
+    "explore_cycle4_d3": (CYCLE4, ["explore", "--depth", "3"]),
+    "explore_a4_d5_unlabeled": (A4, ["explore", "--depth", "5", "--dedup", "unlabeled"]),
+    "laurent_check_markov_A100_d5": (
+        MARKOV, ["laurent-check", "--side", "A", "--q", "1,0,0", "--depth", "5"]
+    ),
+    "explore_g2_d10": (G2, ["explore", "--depth", "10"]),
+    "laurent_check_d4_X_d5": (
+        D4, ["laurent-check", "--side", "X", "--q=0,0,-1,-1", "--depth", "5"]
+    ),
+    "explore_b3_d8_unlabeled": (B3, ["explore", "--depth", "8", "--dedup", "unlabeled"]),
+    "explore_a3_frozen_d8_unlabeled": (
+        A3_FROZEN, ["explore", "--depth", "8", "--dedup", "unlabeled"]
+    ),
+    "laurent_check_b3_A111_d8": (
+        B3, ["laurent-check", "--side", "A", "--q=1,1,1", "--depth", "8"]
+    ),
+    "laurent_check_a3_frozen_A1111_d7": (
+        A3_FROZEN, ["laurent-check", "--side", "A", "--q=1,1,1,1", "--depth", "7"]
+    ),
+    # the X side with d != 1 (189 paths)
+    "laurent_check_b3_X_d6": (
+        B3, ["laurent-check", "--side", "X", "--q=0,0,-1", "--depth", "6"]
+    ),
+    # labeled graphs whose exchange relations repeat under other labels
+    # (384 and 427 nodes)
+    "explore_d4_d6": (D4, ["explore", "--depth", "6"]),
+    "explore_nine_ray_d3": (NINE_RAY, ["explore", "--depth", "3"]),
+}
+
+
+def main(prefix):
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (doc, argv) in CASES.items():
+            seed = Path(tmp) / f"{name}.json"
+            seed.write_text(json.dumps(doc))
+            run = subprocess.run([*prefix, argv[0], str(seed), *argv[1:]], capture_output=True)
+            same = run.returncode == 0 and run.stdout == (GOLDEN / f"{name}.json").read_bytes()
+            print(f"{'ok' if same else 'MISMATCH'} {name}")
+            if not same:
+                failed.append(name)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit("usage: golden_cases.py COMMAND [ARG ...]")
+    sys.exit(main(sys.argv[1:]))

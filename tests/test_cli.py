@@ -9,24 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_geom import cli
+from golden_cases import CASES, GOLDEN
 
 CLI = [sys.executable, "-m", "cluster_geom"]
 A2_SKEW = [[0, 1], [-1, 0]]
-# byte-exact stdout of rank2 and of the Laurent workloads, pinned so that
-# refactors of the pipeline or of the polynomial kernels show
-GOLDEN = Path(__file__).parent / "golden"
-MARKOV = {"rank": 3, "skew": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}
-# the oriented 4-cycle with double arrows
-CYCLE4 = {"rank": 4, "skew": [[0, 2, 0, -2], [-2, 0, 2, 0], [0, -2, 0, 2], [2, 0, -2, 0]]}
-A4 = {"rank": 4, "skew": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]}
-D4 = {"rank": 4, "skew": [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]}
-# skew-symmetrizable with d = (1, 3): type G2, 8 clusters
-G2 = {"rank": 2, "skew": [[0, 1], [-1, 0]], "d": [1, 3]}
-# type B3 (d = (1, 1, 2)), 20 clusters; and A3 with one frozen index, 14
-B3 = {"rank": 3, "skew": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "d": [1, 1, 2]}
-A3_FROZEN = {**A4, "frozen": [3]}
-# plane data: three rays each through (1, 0), (0, 1) and (-1, -1)
-NINE_RAY = {"w": [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3}
+# the golden cases (see golden_cases.py), rank2 apart from the Laurent
+# workloads, each in the order of CASES
+RANK2_GOLDEN = [
+    (name, doc, argv[1:]) for name, (doc, argv) in CASES.items() if argv[0] == "rank2"
+]
+LAURENT_GOLDEN = [
+    (name, doc, argv[0], argv[1:]) for name, (doc, argv) in CASES.items() if argv[0] != "rank2"
+]
 
 
 def run_cli(*args, env=None):
@@ -436,18 +430,7 @@ class TestRank2:
         assert doc["gram"] is None
         assert doc["epsilon"] == [[0, 3, -3], [-3, 0, 3], [3, -3, 0]]
 
-    @pytest.mark.parametrize("name, doc, extra", [
-        ("rank2_nine_ray_0_4_8",
-         {"w": [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3},
-         ["--mutations", "0,4,8"]),
-        ("rank2_cubic", {"w": [[1, 0], [0, 1], [-1, -1]]}, []),
-        ("rank2_weighted_triangle_0",
-         {"w": [[1, 0], [0, 1], [-1, -1]], "nu": [3, 3, 3]},
-         ["--mutations", "0"]),
-        # a 44-ray fan: the cone from (1, 0) to (1, 40) resolves into a
-        # continued-fraction chain of 39 rays
-        ("rank2_w40_2", {"w": [[1, 0], [0, 1], [1, 40]]}, ["--mutations", "2"]),
-    ])
+    @pytest.mark.parametrize("name, doc, extra", RANK2_GOLDEN)
     def test_golden_stdout(self, tmp_path, capsys, name, doc, extra):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
@@ -473,32 +456,7 @@ class TestRank2:
 
 
 class TestLaurentGolden:
-    @pytest.mark.parametrize("name, doc, command, extra", [
-        ("explore_markov_d6", MARKOV, "explore", ["--depth", "6"]),
-        ("explore_cycle4_d3", CYCLE4, "explore", ["--depth", "3"]),
-        ("explore_a4_d5_unlabeled", A4, "explore",
-         ["--depth", "5", "--dedup", "unlabeled"]),
-        ("laurent_check_markov_A100_d5", MARKOV, "laurent-check",
-         ["--side", "A", "--q", "1,0,0", "--depth", "5"]),
-        ("explore_g2_d10", G2, "explore", ["--depth", "10"]),
-        ("laurent_check_d4_X_d5", D4, "laurent-check",
-         ["--side", "X", "--q=0,0,-1,-1", "--depth", "5"]),
-        ("explore_b3_d8_unlabeled", B3, "explore",
-         ["--depth", "8", "--dedup", "unlabeled"]),
-        ("explore_a3_frozen_d8_unlabeled", A3_FROZEN, "explore",
-         ["--depth", "8", "--dedup", "unlabeled"]),
-        ("laurent_check_b3_A111_d8", B3, "laurent-check",
-         ["--side", "A", "--q=1,1,1", "--depth", "8"]),
-        ("laurent_check_a3_frozen_A1111_d7", A3_FROZEN, "laurent-check",
-         ["--side", "A", "--q=1,1,1,1", "--depth", "7"]),
-        # the X side with d != 1 (189 paths)
-        ("laurent_check_b3_X_d6", B3, "laurent-check",
-         ["--side", "X", "--q=0,0,-1", "--depth", "6"]),
-        # labeled graphs whose exchange relations repeat under other labels
-        # (384 and 427 nodes)
-        ("explore_d4_d6", D4, "explore", ["--depth", "6"]),
-        ("explore_nine_ray_d3", NINE_RAY, "explore", ["--depth", "3"]),
-    ])
+    @pytest.mark.parametrize("name, doc, command, extra", LAURENT_GOLDEN)
     def test_golden_stdout(self, tmp_path, capsys, name, doc, command, extra):
         path = tmp_path / "seed.json"
         path.write_text(json.dumps(doc))

@@ -491,14 +491,15 @@ class TestVerifyLaurent:
 
 class TestWitnesses:
     def test_witness_paths_follow_the_seed_paths(self):
-        # every step is a witness; the seeds track their own paths, so the
-        # witness paths, spelled out from parent links, must equal them
-        seed = seed_from_epsilon(D4)
+        # every step is a witness, and its path starts at the walk's seed,
+        # which has the path (0,) already
+        seed = mutate_seed(seed_from_epsilon(D4), 0)
         bad = RationalExpression(LP.one(4), LP(4, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1}))
         visited = []
 
         def apply_step(cur_seed, k, expr):
-            visited.append(list(cur_seed.path + (k,)))
+            assert cur_seed.path[0] == 0
+            visited.append(list(cur_seed.path[1:] + (k,)))
             return bad
 
         rep = _verify_along_paths(seed, "A", (1, 0, 0, 0), apply_step, 4, None)

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from cluster_geom.laurent import (
     LinearForm,
     RationalExpression,
     _a_side_exponent,
+    _field_size,
     _grlex_key,
     _x_side_exponent,
     binomial_power,
@@ -302,6 +304,21 @@ def _division_operands(draw):
     return poly(4), poly(4), poly(3)
 
 
+def _divide_checked(p, q, max_terms=None):
+    """exact_divide, with LaurentPolynomial.shift made to fail when q has
+    more than one term: the heap route builds its quotient at its final
+    exponents and shifts nothing.  Its quotient's cached frame and terms
+    must equal a fresh scan and a fresh sort."""
+    if q.n_terms() == 1:
+        return exact_divide(p, q, max_terms)
+    with mock.patch.object(LP, "shift", side_effect=AssertionError("shifted")):
+        r = exact_divide(p, q, max_terms)
+    if r is not None and not r.is_zero():
+        assert r._frame_cache == _fresh_frame(r)
+        assert r._sorted == _fresh_terms(r)
+    return r
+
+
 def _capped(divide, p, q, cap):
     try:
         return divide(p, q, cap)
@@ -321,10 +338,10 @@ class TestExactDivide:
         p, q, r = operands
         if q.is_zero():
             return
-        assert exact_divide(p * q, q, 20) == p
+        assert _divide_checked(p * q, q, 20) == p
         for num in (p * q, p * q + r, p):
             expected = _capped(_max_scan_divide, num, q, 20)
-            assert _capped(exact_divide, num, q, 20) == expected
+            assert _capped(_divide_checked, num, q, 20) == expected
 
     def test_a_huge_quotient_stops_at_the_default_cap(self, monkeypatch):
         # (x^(2^40) + 1) / (1 + x) has no Laurent quotient, and the reduction
@@ -441,7 +458,7 @@ class TestFastDivisionRoutes:
         p, q, _ = operands
         if q.is_zero():
             return
-        r = exact_divide(p * q, q)
+        r = _divide_checked(p * q, q)
         if q.n_terms() > 1 and not p.is_zero():
             assert r._sorted is not None  # cached while the quotient was built
         shifted = r.shift(move[: r.nvars])
@@ -471,15 +488,42 @@ class TestFastDivisionRoutes:
 
     def test_keys_wider_than_eight_byte_fields(self):
         # a dividend degree of 9 * 2**60 needs 65 bits with the guard bit,
-        # past every struct field, so the quotient is unpacked field by field
+        # past every struct field, so the quotient is unpacked field by field,
+        # and the unpacking adds the offset min p - min q = (-3, 4, -2) back
         a = 3 << 59
-        q = lp(3, {(a, a, a): 1, (0, 0, 0): 1})
-        r = lp(3, {(a, a, a): 1, (0, 1, 0): -2, (0, 0, 0): -1})
-        assert (q * r).max_total_degree() == 9 << 60
-        quotient = exact_divide(q * r, q)
+        q = lp(3, {(a, a, a): 1, (0, 0, 0): 1}).shift((-1, 5, -2))
+        r = lp(3, {(a, a, a): 1, (0, 1, 0): -2, (0, 0, 0): -1}).shift((-3, 4, -2))
+        assert (q * r).max_total_degree() == (9 << 60) + 1
+        quotient = _divide_checked(q * r, q)
         assert quotient == r == _max_scan_divide(q * r, q)
         assert quotient.terms() == _fresh_terms(quotient)
         assert exact_divide(q * r + LP.variable(3, 2), q) is None
+
+    @pytest.mark.parametrize("a, size", [
+        (10, 1), (1000, 2), (10**6, 4), (10**15, 8), (3 << 59, 9),
+    ], ids=["1-byte", "2-byte", "4-byte", "8-byte", "9-byte"])
+    def test_quotient_frame_in_every_field_size(self, a, size):
+        # negative minima on both operands, and a dividend degree that
+        # needs fields of `size` bytes
+        q = lp(3, {(a, a, a): 1, (-2, 5, 0): -3, (0, -1, -4): 2})
+        r = lp(3, {(a, a, a): 2, (-7, 1, 3): 1, (3, -2, 0): -1})
+        p = q * r
+        _, _, degree = p._frame()
+        assert _field_size(degree.bit_length() + 1)[0] == size
+        assert _divide_checked(p, q) == r == _max_scan_divide(p, q)
+        assert _divide_checked(p, r) == q
+        assert _divide_checked(p + LP.variable(3, 0), q) is None
+
+    def test_quotient_overflow(self):
+        # (1 + x) x^(2^61) / ((1 + x) x^(-2^61)) = x^(2^62): both operands
+        # lie inside the bound, the quotient does not
+        h = 1 << 61
+        b = lp(1, {(0,): 1, (1,): 1})
+        for side in (1, -1):
+            with pytest.raises(ExponentOverflow):
+                exact_divide(b.shift((side * h,)), b.shift((-side * h,)))
+        below = _divide_checked(b.shift((h - 1,)), b.shift((-h,)))
+        assert below == LP.monomial((EXPONENT_LIMIT - 1,))
 
     @pytest.mark.parametrize("c", [1, -2])
     def test_monomial_divisor_overflow(self, c):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -144,6 +145,22 @@ class TestMutateSeed:
     def test_path_tracking(self):
         s = mutate_along(markov_seed(), [0, 1, 2])
         assert s.path == (0, 1, 2)
+
+    def test_mutation_copies_no_path(self):
+        # the child links to its parent instead of copying the 8 MB path
+        root = markov_seed()
+        base = tuple(i % 3 for i in range(10**6))
+        s = Seed(root.fixed, root.basis, path=base)
+        tracemalloc.start()
+        try:
+            child = mutate_seed(s, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert child.path == base + (1,)
+        assert mutate_seed(child, 2).path == base + (1, 2)
+        assert s.path == base
 
 
 class TestMutateEpsilon:

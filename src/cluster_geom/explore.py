@@ -24,7 +24,13 @@ terms.  Each exchange relation is solved once: the new variable depends
 only on the old variable and the variables that row k touches, with their
 exponents, up to one sign for all of them, and not on k or the labels.  A
 repeat of that data, and the backtracking step that reverses a solved
-relation, reuse the variable and only mutate the seed.
+relation, reuse the variable and compute only the child's exchange matrix,
+by the three-case rule on its rows; with the ranks that gives the child's
+key.  A seed (basis, checked exchange matrix, path) is built only for a
+child that is a new node, or by the step that solves a relation, so every
+stored node holds a real seed and a repeat edge builds none.  A mutated
+exchange matrix is again skew-symmetrizable with the same d (Fomin and
+Zelevinsky, Prop. 4.5), so the unchecked rule serves the key.
 
 Everything runs serially in one thread: the work is pure Python and holds
 the GIL, so threads cannot speed it up.
@@ -42,7 +48,9 @@ from .errors import (
 )
 from .laurent import (  # noqa: F401  (the term cap's names stay importable here)
     DEFAULT_MAX_TERMS,
+    EXPONENT_LIMIT,
     MAX_TERMS_ENV,
+    ExponentOverflow,
     LaurentPolynomial,
     RationalExpression,
     exact_divide,
@@ -50,7 +58,7 @@ from .laurent import (  # noqa: F401  (the term cap's names stay importable here
     inverse_pullback_X,
     max_terms_limit,
 )
-from .seeds import Seed, mutate_seed
+from .seeds import Seed, _mutated_rows, mutate_seed
 
 
 @dataclass(frozen=True)
@@ -72,17 +80,41 @@ def root_node(seed):
 
 
 def exchange_polynomial(node, k):
-    """prod_j vars_j^[eps_kj]_+  +  prod_j vars_j^[-eps_kj]_+ ."""
-    plus = minus = None
+    """prod_j vars_j^[eps_kj]_+  +  prod_j vars_j^[-eps_kj]_+ .
+
+    In each product the single-term factors are folded into one exponent
+    vector and one coefficient, applied by one shift (or one monomial when
+    no other factor is left), so powers and products run only on factors
+    with more than one term.  A factor whose exponents alone reach the bound
+    raises ExponentOverflow, as its power would."""
+    n = node.seed.n
+    products = [None, None]  # the factors with more than one term
+    shifts = [[0] * n, [0] * n]
+    coeffs = [1, 1]
     for v, e in zip(node.cluster_vars, node.seed.eps.row(k)):
-        if e > 0:
+        if not e:
+            continue
+        side = e < 0
+        e = abs(e)
+        if v.n_terms() == 1:
+            ((m, c),) = v.items()
+            top = e * max(map(abs, m), default=0)
+            if top >= EXPONENT_LIMIT:
+                raise ExponentOverflow(f"exponent {top} exceeds the supported range")
+            shifts[side] = [x + e * y for x, y in zip(shifts[side], m)]
+            coeffs[side] *= c ** e
+        else:
             f = v ** e
-            plus = f if plus is None else plus * f
-        elif e < 0:
-            f = v ** -e
-            minus = f if minus is None else minus * f
-    one = LaurentPolynomial.one(node.seed.n)
-    return (one if plus is None else plus) + (one if minus is None else minus)
+            p = products[side]
+            products[side] = f if p is None else p * f
+    halves = []
+    for p, exps, c in zip(products, shifts, coeffs):
+        if p is None:
+            halves.append(LaurentPolynomial.monomial(exps, c))
+        else:
+            p = p.shift(exps)
+            halves.append(p if c == 1 else p * c)
+    return halves[0] + halves[1]
 
 
 def step(node, k, max_terms=None):
@@ -111,19 +143,17 @@ def _exchanged(node, k, new_var):
 
 # -- node keys ---------------------------------------------------------------
 
-def _node_key(node, ranks, dedup):
-    """(exchange matrix, per-index variable ranks), permuted in unlabeled
-    mode by the sort of the unfrozen indices by (d_i, rank) into the
-    unfrozen positions, themselves sorted by d; frozen indices stay.
+def _node_key(eps, fixed, ranks, dedup):
+    """(exchange matrix rows, per-index variable ranks), permuted in
+    unlabeled mode by the sort of the unfrozen indices by (d_i, rank) into
+    the unfrozen positions, themselves sorted by d; frozen indices stay.
 
     ranks[i] stands for the value of the i-th variable: equal ranks for
     equal values, distinct ranks for distinct ones."""
-    eps = node.seed.eps.data
     if dedup == "labeled":
         return (eps, ranks)
     if dedup != "unlabeled":
         raise ValidationError(f"unknown dedup policy {dedup!r}")
-    fixed = node.seed.fixed
     d = fixed.d
     ranked = sorted(fixed.unfrozen, key=lambda i: (d[i], ranks[i]))
     for a, b in zip(ranked, ranked[1:]):
@@ -192,7 +222,8 @@ def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
     if isinstance(root, Seed):
         root = root_node(root)
     limit = max_terms_limit(max_terms)
-    unfrozen = root.seed.fixed.unfrozen
+    fixed = root.seed.fixed
+    unfrozen = fixed.unfrozen
     variables = []  # rank -> the one object with that value
     rank_of = {}  # terms -> rank
 
@@ -207,7 +238,7 @@ def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
     root = SeedNode(root.seed, tuple(variables[r] for r in root_ranks), root.depth)
     nodes = [root]
     ranks_of = [root_ranks]  # node id -> ranks of its variables
-    ids = {_node_key(root, root_ranks, dedup): 0}
+    ids = {_node_key(root.seed.eps.data, fixed, root_ranks, dedup): 0}
     edges = []
     truncated = False
     frontier = [0]
@@ -223,10 +254,9 @@ def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
         next_frontier = []
         for nid in frontier:
             node, ranks = nodes[nid], ranks_of[nid]
+            eps = node.seed.eps.data
             for k in unfrozen:
-                relation = sorted(
-                    (ranks[j], e) for j, e in enumerate(node.seed.eps.data[k]) if e
-                )
+                relation = sorted((ranks[j], e) for j, e in enumerate(eps[k]) if e)
                 if relation and relation[0][1] < 0:
                     relation = [(r, -e) for r, e in relation]
                 relation = tuple(relation)
@@ -247,12 +277,17 @@ def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
                     # gives the same relation
                     solved[(ranks[k], relation)] = new
                     solved[(new, relation)] = ranks[k]
+                    child_eps = child.seed.eps.data
                 else:
-                    child = _exchanged(node, k, variables[new])
+                    # the seed is built only if the child is a new node
+                    child = None
+                    child_eps = _mutated_rows(eps, k)
                 child_ranks = ranks[:k] + (new,) + ranks[k + 1:]
-                key = _node_key(child, child_ranks, dedup)
+                key = _node_key(child_eps, fixed, child_ranks, dedup)
                 cid = ids.get(key)
                 if cid is None:
+                    if child is None:
+                        child = _exchanged(node, k, variables[new])
                     cid = len(nodes)
                     ids[key] = cid
                     nodes.append(child)

@@ -293,6 +293,30 @@ def check_symmetrizable(eps, d):
                 )
 
 
+def _mutated_rows(rows, k):
+    """The three-case rule of matrix mutation at index k, on the rows of an
+    exchange matrix, unchecked: row k is negated, and a row i with
+    eps_ik != 0 gains eps_ik [s eps_kj]_+ at each column j, with s the sign
+    of eps_ik, and has -eps_ik at column k.  Rows with a zero k-th entry are
+    shared with the input."""
+    rk = rows[k]
+    out = []
+    for i, row in enumerate(rows):
+        eik = row[k]
+        if i == k:
+            row = tuple(-x for x in row)
+        elif eik > 0:
+            row = [x + eik * y if y > 0 else x for x, y in zip(row, rk)]
+            row[k] = -eik
+            row = tuple(row)
+        elif eik < 0:
+            row = [x - eik * y if y < 0 else x for x, y in zip(row, rk)]
+            row[k] = -eik
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
+
+
 def mutate_epsilon(eps, d, k):
     """Matrix mutation at index k (three-case rule).
 
@@ -305,25 +329,11 @@ def mutate_epsilon(eps, d, k):
     n = eps.rows
     if not 0 <= k < n:
         raise ValidationError(f"mutation index {k} out of range")
-    rk = eps.data[k]
-    rows = []
-    for i, row in enumerate(eps.data):
-        eik = row[k]
-        if i == k:
-            row = tuple(-x for x in row)
-        elif eik > 0:
-            row = [x + eik * y if y > 0 else x for x, y in zip(row, rk)]
-            row[k] = -eik
-            row = tuple(row)
-        elif eik < 0:
-            row = [x - eik * y if y < 0 else x for x, y in zip(row, rk)]
-            row[k] = -eik
-            row = tuple(row)
-        rows.append(row)
-    if all(x.__class__ is int for x in rk) and all(
+    rows = _mutated_rows(eps.data, k)
+    if all(x.__class__ is int for x in rows[k]) and all(
         row[k].__class__ is int for row in rows
     ):
-        return Matrix._trusted(tuple(rows))
+        return Matrix._trusted(rows)
     return Matrix(rows)
 
 

@@ -1,6 +1,7 @@
 import importlib
 import random
 from itertools import permutations
+from math import gcd
 
 import pytest
 from test_acceptance import random_symmetrizable_seed
@@ -24,14 +25,16 @@ from cluster_geom.explore import (
     verify_laurent_A,
     verify_laurent_X,
 )
+from cluster_geom.intmat import Matrix, kernel_basis
 from cluster_geom.laurent import (
+    ExponentOverflow,
     LaurentPolynomial,
     RationalExpression,
     inverse_pullback_A,
     pullback_A,
 )
 from cluster_geom.rank2 import build_seed, nine_ray_data
-from cluster_geom.seeds import mutate_seed, seed_from_epsilon
+from cluster_geom.seeds import epsilon_from_basis, mutate_seed, seed_from_epsilon
 
 LP = LaurentPolynomial
 # the module, which the package's `explore` function shadows as an attribute
@@ -50,6 +53,11 @@ B3 = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
 
 def a2_root():
     return root_node(seed_from_epsilon(A2))
+
+
+def _key(node, ranks, dedup):
+    """explore's key of a node whose variables have the given ranks."""
+    return _node_key(node.seed.eps.data, node.seed.fixed, ranks, dedup)
 
 
 def _ranks(node, rank_of):
@@ -148,10 +156,10 @@ class TestA2Periodicity:
         # alternating walk first repeats after ten steps
         node = a2_root()
         rank_of = {}
-        keys = [_node_key(node, _ranks(node, rank_of), "labeled")]
+        keys = [_key(node, _ranks(node, rank_of), "labeled")]
         for t in range(20):
             node = step(node, t % 2)
-            keys.append(_node_key(node, _ranks(node, rank_of), "labeled"))
+            keys.append(_key(node, _ranks(node, rank_of), "labeled"))
         first_repeat = next(
             t for t in range(1, 21) if keys[t] == keys[0]
         )
@@ -190,7 +198,7 @@ class TestExplore:
         rank_of = {}
 
         def key(node):
-            return _node_key(node, _ranks(node, rank_of), "labeled")
+            return _key(node, _ranks(node, rank_of), "labeled")
 
         key_to_id = {key(n): i for i, n in enumerate(g.nodes)}
         for u, k, v in g.edges:
@@ -242,13 +250,11 @@ class TestFrozenCoefficients:
             assert n.cluster_vars[3] == LP(4, {(0, 0, 0, 1): 1})
 
 
-def _brute_force_key(node):
-    """Least (exchange matrix, per-index terms) over all relabelings of the
+def _brute_force_key(eps, fixed, labels):
+    """Least (exchange matrix, per-index labels) over all relabelings of the
     unfrozen indices that keep the symmetrizers: the unlabeled key as it
-    was first defined, by trying all n! relabelings."""
-    fixed = node.seed.fixed
-    eps = node.seed.eps.data
-    labels = tuple(v.terms() for v in node.cluster_vars)
+    was first defined, by trying all n! relabelings.  labels[i] stands for
+    the value of the i-th variable, such as its terms."""
     unf = fixed.unfrozen
     best = None
     for perm in permutations(unf):
@@ -287,6 +293,10 @@ def _relabeled(node, rng):
     return SeedNode(seed, tuple(node.cluster_vars[a] for a in order), node.depth)
 
 
+def _seed_id(seed):
+    return f"n{seed.n}-d{''.join(map(str, seed.fixed.d))}-f{len(seed.fixed.frozen)}"
+
+
 def _random_seeds():
     """Random seeds of rank 2 to 6 from the acceptance generator, most with
     some d_i != 1, each also with its last index frozen."""
@@ -307,7 +317,7 @@ class TestKeys:
         seed_from_epsilon(D4),
         seed_from_epsilon(B3, (1, 1, 2)),
         seed_from_epsilon(A5, frozen={4}),
-    ], ids=lambda s: f"n{s.n}-d{''.join(map(str, s.fixed.d))}-f{len(s.fixed.frozen)}")
+    ], ids=_seed_id)
     def test_sorted_key_matches_the_brute_force_key(self, seed):
         # the nodes of a labeled explore, each followed by a relabeled copy:
         # both keys must merge every copy with its node and agree on the rest
@@ -317,10 +327,17 @@ class TestKeys:
             nodes += [node, _relabeled(node, rng)]
         rank_of = {}
         sorted_keys = [
-            _node_key(node, _ranks(node, rank_of), "unlabeled") for node in nodes
+            _key(node, _ranks(node, rank_of), "unlabeled") for node in nodes
         ]
         partition = _partition(sorted_keys)
-        assert partition == _partition(map(_brute_force_key, nodes))
+        assert partition == _partition(
+            _brute_force_key(
+                node.seed.eps.data,
+                node.seed.fixed,
+                tuple(v.terms() for v in node.cluster_vars),
+            )
+            for node in nodes
+        )
         assert partition[1::2] == partition[0::2]
 
     @pytest.mark.parametrize("eps, d", [(A5, None), (D4, None), (B3, (1, 1, 2))])
@@ -329,9 +346,10 @@ class TestKeys:
         fast = explore(seed, 6, dedup="unlabeled")
         keyed = []
 
-        def brute_force_key(node, ranks, dedup):
-            keyed.append(node)
-            return _brute_force_key(node)
+        def brute_force_key(eps, fixed, ranks, dedup):
+            # within one explore, ranks stand for values one to one
+            keyed.append(ranks)
+            return _brute_force_key(eps, fixed, ranks)
 
         monkeypatch.setattr(explore_module, "_node_key", brute_force_key)
         slow = explore(seed, 6, dedup="unlabeled")
@@ -343,11 +361,116 @@ class TestKeys:
     def test_equal_variables_have_no_canonical_key(self):
         x0 = LP.variable(2, 0)
         node = SeedNode(seed_from_epsilon(A2), (x0, x0))
-        assert _node_key(node, (0, 0), "labeled")
+        assert _key(node, (0, 0), "labeled")
         with pytest.raises(ClusterGeomError, match="are equal"):
-            _node_key(node, (0, 0), "unlabeled")
+            _key(node, (0, 0), "unlabeled")
         with pytest.raises(ClusterGeomError, match="are equal"):
             explore(node, 1, dedup="unlabeled")
+
+
+def _product_of_powers(node, k):
+    """The exchange polynomial by its first route: every factor raised to
+    its power by __pow__ and multiplied in, one product per sign."""
+    plus = minus = None
+    for v, e in zip(node.cluster_vars, node.seed.eps.row(k)):
+        if e > 0:
+            f = v ** e
+            plus = f if plus is None else plus * f
+        elif e < 0:
+            f = v ** -e
+            minus = f if minus is None else minus * f
+    one = LP.one(node.seed.n)
+    return (one if plus is None else plus) + (one if minus is None else minus)
+
+
+def _random_variable(rng, n, terms):
+    """A Laurent polynomial in n variables with the given number of terms,
+    coefficients in -3..3 and exponents in -3..3."""
+    out = {}
+    while len(out) < terms:
+        out[tuple(rng.randint(-3, 3) for _ in range(n))] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return LP(n, out)
+
+
+def _small_random_seeds():
+    """Two random seeds of each rank 2 to 5 with d_i in {1, 2} and
+    |eps_ij| <= 2, each also with its last index frozen: small entries keep
+    the powers of explored variables small.  Entries next to the diagonal
+    are nonzero, so every variable takes part in some exchange."""
+    rng = random.Random(5)
+    for n in (2, 3, 4, 5):
+        for _ in range(2):
+            d = [1] + [rng.choice((1, 1, 2)) for _ in range(n - 1)]
+            rng.shuffle(d)
+            eps = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    t = rng.choice((-1, 1) if j == i + 1 else (-1, 0, 1))
+                    g = gcd(d[i], d[j])
+                    eps[i][j], eps[j][i] = t * (d[j] // g), -t * (d[i] // g)
+            yield seed_from_epsilon(eps, d)
+            yield seed_from_epsilon(eps, d, {n - 1})
+
+
+class TestExchangePolynomial:
+    @pytest.mark.parametrize("seed", _small_random_seeds(), ids=_seed_id)
+    def test_matches_the_product_of_powers_on_explored_nodes(self, seed):
+        sizes = set()
+        for node in explore(seed, 3, max_terms=300).nodes:
+            for k in seed.fixed.unfrozen:
+                assert exchange_polynomial(node, k) == _product_of_powers(node, k)
+            sizes |= {min(v.n_terms(), 2) for v in node.cluster_vars}
+        # both single-term and multi-term factors occurred
+        assert sizes == {1, 2}
+
+    @pytest.mark.parametrize(
+        "seed", [s for s in _random_seeds() if s.n <= 4], ids=_seed_id
+    )
+    def test_matches_the_product_of_powers_on_hand_built_variables(self, seed):
+        # single-term variables with coefficients other than 1 and negative
+        # exponents, among binomials
+        rng = random.Random(seed.n + len(seed.fixed.frozen))
+        for _ in range(10):
+            variables = tuple(
+                _random_variable(rng, seed.n, rng.choice((1, 1, 2)))
+                for _ in range(seed.n)
+            )
+            node = SeedNode(seed, variables)
+            for k in seed.fixed.unfrozen:
+                assert exchange_polynomial(node, k) == _product_of_powers(node, k)
+
+    def test_a_factor_alone_reaching_the_bound_overflows(self):
+        h = 1 << 61
+        seed = seed_from_epsilon([[0, 2, 2], [-2, 0, 0], [-2, 0, 0]])
+        cancel = LP.monomial((0, 0, -h))
+        for big in (LP.monomial((0, 0, h)), LP(3, {(0, 0, h): 1, (0, 0, 0): 1})):
+            # x_2^(2h) reaches the bound although x_1 cancels its exponent,
+            # on either side of the relation
+            for k, variables in ((0, (LP.variable(3, 0), cancel, big)),
+                                 (1, (big, LP.variable(3, 1), cancel))):
+                node = SeedNode(seed, variables)
+                for route in (exchange_polynomial, _product_of_powers):
+                    with pytest.raises(ExponentOverflow):
+                        route(node, k)
+        # one below the bound, the single-term route agrees
+        node = SeedNode(seed, (LP.variable(3, 0), LP.monomial((0, 0, 1 - h), 5),
+                               LP.monomial((0, 0, h - 1), -1)))
+        assert exchange_polynomial(node, 0) == _product_of_powers(node, 0)
+        assert exchange_polynomial(node, 0) == LP(3, {(0, 0, 0): 26})
+
+
+def _assert_nodes_replay(root, graph):
+    """Every node of the graph is its path from the root, stepped again: the
+    same basis, exchange matrix and variables; and its exchange matrix is
+    the one its basis defines."""
+    for node in graph.nodes:
+        replay = root
+        for k in node.seed.path:
+            replay = step(replay, k)
+        assert replay.seed.basis == node.seed.basis
+        assert replay.seed.eps == node.seed.eps
+        assert epsilon_from_basis(node.seed) == node.seed.eps
+        assert replay.cluster_vars == node.cluster_vars
 
 
 class TestSolvedRelations:
@@ -357,39 +480,57 @@ class TestSolvedRelations:
     def test_every_node_replays_along_its_path(self, eps, d, depth):
         root = root_node(seed_from_epsilon(eps, d))
         for dedup in ("labeled", "unlabeled"):
-            for node in explore(root, depth, dedup=dedup).nodes:
-                replay = root
-                for k in node.seed.path:
-                    replay = step(replay, k)
-                assert replay.seed.eps == node.seed.eps
-                assert replay.cluster_vars == node.cluster_vars
+            _assert_nodes_replay(root, explore(root, depth, dedup=dedup))
+
+    @pytest.mark.parametrize("frozen", [(), (4,)], ids=["A5", "A5-frozen"])
+    def test_a_seed_is_built_only_for_a_kept_node(self, frozen, monkeypatch):
+        # a repeat edge computes the child's exchange matrix and no seed;
+        # the seeds that are built are the kept nodes' and the steps'
+        root = root_node(seed_from_epsilon(A5, frozen=frozen))
+        public_step, public_mutate = explore_module.step, explore_module.mutate_seed
+        for dedup in ("labeled", "unlabeled"):
+            steps, mutations = [], []
+
+            def record_step(node, k, max_terms=None):
+                steps.append(k)
+                return public_step(node, k, max_terms)
+
+            def record_mutation(seed, k):
+                mutations.append(k)
+                return public_mutate(seed, k)
+
+            monkeypatch.setattr(explore_module, "step", record_step)
+            monkeypatch.setattr(explore_module, "mutate_seed", record_mutation)
+            graph = explore(root, 6, dedup=dedup)
+            monkeypatch.undo()
+            assert len(mutations) <= len(graph.nodes) - 1 + len(steps)
+            assert len(mutations) < len(graph.edges)
+            if (dedup, frozen) == ("labeled", ()):
+                assert (len(graph.nodes), len(graph.edges)) == (811, 1830)
+            _assert_nodes_replay(root, graph)
 
     @pytest.mark.parametrize("eps, d", [(A5, None), (MARKOV, None), (B3, (1, 1, 2))])
     def test_a_backtracking_step_reuses_the_grandparents_variable(
             self, eps, d, monkeypatch):
-        children, solved = [], []
-        exchanged, public_step = explore_module._exchanged, explore_module.step
-
-        def record_child(node, k, new_var):
-            child = exchanged(node, k, new_var)
-            children.append((node, k, child))
-            return child
+        solved = []
+        public_step = explore_module.step
 
         def record_step(node, k, max_terms=None):
-            solved.append((node, k))
+            solved.append((id(node), k))
             return public_step(node, k, max_terms)
 
-        monkeypatch.setattr(explore_module, "_exchanged", record_child)
         monkeypatch.setattr(explore_module, "step", record_step)
         graph = explore(seed_from_epsilon(eps, d), 4)
         by_path = {node.seed.path: node for node in graph.nodes}
         backtracks = 0
-        for node, k, child in children:
+        for source, k, target in graph.edges:
+            node = graph.nodes[source]
             path = node.seed.path
             if path and path[-1] == k:
                 backtracks += 1
                 grandparent = by_path[path[:-1]]
-                assert child.cluster_vars[k] is grandparent.cluster_vars[k]
+                assert graph.nodes[target].cluster_vars[k] is grandparent.cluster_vars[k]
+                assert (id(node), k) not in solved
         # every expanded node but the root has a backtracking edge, solved
         # by the step that made the node
         expanded = [node for node in graph.nodes if 0 < node.depth < 4]
@@ -565,3 +706,45 @@ class TestPullbackOracle:
                 for source, k in reversed(list(zip(seeds, path))):
                     expr = pullback_A(source, k, expr).as_laurent()
                 assert expr == variable, (path, i)
+
+
+class TestGradedOracle:
+    @pytest.mark.parametrize("seed, depth", [
+        (build_seed(nine_ray_data()), 4),
+        (seed_from_epsilon(MARKOV), 6),
+        (seed_from_epsilon(D4), 6),
+        (seed_from_epsilon(A5, frozen={4}), 6),
+    ], ids=["nine-ray", "Markov", "D4", "A5-frozen"])
+    def test_variables_are_homogeneous_of_the_carried_degree(self, seed, depth):
+        # Grabowski, "Graded cluster algebras": for g in the kernel of the
+        # unfrozen rows of eps, the two monomials of an exchange polynomial
+        # have one g-degree, so every cluster variable is g-homogeneous, and
+        # x'_k has degree deg M_+ - deg x_k, with M_+ the product of the
+        # x_j^[eps_kj]_+
+        grading = kernel_basis(Matrix([seed.eps.row(k) for k in seed.fixed.unfrozen]))
+        assert grading
+        degrees = {}
+
+        def degree(v):
+            if id(v) not in degrees:
+                found = {
+                    tuple(sum(map(int.__mul__, g, m)) for g in grading)
+                    for m, _ in v.items()
+                }
+                assert len(found) == 1, v
+                degrees[id(v)] = found.pop()
+            return degrees[id(v)]
+
+        graph = explore(seed, depth)
+        carried = {0: [degree(v) for v in graph.nodes[0].cluster_vars]}
+        for source, k, target in graph.edges:
+            old = carried[source]
+            plus = [
+                sum(max(e, 0) * x[c] for e, x in zip(graph.nodes[source].seed.eps.row(k), old))
+                for c in range(len(grading))
+            ]
+            new = list(old)
+            new[k] = tuple(map(int.__sub__, plus, old[k]))
+            assert carried.setdefault(target, new) == new
+        for nid, node in enumerate(graph.nodes):
+            assert list(map(degree, node.cluster_vars)) == carried[nid]

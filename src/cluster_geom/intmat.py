@@ -2,13 +2,18 @@
 
 Everything here is exact: entries are Python ints or fractions.Fraction,
 never floats.  Normal forms are deterministic (fixed pivot rules) so that
-repeated runs produce identical output.
+repeated runs produce identical output.  Elimination runs over the
+integers: the determinant and the inverse by fraction-free (Bareiss)
+elimination, a rational matrix first scaled by the lcm of its
+denominators; ranks, kernels and integer solutions from one Smith
+reduction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import ValidationError
 
@@ -29,7 +34,9 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        rows = tuple(tuple(_normalize_entry(x) for x in row) for row in data)
+        rows = tuple(
+            tuple(x if type(x) is int else _normalize_entry(x) for x in row) for row in data
+        )
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValidationError("ragged matrix")
         object.__setattr__(self, "rows", len(rows))
@@ -74,7 +81,7 @@ class Matrix:
         return self.rows == self.cols
 
     def transpose(self):
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix._trusted(tuple(zip(*self.data)))
 
     def __neg__(self):
         return Matrix([[-x for x in row] for row in self.data])
@@ -90,8 +97,8 @@ class Matrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ot = other.transpose().data
-        return Matrix([[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data])
+        cols = tuple(zip(*other.data))
+        return Matrix([[sum(map(mul, row, col)) for col in cols] for row in self.data])
 
     def matvec(self, v):
         if len(v) != self.cols:
@@ -125,24 +132,39 @@ class Matrix:
         return _smith_reduce(self).rank()
 
     def inverse(self):
-        """Exact inverse; entries are ints when the matrix is unimodular."""
+        """Exact inverse by fraction-free Gauss-Jordan elimination (Bareiss)
+        on [s A | s I], where s is the lcm of the denominators of A (1 for
+        an integer matrix).  Every division is exact, and the last pivot p
+        is +-det(s A), so the right block ends as p A^-1 and dividing it
+        by p gives A^-1: entries are ints when that division is exact (so
+        always when A is unimodular), Fractions otherwise."""
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        s = lcm(*(x.denominator for row in self.data for x in row))
+        m = [[int(x * s) for x in row] + [s if j == i else 0 for j in range(n)]
              for i, row in enumerate(self.data)]
+        prev = 1
         for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+            piv = next((r for r in range(c, n) if m[r][c]), None)
             if piv is None:
                 raise ValueError("matrix is singular")
             m[c], m[piv] = m[piv], m[c]
-            inv = 1 / m[c][c]
-            m[c] = [x * inv for x in m[c]]
+            prow = m[c]
+            p = prow[c]
+            tail = prow[c + 1:]
+            # columns up to c of the other rows are never read again: to the
+            # left of the pivot they are the last pivot or 0, at c they are 0
             for r in range(n):
-                if r != c and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        return Matrix([row[n:] for row in m])
+                row = m[r]
+                f = row[c]
+                if r != c and (f or p != prev):
+                    row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            prev = p
+        return Matrix._trusted(tuple(
+            tuple(x // prev if x % prev == 0 else Fraction(x, prev) for x in row[n:])
+            for row in m
+        ))
 
 
 def _det_bareiss(m):
@@ -375,22 +397,25 @@ def kernel_basis(a):
 def solve_integer(a, b):
     """Some integer x with A x = b, or None if no integral solution exists.
 
-    The choice is deterministic: free coordinates of the Smith back
-    substitution are set to zero.
+    b is one right-hand side (a tuple), or a list of them, in which case the
+    result is the list of solutions (None for each unsolvable one), all read
+    off one Smith reduction of A.  The choice is deterministic: free
+    coordinates of the Smith back substitution are set to zero.
     """
-    if len(b) != a.rows:
+    rhs = b if isinstance(b, list) else [b]
+    if any(len(v) != a.rows for v in rhs):
         raise ValueError("right-hand side length mismatch")
     st = _smith_reduce(a)
-    c = [sum(p * q for p, q in zip(row, b)) for row in st.ui]
-    y = [0] * a.cols
-    for i in range(a.rows):
-        d = st.s[i][i] if i < min(a.rows, a.cols) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return tuple(sum(p * q for p, q in zip(row, y)) for row in st.vi)
+    # the nonzero invariant factors come first, in rows 0 .. rank - 1
+    rank = st.rank()
+    diag = [st.s[i][i] for i in range(rank)]
+    out = []
+    for v in rhs:
+        c = [sum(map(mul, row, v)) for row in st.ui]
+        if any(c[rank:]) or any(x % d for x, d in zip(c, diag)):
+            out.append(None)
+            continue
+        y = [x // d for x, d in zip(c, diag)] + [0] * (a.cols - rank)
+        out.append(tuple(sum(map(mul, row, y)) for row in st.vi))
+    return out if isinstance(b, list) else out[0]
 

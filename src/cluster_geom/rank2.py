@@ -16,9 +16,8 @@ numbers of divisor classes orthogonal to the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PreconditionError, UnsupportedError, ValidationError
 from .intmat import (
@@ -339,17 +338,19 @@ def _kernel_classes(surface, kernel_vectors):
     """The class of each kernel element a on the surface: the toric class x
     with Q x = c, where c_j is the total of a over the centers on ray j,
     minus a_i times the i-th exceptional curve.  The class is orthogonal to
-    every boundary component."""
-    q = surface.q
-    out = []
+    every boundary component.  All kernel elements are solved from one
+    Smith reduction of Q."""
+    rhs = []
     for a in kernel_vectors:
         c = [0] * surface.fan.size
         for ai, j in zip(a, surface.centers):
             c[j] += ai
-        x = solve_integer(q, tuple(c))
+        rhs.append(tuple(c))
+    out = []
+    for a, x in zip(kernel_vectors, solve_integer(surface.q, rhs)):
         if x is None:
             raise ValidationError("no integral toric class matches a kernel element")
-        out.append(DivisorClass(tuple(x), tuple(-ai for ai in a)))
+        out.append(DivisorClass(x, tuple(-ai for ai in a)))
     return out
 
 
@@ -398,15 +399,19 @@ def invariance_check(form, path):
 
 def inertia(m):
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix, by
-    symmetric congruence over the rationals (Sylvester's law of inertia).
+    integer congruence (Sylvester's law of inertia).
 
-    Each step pivots on a nonzero diagonal entry, counts its sign and passes
-    to the Schur complement.  When the remaining diagonal is all zero, the
-    basis change e_i <- e_i + e_j for a nonzero a_ij first makes the new
-    a_ii = 2 a_ij nonzero."""
+    A rational matrix is first scaled by the lcm of its denominators.  Each
+    step pivots on a nonzero diagonal entry p, counts its sign and passes to
+    sgn(p) (p A' - a a^T), where A' is the rest of the matrix and a the rest
+    of the pivot column: |p| times the Schur complement, so of the same
+    inertia, divided by the gcd of its entries.  When the remaining diagonal
+    is all zero, the basis change e_i <- e_i + e_j for a nonzero a_ij first
+    makes the new a_ii = 2 a_ij nonzero."""
     if m.transpose() != m:
         raise ValidationError("inertia needs a symmetric matrix")
-    a = [[Fraction(x) for x in row] for row in m.data]
+    s = lcm(*(x.denominator for row in m.data for x in row))
+    a = [[int(x * s) for x in row] for row in m.data]
     pos = neg = 0
     while a:
         n = len(a)
@@ -425,8 +430,13 @@ def inertia(m):
             pos += 1
         else:
             neg += 1
+            pivot = -pivot
+            prow = [-x for x in prow]
         keep = [c for c in range(n) if c != p]
-        a = [[a[r][c] - a[r][p] * prow[c] / pivot for c in keep] for r in keep]
+        a = [[pivot * a[r][c] - a[r][p] * prow[c] for c in keep] for r in keep]
+        g = gcd(*(x for row in a for x in row))
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
     return (pos, neg, m.rows - pos - neg)
 
 

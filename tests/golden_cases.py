@@ -1,5 +1,5 @@
-"""The golden stdout cases: byte-exact stdout of rank2 and of the Laurent
-workloads, pinned in golden/<name>.json so that refactors of the pipeline
+"""The golden stdout cases: byte-exact stdout of rank2, mutate and picard
+and of the Laurent workloads, pinned in golden/<name>.json so that refactors of the pipeline
 or of the polynomial kernels show.
 
 CASES maps each name to (seed document, argv), where argv is the command
@@ -34,6 +34,15 @@ A3_FROZEN = {**A4, "frozen": [3]}
 # plane data: three rays each through (1, 0), (0, 1) and (-1, -1)
 NINE_RAY = {"w": [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3}
 TRIANGLE = {"w": [[1, 0], [0, 1], [-1, -1]]}
+# rank 4 with d = (1, 2, 1, 1), frozen indices 2 and 3, a unimodular basis
+# that is not the identity, and the rational entry 1/2 in the frozen block
+RANK4_FROZEN = {
+    "rank": 4,
+    "skew": [[0, 1, 1, 0], [-1, 0, 1, 2], [-1, -1, 0, "1/2"], [0, -2, "-1/2", 0]],
+    "d": [1, 2, 1, 1],
+    "frozen": [2, 3],
+    "basis": [[1, 1, 1, 0], [0, 1, 2, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+}
 
 CASES = {
     "rank2_nine_ray_0_4_8": (NINE_RAY, ["rank2", "--mutations", "0,4,8"]),
@@ -70,6 +79,10 @@ CASES = {
     # (384 and 427 nodes)
     "explore_d4_d6": (D4, ["explore", "--depth", "6"]),
     "explore_nine_ray_d3": (NINE_RAY, ["explore", "--depth", "3"]),
+    "mutate_nine_ray_0_4_8": (NINE_RAY, ["mutate", "--path", "0,4,8"]),
+    "mutate_rank4_frozen_0_1_0": (RANK4_FROZEN, ["mutate", "--path", "0,1,0"]),
+    "picard_markov": (MARKOV, ["picard"]),
+    "picard_weighted_triangle": ({**TRIANGLE, "nu": [3, 3, 3]}, ["picard"]),
 }
 
 

@@ -13,13 +13,19 @@ from golden_cases import CASES, GOLDEN
 
 CLI = [sys.executable, "-m", "cluster_geom"]
 A2_SKEW = [[0, 1], [-1, 0]]
-# the golden cases (see golden_cases.py), rank2 apart from the Laurent
-# workloads, each in the order of CASES
+# the golden cases (see golden_cases.py): rank2, the Laurent workloads
+# (explore, laurent-check) and the seed commands (mutate, picard), each in
+# the order of CASES
 RANK2_GOLDEN = [
     (name, doc, argv[1:]) for name, (doc, argv) in CASES.items() if argv[0] == "rank2"
 ]
 LAURENT_GOLDEN = [
-    (name, doc, argv[0], argv[1:]) for name, (doc, argv) in CASES.items() if argv[0] != "rank2"
+    (name, doc, argv[0], argv[1:]) for name, (doc, argv) in CASES.items()
+    if argv[0] in ("explore", "laurent-check")
+]
+SEED_GOLDEN = [
+    (name, doc, argv[0], argv[1:]) for name, (doc, argv) in CASES.items()
+    if argv[0] in ("mutate", "picard")
 ]
 
 
@@ -455,13 +461,26 @@ class TestRank2:
         assert "out of range" in out.err
 
 
+def _golden_stdout(tmp_path, capsys, name, doc, command, extra):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path), *extra]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
 class TestLaurentGolden:
     @pytest.mark.parametrize("name, doc, command, extra", LAURENT_GOLDEN)
     def test_golden_stdout(self, tmp_path, capsys, name, doc, command, extra):
-        path = tmp_path / "seed.json"
-        path.write_text(json.dumps(doc))
-        assert cli.main([command, str(path), *extra]) == 0
-        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+        _golden_stdout(tmp_path, capsys, name, doc, command, extra)
+
+
+class TestSeedGolden:
+    @pytest.mark.parametrize("name, doc, command, extra", SEED_GOLDEN)
+    def test_golden_stdout(self, tmp_path, capsys, name, doc, command, extra):
+        _golden_stdout(tmp_path, capsys, name, doc, command, extra)
+
+    def test_every_case_is_in_one_group(self):
+        assert len(RANK2_GOLDEN) + len(LAURENT_GOLDEN) + len(SEED_GOLDEN) == len(CASES)
 
 
 class TestDeterminism:

@@ -1,7 +1,7 @@
 import importlib
 import random
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from test_acceptance import random_symmetrizable_seed
@@ -708,13 +708,42 @@ class TestPullbackOracle:
                 assert expr == variable, (path, i)
 
 
+def _random_graded_seeds(count, salt):
+    """Random seeds of rank 3 to 5 with d != 1 (each d_i in {1, 2}), exchange
+    entries of size at most 2, one to n - 2 frozen indices and a nonzero
+    unfrozen row."""
+    rng = random.Random(salt)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 5)
+        d = tuple(rng.choice((1, 2)) for _ in range(n))
+        if set(d) != {1, 2}:
+            continue
+        eps = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                t = rng.choice((-1, 0, 0, 1))
+                g = gcd(d[i], d[j])
+                eps[i][j], eps[j][i] = t * (d[j] // g), -t * (d[i] // g)
+        frozen = set(rng.sample(range(n), rng.randint(1, n - 2)))
+        if not any(eps[k][j] for k in range(n) if k not in frozen for j in range(n)):
+            continue
+        out.append(seed_from_epsilon(eps, d, frozen))
+    return out
+
+
+GRADED_RANDOM = _random_graded_seeds(8, 1709)
+
+
 class TestGradedOracle:
     @pytest.mark.parametrize("seed, depth", [
         (build_seed(nine_ray_data()), 4),
         (seed_from_epsilon(MARKOV), 6),
         (seed_from_epsilon(D4), 6),
         (seed_from_epsilon(A5, frozen={4}), 6),
-    ], ids=["nine-ray", "Markov", "D4", "A5-frozen"])
+    ] + [(seed, 4) for seed in GRADED_RANDOM],
+        ids=["nine-ray", "Markov", "D4", "A5-frozen"]
+        + [f"random-{i}" for i in range(len(GRADED_RANDOM))])
     def test_variables_are_homogeneous_of_the_carried_degree(self, seed, depth):
         # Grabowski, "Graded cluster algebras": for g in the kernel of the
         # unfrozen rows of eps, the two monomials of an exchange polynomial
@@ -748,3 +777,52 @@ class TestGradedOracle:
             assert carried.setdefault(target, new) == new
         for nid, node in enumerate(graph.nodes):
             assert list(map(degree, node.cluster_vars)) == carried[nid]
+
+    @pytest.mark.parametrize("seed, q, depth", [
+        (seed_from_epsilon(MARKOV), (1, 0, 0), 5),
+        (seed_from_epsilon(B3, (1, 1, 2)), (1, 1, 1), 6),
+        (seed_from_epsilon(A5, frozen={4}), (1, 0, 1, 1, -1), 5),
+    ] + [
+        (seed, tuple(i % 3 - (i in seed.fixed.frozen) for i in range(seed.n)), 4)
+        for seed in GRADED_RANDOM
+    ], ids=["Markov", "B3", "A5-frozen"] + [f"random-{i}" for i in range(len(GRADED_RANDOM))])
+    def test_a_side_expressions_are_homogeneous(self, seed, q, depth, monkeypatch):
+        # on the A side, v_k = p*(e_k) pairs to 0 with every n in ker p*,
+        # the n with {e_u, n} = 0 for every unfrozen u: so each twist
+        # z^m (1 + z^{v_k})^a keeps <n, m> = sum_a n_a m_a / d_a, and every
+        # carried expression is a fraction of two homogeneous Laurent
+        # polynomials whose degrees differ by <n, q>
+        fixed = seed.fixed
+        scale = lcm(*fixed.d)
+        kernel = kernel_basis(Matrix([
+            [int(fixed.skew[u, b] * scale) for b in range(seed.n)] for u in fixed.unfrozen
+        ]))
+        assert kernel
+        weights = [scale // d for d in fixed.d]
+
+        def degree(m):
+            # lcm(d) <n, m>, which stays in the integers
+            return tuple(sum(x * y * w for x, y, w in zip(n, m, weights)) for n in kernel)
+
+        def homogeneous_degree(poly):
+            found = {degree(m) for m, _ in poly.items()}
+            assert len(found) == 1, poly
+            return found.pop()
+
+        expected = degree(q)
+        checked = []
+        pullback = explore_module.inverse_pullback_A
+
+        def checking(cur, k, expr):
+            out = pullback(cur, k, expr)
+            for e in (expr, out):
+                # a step's input is the reduced Laurent form when it has one
+                e = e if isinstance(e, RationalExpression) else RationalExpression(e)
+                num, den = homogeneous_degree(e.num), homogeneous_degree(e.den)
+                assert tuple(map(int.__sub__, num, den)) == expected
+            checked.append(out)
+            return out
+
+        monkeypatch.setattr(explore_module, "inverse_pullback_A", checking)
+        report = verify_laurent_A(seed, q, depth)
+        assert len(checked) == report["paths_checked"] > 0

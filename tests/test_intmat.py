@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from cluster_geom import intmat
 from cluster_geom.intmat import (
     Matrix,
     cokernel_invariants,
@@ -239,12 +240,45 @@ class TestTransformsFromReduction:
     def _check(rng, a):
         assert kernel_basis(a) == _inverse_route_kernel(a)
         x0 = tuple(rng.randint(-5, 5) for _ in range(a.cols))
-        for b in (a.matvec(x0), tuple(rng.randint(-9, 9) for _ in range(a.rows))):
+        rhs = [a.matvec(x0), tuple(rng.randint(-9, 9) for _ in range(a.rows))]
+        for b in rhs:
             x = solve_integer(a, b)
             assert x == _inverse_route_solve(a, b)
             if x is not None:
                 assert a.matvec(x) == b
                 assert all(type(e) is int for e in x)
+        assert solve_integer(a, rhs) == [solve_integer(a, b) for b in rhs]
+
+    def test_a_list_of_right_hand_sides_takes_one_reduction(self, monkeypatch):
+        rng = random.Random(6160)
+        reductions = []
+
+        def counting(a):
+            reductions.append(a)
+            return smith_reduce(a)
+
+        smith_reduce = intmat._smith_reduce
+        unsolvable = 0
+        for shape in [(1, 5), (5, 1), (2, 3), (3, 2), (4, 4)]:
+            for _ in range(20):
+                a = random_matrix(rng, *shape)
+                rhs = [a.matvec(tuple(rng.randint(-5, 5) for _ in range(a.cols)))
+                       for _ in range(3)]
+                rhs += [tuple(rng.randint(-9, 9) for _ in range(a.rows)) for _ in range(3)]
+                single = [solve_integer(a, b) for b in rhs]
+                unsolvable += single.count(None)
+                monkeypatch.setattr(intmat, "_smith_reduce", counting)
+                assert solve_integer(a, rhs) == single
+                monkeypatch.setattr(intmat, "_smith_reduce", smith_reduce)
+                assert len(reductions) == 1
+                reductions.clear()
+        assert unsolvable > 20
+        assert solve_integer(Matrix([[2, 0], [0, 2]]), [(2, 4), (1, 2), (0, 0)]) == [
+            (1, 2), None, (0, 0)
+        ]
+        assert solve_integer(Matrix.identity(2), []) == []
+        with pytest.raises(ValueError):
+            solve_integer(Matrix.identity(2), [(1, 2), (1, 2, 3)])
 
     def test_no_gauss_jordan_inverse(self, monkeypatch):
         def refuse(self):
@@ -300,6 +334,168 @@ class TestMatrix:
     def test_no_floats(self):
         with pytest.raises(TypeError):
             Matrix([[1.5]])
+
+    def test_no_booleans(self):
+        # an exact int skips normalization, a bool (an int subclass) does not
+        with pytest.raises(TypeError):
+            Matrix([[1, True]])
+
+    def test_integral_fractions_become_ints(self):
+        m = Matrix([[Fraction(4, 2), 3], [Fraction(1, 2), -1]])
+        assert m.data == ((2, 3), (Fraction(1, 2), -1))
+        assert type(m[0, 0]) is int
+        half = Matrix([[Fraction(1, 2), 0], [0, 2]])
+        product = half @ Matrix([[2, 0], [0, Fraction(1, 2)]])
+        assert product == Matrix.identity(2)
+        assert all(type(x) is int for row in product.data for x in row)
+
+    def test_transpose(self):
+        assert Matrix([]).transpose() == Matrix([])
+        assert Matrix([]).transpose().rows == Matrix([]).transpose().cols == 0
+        # an r x 0 matrix has no columns to turn into rows
+        t = Matrix([[], [], []]).transpose()
+        assert (t.rows, t.cols) == (0, 0)
+        q = Matrix([[Fraction(1, 2), 3, Fraction(-5, 3)], [0, Fraction(7, 4), 1]])
+        t = q.transpose()
+        assert (t.rows, t.cols) == (3, 2)
+        assert t.to_lists() == [[Fraction(1, 2), 0], [3, Fraction(7, 4)], [Fraction(-5, 3), 1]]
+        assert type(t[1, 0]) is int
+        assert t.transpose() == q
+        rng = random.Random(11)
+        for r, c in [(1, 1), (1, 4), (4, 1), (3, 5)]:
+            a = random_matrix(rng, r, c)
+            assert a.transpose().to_lists() == [list(a.column(j)) for j in range(c)]
+
+    def test_products_match_the_entrywise_sum(self):
+        rng = random.Random(12)
+        for r, k, c in [(1, 1, 1), (2, 3, 4), (4, 1, 3), (3, 3, 3)]:
+            a = random_matrix(rng, r, k)
+            b = Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(c)]
+                        for _ in range(k)])
+            for x, y in ((a, random_matrix(rng, k, c)), (a, b)):
+                expected = [[sum(x[i, t] * y[t, j] for t in range(k)) for j in range(c)]
+                            for i in range(r)]
+                assert (x @ y).to_lists() == expected
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the route Matrix.inverse took before it ran
+# fraction-free over the integers, Gauss-Jordan elimination over Q.
+# ---------------------------------------------------------------------------
+
+def _fraction_inverse(a):
+    n = a.rows
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a.data)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return Matrix([row[n:] for row in m])
+
+
+def _unimodular(rng, n):
+    """A random unimodular n x n matrix: a product of elementary row
+    operations, swaps and sign changes."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        move = rng.randrange(3)
+        if move == 0 and i != j:
+            q = rng.randint(-3, 3)
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        elif move == 1:
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-x for x in m[i]]
+    return Matrix(m)
+
+
+class TestFractionFreeInverse:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_unimodular_inverse_is_integral(self, n):
+        rng = random.Random(8100 + n)
+        for _ in range(25):
+            a = _unimodular(rng, n)
+            assert abs(a.det()) == 1
+            inv = a.inverse()
+            assert inv == _fraction_inverse(a)
+            assert all(type(e) is int for row in inv.data for e in row)
+            assert a @ inv == inv @ a == Matrix.identity(n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_integer_matrices_match_the_fraction_route(self, n):
+        rng = random.Random(8200 + n)
+        singular = non_unimodular = 0
+        for trial in range(40):
+            if trial % 4 == 0 and n > 1:
+                rank = rng.randint(1, n - 1)
+                a = _rank_deficient(rng, n, rank) if trial % 8 else Matrix.zeros(n, n)
+            else:
+                a = random_matrix(rng, n, n, -4, 4)
+            d = a.det()
+            if d == 0:
+                singular += 1
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    a.inverse()
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    _fraction_inverse(a)
+                continue
+            non_unimodular += abs(d) != 1
+            inv = a.inverse()
+            assert inv == _fraction_inverse(a)
+            assert a @ inv == Matrix.identity(n)
+            # normalized entries: ints exactly where the entry is integral
+            for row in inv.data:
+                for e in row:
+                    assert type(e) is int or (type(e) is Fraction and e.denominator > 1)
+        if n > 1:
+            assert singular and non_unimodular
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rational_matrices_match_the_fraction_route(self, n):
+        rng = random.Random(8300 + n)
+        for trial in range(30):
+            rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(n)]
+                    for _ in range(n)]
+            if trial % 5 == 0 and n > 1:
+                # a repeated row: singular
+                rows[-1] = list(rows[0])
+            a = Matrix(rows)
+            try:
+                expected = _fraction_inverse(a)
+            except ValueError:
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    a.inverse()
+                continue
+            assert a.inverse() == expected
+            assert a @ a.inverse() == Matrix.identity(n)
+
+    def test_small_cases(self):
+        assert Matrix([]).inverse() == Matrix([])
+        assert Matrix([[-1]]).inverse() == Matrix([[-1]])
+        assert Matrix([[2]]).inverse() == Matrix([[Fraction(1, 2)]])
+        assert Matrix([[Fraction(2, 3)]]).inverse() == Matrix([[Fraction(3, 2)]])
+        assert Matrix([[Fraction(1, 2), 0], [0, 3]]).inverse() == Matrix(
+            [[2, 0], [0, Fraction(1, 3)]]
+        )
+        # a zero leading entry needs a row swap
+        assert Matrix([[0, 1], [1, 0]]).inverse() == Matrix([[0, 1], [1, 0]])
+        big = 10 ** 30
+        a = Matrix([[big + 1, big], [big, big - 1]])
+        assert a.det() == -1
+        assert a.inverse() == Matrix([[-(big - 1), big], [big, -(big + 1)]])
+        with pytest.raises(ValueError, match="matrix is singular"):
+            Matrix([[1, 2], [2, 4]]).inverse()
+        with pytest.raises(ValueError, match="non-square"):
+            Matrix([[1, 2]]).inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,87 @@ def wall_solver_self_intersections(fan):
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# Inertia oracles: exact symmetric Gaussian reduction over Q (the route
+# inertia took before it ran over the integers), and the characteristic
+# polynomial by Faddeev-LeVerrier, read with Descartes' rule of signs (exact
+# for real-rooted ones).
+# ---------------------------------------------------------------------------
+
+def inertia_oracle(m):
+    n = m.rows
+    a = [[Fraction(x) for x in row] for row in m.data]
+    pos = neg = zero = 0
+    idx = list(range(n))
+    while idx:
+        piv = next((i for i in idx if a[i][i] != 0), None)
+        if piv is None:
+            off = next(
+                ((i, j) for i in idx for j in idx if a[i][j] != 0), None
+            )
+            if off is None:
+                zero += len(idx)
+                break
+            i, j = off
+            for t in idx:
+                a[i][t] += a[j][t]
+            for t in idx:
+                a[t][i] += a[t][j]
+            piv = i
+        p = a[piv][piv]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        idx.remove(piv)
+        # Schur complement on the remaining index set; the pivot row
+        # must stay intact until every remaining row is updated
+        for i in idx:
+            f = a[i][piv] / p
+            for j in idx:
+                a[i][j] -= f * a[piv][j]
+        for i in idx:
+            a[i][piv] = a[piv][i] = 0
+    return (pos, neg, zero)
+
+
+def char_poly(rows):
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    coeffs = [Fraction(1)]
+    current = m
+    for k in range(1, n + 1):
+        c = -sum(current[i][i] for i in range(n)) / k
+        coeffs.append(c)
+        if k < n:
+            shifted = [
+                [x + (c if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(current)
+            ]
+            current = [
+                [sum(m[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+    return coeffs
+
+
+def descartes_inertia(rows):
+    coeffs = char_poly(rows)
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    signs = [c > 0 for c in coeffs if c != 0]
+    pos = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return (pos, len(rows) - zero - pos, zero)
+
+
+def _congruent(b, dd):
+    """B D B^T for an n x r matrix B (rows) and the diagonal dd of D."""
+    r = len(dd)
+    return [[sum(bi[t] * dd[t] * bj[t] for t in range(r)) for bj in b] for bi in b]
+
+
 class TestRank2Data:
     def test_validates_primitivity(self):
         with pytest.raises(ValidationError):
@@ -493,45 +574,6 @@ class TestInvariance:
 
 class TestClassification:
     def test_inertia_oracle(self):
-        # independent oracle: exact symmetric Gaussian reduction over Q
-        from fractions import Fraction
-
-        def inertia_oracle(m):
-            n = m.rows
-            a = [[Fraction(x) for x in row] for row in m.data]
-            pos = neg = zero = 0
-            idx = list(range(n))
-            while idx:
-                piv = next((i for i in idx if a[i][i] != 0), None)
-                if piv is None:
-                    off = next(
-                        ((i, j) for i in idx for j in idx if a[i][j] != 0), None
-                    )
-                    if off is None:
-                        zero += len(idx)
-                        break
-                    i, j = off
-                    for t in idx:
-                        a[i][t] += a[j][t]
-                    for t in idx:
-                        a[t][i] += a[t][j]
-                    piv = i
-                p = a[piv][piv]
-                if p > 0:
-                    pos += 1
-                else:
-                    neg += 1
-                idx.remove(piv)
-                # Schur complement on the remaining index set; the pivot row
-                # must stay intact until every remaining row is updated
-                for i in idx:
-                    f = a[i][piv] / p
-                    for j in idx:
-                        a[i][j] -= f * a[piv][j]
-                for i in idx:
-                    a[i][piv] = a[piv][i] = 0
-            return (pos, neg, zero)
-
         rng = random.Random(41)
         for _ in range(120):
             n = rng.randint(1, 5)
@@ -543,37 +585,6 @@ class TestClassification:
             assert inertia(m) == inertia_oracle(m)
 
     def test_inertia_matches_characteristic_polynomial(self):
-        # independent oracle: Faddeev-LeVerrier characteristic polynomial,
-        # read with Descartes' rule of signs (exact for real-rooted ones)
-        def char_poly(rows):
-            n = len(rows)
-            m = [[Fraction(x) for x in row] for row in rows]
-            coeffs = [Fraction(1)]
-            current = m
-            for k in range(1, n + 1):
-                c = -sum(current[i][i] for i in range(n)) / k
-                coeffs.append(c)
-                if k < n:
-                    shifted = [
-                        [x + (c if i == j else 0) for j, x in enumerate(row)]
-                        for i, row in enumerate(current)
-                    ]
-                    current = [
-                        [sum(m[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
-                        for i in range(n)
-                    ]
-            return coeffs
-
-        def descartes_inertia(rows):
-            coeffs = char_poly(rows)
-            zero = 0
-            while coeffs[-1] == 0:
-                coeffs.pop()
-                zero += 1
-            signs = [c > 0 for c in coeffs if c != 0]
-            pos = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-            return (pos, len(rows) - zero - pos, zero)
-
         fixed = [
             ([[0, 1], [1, 0]], (1, 1, 0)),
             ([[0, 2, 0], [2, 0, 0], [0, 0, 0]], (1, 1, 1)),
@@ -590,10 +601,7 @@ class TestClassification:
                 r = rng.randint(0, n - 1)
                 b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
                 dd = [rng.choice((-2, -1, 1, 3)) for _ in range(r)]
-                rows = [
-                    [sum(b[i][t] * dd[t] * b[j][t] for t in range(r)) for j in range(n)]
-                    for i in range(n)
-                ]
+                rows = _congruent(b, dd)
             else:
                 rows = [[0] * n for _ in range(n)]
                 for i in range(n):
@@ -603,6 +611,61 @@ class TestClassification:
                     for i in range(n):
                         rows[i][i] = 0
             assert inertia(Matrix(rows)) == descartes_inertia(rows)
+
+    def test_inertia_of_huge_entries(self):
+        # B D B^T with entries near 10^30: known inertia from the signs of D
+        rng = random.Random(89)
+        big = 10 ** 30
+        for trial in range(40):
+            n = rng.randint(1, 6)
+            r = rng.randint(0, n)
+            b = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+            dd = [rng.choice((-1, 1)) * rng.randint(big, 2 * big) for _ in range(r)]
+            rows = _congruent(b, dd)
+            m = Matrix(rows)
+            assert inertia(m) == inertia_oracle(m)
+            if trial % 4 == 0:
+                assert inertia(m) == descartes_inertia(rows)
+            if r and Matrix(b).rank() == r:
+                # B of full column rank: Sylvester's law reads D off directly
+                pos = sum(1 for x in dd if x > 0)
+                assert inertia(m) == (pos, r - pos, n - r)
+        # symmetric entries near 10^30 and a zero diagonal
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.choice((0, 1, -1)) * (big + rng.randint(0, big))
+            if n % 2:
+                for i in range(n):
+                    rows[i][i] = 0
+            m = Matrix(rows)
+            assert inertia(m) == inertia_oracle(m)
+
+    def test_inertia_of_rational_entries(self):
+        rng = random.Random(97)
+        for trial in range(120):
+            n = rng.randint(1, 6)
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+            if trial % 3 == 1:
+                for i in range(n):
+                    rows[i][i] = Fraction(0)
+            m = Matrix(rows)
+            assert inertia(m) == inertia_oracle(m) == descartes_inertia(rows)
+        half, third, fifth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
+        assert inertia(Matrix([[-half, third], [third, fifth]])) == (1, 1, 0)
+
+    def test_inertia_is_the_same_for_a_negated_pivot(self):
+        # every pivot is negative: the complements must be flipped back
+        for n in range(1, 6):
+            assert inertia(Matrix([[-2 if i == j else (1 if abs(i - j) == 1 else 0)
+                                    for j in range(n)] for i in range(n)])) == (0, n, 0)
+        assert inertia(Matrix([[-1, 0], [0, 1]])) == (1, 1, 0)
+        assert inertia(Matrix([[-1, 2], [2, -1]])) == (1, 1, 0)
 
     def test_classifications(self):
         assert classify_definiteness(Matrix([[-2]])) == "negative_definite"
@@ -702,3 +765,21 @@ class TestWorkCounts:
         assert counts["complete_smooth_fan"] == 2
         assert counts["blowup_surface"] == 2
         assert counts["Seed"] <= 2
+
+    def test_one_smith_reduction_per_surface(self, tmp_path, monkeypatch, capsys):
+        # _kernel_classes solves all kernel vectors of a surface in one call
+        from cluster_geom import cli, intmat, rank2
+
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps({"w": [list(w) for w in nine_ray_data().w]}))
+        calls = []
+
+        def solve(a, b):
+            calls.append(len(b))
+            return intmat.solve_integer(a, b)
+
+        monkeypatch.setattr(rank2, "solve_integer", solve)
+        assert cli.main(["rank2", str(path), "--mutations", "0,4,8"]) == 0
+        assert json.loads(capsys.readouterr().out)["invariance_ok"] is True
+        # the data's surface and the mutated data's, seven kernel vectors each
+        assert calls == [7, 7]

@@ -30,7 +30,6 @@ from .laurent import (
     binomial_power,
     exact_divide,
     pullback_A,
-    pullback_X,
 )
 from .rank2 import (
     BlowupSurface,
@@ -45,7 +44,6 @@ from .rank2 import (
     fg_failure_flag,
     invariance_check,
     non_fg_flag,
-    seed_to_rank2,
     self_intersections,
     symmetric_form,
 )
@@ -55,8 +53,6 @@ from .seeds import (
     Seed,
     epsilon_from_basis,
     fan_mutation_consistency,
-    fan_rays_A,
-    fan_rays_X,
     is_coprime_seed,
     mutate_along,
     mutate_epsilon,

@@ -87,18 +87,10 @@ def _encode_matrix(m):
     return [[_encode_entry(x) for x in row] for row in m.data]
 
 
-def load_rank2_block(block):
-    if not isinstance(block, dict) or "w" not in block:
-        raise ValidationError("rank-2 block needs a 'w' array")
-    if not isinstance(block["w"], list):
-        raise ValidationError("'w' must be a list of integer pairs")
-    w = tuple(_int_list(v, "w") for v in block["w"])
-    nu = _int_list(block["nu"], "nu") if "nu" in block else None
-    return Rank2Data(w, nu)
-
-
 def load_seed_file(path):
-    """Parse a seed file; returns (Seed, Rank2Data or None)."""
+    """Parse a seed file, which holds either a skew form (rank, skew, d,
+    frozen, basis) or plane data (w, nu), never fields of both; returns
+    (Seed, Rank2Data or None)."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -106,9 +98,18 @@ def load_seed_file(path):
             raise ValidationError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ValidationError("seed file must be a JSON object")
-    block = doc.get("rank2", doc if "w" in doc else None)
-    if block is not None:
-        data = load_rank2_block(block)
+    plane = [key for key in ("w", "nu") if key in doc]
+    if plane:
+        mixed = [key for key in ("rank", "skew", "d", "frozen", "basis") if key in doc]
+        if mixed:
+            raise ValidationError(
+                f"seed file mixes plane data ({', '.join(plane)}) with "
+                f"skew-form fields ({', '.join(mixed)})"
+            )
+        if not isinstance(doc.get("w"), list):
+            raise ValidationError("'w' must be a list of integer pairs")
+        w = tuple(_int_list(v, "w") for v in doc["w"])
+        data = Rank2Data(w, _int_list(doc["nu"], "nu") if "nu" in doc else None)
         return build_seed(data), data
     for key in ("rank", "skew"):
         if key not in doc:
@@ -172,12 +173,10 @@ def cmd_mutate(args):
 
 def cmd_explore(args):
     seed, _ = load_seed_file(args.file)
+    if args.workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {args.workers}")
     graph = explore(
-        root_node(seed),
-        args.depth,
-        dedup=args.dedup,
-        workers=args.workers,
-        max_terms=args.max_terms,
+        root_node(seed), args.depth, dedup=args.dedup, max_terms=args.max_terms
     )
     _emit(graph.report())
     return EXIT_TRUNCATED if graph.truncated else EXIT_OK

@@ -46,10 +46,8 @@ from .errors import (
     ResourceLimitExceeded,
     ValidationError,
 )
-from .laurent import (  # noqa: F401  (the term cap's names stay importable here)
-    DEFAULT_MAX_TERMS,
+from .laurent import (
     EXPONENT_LIMIT,
-    MAX_TERMS_ENV,
     ExponentOverflow,
     LaurentPolynomial,
     RationalExpression,
@@ -206,19 +204,16 @@ class ExchangeGraph:
         }
 
 
-def explore(root, depth, dedup="labeled", workers=1, max_terms=None):
+def explore(root, depth, dedup="labeled", max_terms=None):
     """Breadth-first exploration of the exchange graph to the given depth.
 
     Each frontier is expanded serially, node by node and index by index, and
     every child is merged as soon as it is computed, so the result is
-    deterministic.  ``workers`` must be at least 1 and is otherwise ignored;
-    it is kept so that existing callers keep working.  Hitting a resource
-    cap marks the graph truncated instead of failing.
+    deterministic.  Hitting a resource cap marks the graph truncated instead
+    of failing.
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    if workers < 1:
-        raise ValidationError(f"workers must be at least 1, got {workers}")
     if isinstance(root, Seed):
         root = root_node(root)
     limit = max_terms_limit(max_terms)

@@ -14,9 +14,8 @@ the difference of the dividend's and the divisor's; a shift moves the frame
 along, and a sum in which no term cancels takes the componentwise extremes
 of its summands' frames.  The frame is the one source of the packing and
 overflow test of products and quotients, of exact division's degree test,
-and of min_exponents, max_total_degree and max_abs_exponent.  The sorted
-terms are cached too: an exact quotient is built in canonical order, so it
-is never sorted again.
+and of max_abs_exponent.  The sorted terms are cached too: an exact
+quotient is built in canonical order, so it is never sorted again.
 
 Products and exact division work on packed exponents (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -250,17 +249,9 @@ class LaurentPolynomial:
             object.__setattr__(self, "_frame_cache", frame)
         return frame
 
-    def min_exponents(self):
-        """Componentwise minimum of all exponent vectors (zero poly: origin)."""
-        return self._frame()[0]
-
     def max_abs_exponent(self):
         lo, hi, _ = self._frame()
         return max(map(abs, lo + hi), default=0)
-
-    def max_total_degree(self):
-        lo, _, top = self._frame()
-        return top + sum(lo)
 
     def has_nonnegative_coefficients(self):
         return all(c > 0 for c in self._terms.values())
@@ -865,17 +856,11 @@ def _x_side_exponent(seed, k):
     return _pairing_form(seed, k, v, "bracket [n, e_k] is not integral")
 
 
-def pullback_X(seed, k, expr):
-    """Pullback of a lattice-side function along the mutation at k:
-    z^n -> z^n (1 + z^{e_k})^{-[n, e_k]}.  The exponent vanishes at e_k
-    ([e_k, e_k] = 0), so a Laurent polynomial is twisted line by line (see
-    monomial_twist)."""
-    if k in seed.fixed.frozen:
-        raise ValueError(f"index {k} is frozen")
-    return monomial_twist(expr, seed.e_vector(k), -_x_side_exponent(seed, k))
-
-
 def inverse_pullback_X(seed, k, expr):
+    """Inverse of the pullback of a lattice-side function along the mutation
+    at k: z^n -> z^n (1 + z^{e_k})^{d_k [n, e_k]}.  The exponent vanishes at
+    e_k ([e_k, e_k] = 0), so a Laurent polynomial is twisted line by line
+    (see monomial_twist)."""
     if k in seed.fixed.frozen:
         raise ValueError(f"index {k} is frozen")
     return monomial_twist(expr, seed.e_vector(k), _x_side_exponent(seed, k))

@@ -20,9 +20,7 @@ from functools import cmp_to_key
 from math import gcd, lcm
 
 from .errors import PreconditionError, UnsupportedError, ValidationError
-from .intmat import (
-    Matrix, kernel_basis, smith_diagonal, smith_normal_form, solve_integer, vector_gcd,
-)
+from .intmat import Matrix, kernel_basis, smith_diagonal, solve_integer, vector_gcd
 from .seeds import FixedData, mutate_along, root_seed
 
 
@@ -64,21 +62,6 @@ class Rank2Data:
         return len(self.w)
 
 
-def nine_ray_data():
-    """Three vectors on each coordinate line of the triangle fan, weight 1."""
-    return Rank2Data(((1, 0),) * 3 + ((0, 1),) * 3 + ((-1, -1),) * 3)
-
-
-def cubic_data():
-    """The triangle fan vectors once each, weight 1."""
-    return Rank2Data(((1, 0), (0, 1), (-1, -1)))
-
-
-def weighted_triangle_data():
-    """The triangle fan vectors once each, weight 3 (singular geometry)."""
-    return Rank2Data(((1, 0), (0, 1), (-1, -1)), (3, 3, 3))
-
-
 def build_seed(data):
     """Root seed with {e_i, e_j} = gcd(nu)(w_i ^ w_j) and d_i = nu_i/gcd(nu)."""
     nu0 = gcd(*data.nu)
@@ -87,49 +70,6 @@ def build_seed(data):
         [[nu0 * wedge(u, v) for v in data.w] for u in data.w]
     )
     return root_seed(FixedData(data.n, skew, d))
-
-
-def seed_to_rank2(seed):
-    """Recover plane vectors from a seed, when the seed is of the special
-    shape: no frozen indices, all d_i = 1, skew form of rank 2 inducing a
-    unimodular pairing on N/K, and all basis images in N/K primitive."""
-    if seed.fixed.frozen:
-        raise UnsupportedError("rank-2 realization needs no frozen indices")
-    if any(x != 1 for x in seed.fixed.d):
-        raise PreconditionError("rank-2 realization needs all d_i = 1")
-    eps = seed.eps
-    if eps.rank() != 2:
-        raise PreconditionError("skew form does not have rank 2")
-    n = seed.n
-    kernel_initial = [seed.basis.matvec(a) for a in kernel_basis(eps)]
-    r = len(kernel_initial)
-    if r:
-        u, _, _ = smith_normal_form(Matrix(kernel_initial).transpose())
-    else:
-        u = Matrix.identity(n)
-    u_inv = u.inverse()
-    lifts = [u.column(n - 2), u.column(n - 1)]
-    c = seed.skew_pair(lifts[0], lifts[1])
-    if abs(c) != 1:
-        raise PreconditionError(
-            "induced pairing on the quotient by the kernel is not unimodular"
-        )
-    swap = c == -1
-
-    def project(x):
-        y = u_inv.matvec(x)
-        out = (y[n - 2], y[n - 1])
-        return (out[1], out[0]) if swap else out
-
-    ws = []
-    for i in range(n):
-        wi = project(seed.e_vector(i))
-        if wi == (0, 0) or vector_gcd(wi) != 1:
-            raise PreconditionError(
-                f"image of basis vector {i} in the rank-2 quotient is not primitive"
-            )
-        ws.append(wi)
-    return Rank2Data(tuple(ws))
 
 
 # -- fans --------------------------------------------------------------------
@@ -268,10 +208,6 @@ class BlowupSurface:
     centers: tuple
     toric_self_intersections: tuple
     boundary_self_intersections: tuple
-
-    @property
-    def picard_rank(self):
-        return self.fan.size + len(self.centers) - 2
 
     @property
     def q(self):

@@ -526,44 +526,6 @@ def totally_coprime_sufficient(seed):
 
 # -- fans of rays ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class XRay:
-    """One ray of the dual-side fan: primitive direction (initial dual
-    coordinates), blowup multiplicity, and the seed index it came from."""
-
-    index: int
-    direction: tuple
-    multiplicity: int
-
-
-def fan_rays_A(seed):
-    """Rays d_i e_i of the A-side fan, one per unfrozen index."""
-    d = seed.fixed.d
-    return tuple(
-        tuple(d[i] * x for x in seed.e_vector(i)) for i in seed.fixed.unfrozen
-    )
-
-
-def fan_rays_X(seed):
-    """Rays of the dual-side fan: primitive direction of -d_i v_i with its
-    divisibility index.  Repeated directions are kept (they record centers
-    stacked on one divisor)."""
-    out = []
-    d = seed.fixed.d
-    for i in seed.fixed.unfrozen:
-        col = [seed.eps[j, i] for j in range(seed.n)]
-        if all(x == 0 for x in col):
-            raise ValidationError(f"v_{i} vanishes (zero exchange-matrix column)")
-        mult = vector_gcd(col)
-        v = seed.v_vector(i)
-        raw = tuple(-d[i] * x for x in v)
-        if any(x % mult for x in raw):
-            raise ValidationError("inconsistent divisibility index")
-        direction = tuple(x // mult for x in raw)
-        out.append(XRay(i, direction, mult))
-    return tuple(out)
-
-
 def fan_mutation_consistency(seed, k):
     """Do the tropical maps carry the fan rays of this seed onto the rays of
     the mutated seed (with the sign flip at the mutated index)?"""

@@ -34,6 +34,7 @@ A3_FROZEN = {**A4, "frozen": [3]}
 # plane data: three rays each through (1, 0), (0, 1) and (-1, -1)
 NINE_RAY = {"w": [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3}
 TRIANGLE = {"w": [[1, 0], [0, 1], [-1, -1]]}
+WEIGHTED_TRIANGLE = {**TRIANGLE, "nu": [3, 3, 3]}
 # rank 4 with d = (1, 2, 1, 1), frozen indices 2 and 3, a unimodular basis
 # that is not the identity, and the rational entry 1/2 in the frozen block
 RANK4_FROZEN = {
@@ -47,7 +48,7 @@ RANK4_FROZEN = {
 CASES = {
     "rank2_nine_ray_0_4_8": (NINE_RAY, ["rank2", "--mutations", "0,4,8"]),
     "rank2_cubic": (TRIANGLE, ["rank2"]),
-    "rank2_weighted_triangle_0": ({**TRIANGLE, "nu": [3, 3, 3]}, ["rank2", "--mutations", "0"]),
+    "rank2_weighted_triangle_0": (WEIGHTED_TRIANGLE, ["rank2", "--mutations", "0"]),
     # a 44-ray fan: the cone from (1, 0) to (1, 40) resolves into a
     # continued-fraction chain of 39 rays
     "rank2_w40_2": ({"w": [[1, 0], [0, 1], [1, 40]]}, ["rank2", "--mutations", "2"]),
@@ -82,7 +83,7 @@ CASES = {
     "mutate_nine_ray_0_4_8": (NINE_RAY, ["mutate", "--path", "0,4,8"]),
     "mutate_rank4_frozen_0_1_0": (RANK4_FROZEN, ["mutate", "--path", "0,1,0"]),
     "picard_markov": (MARKOV, ["picard"]),
-    "picard_weighted_triangle": ({**TRIANGLE, "nu": [3, 3, 3]}, ["picard"]),
+    "picard_weighted_triangle": (WEIGHTED_TRIANGLE, ["picard"]),
 }
 
 

@@ -18,12 +18,11 @@ from cluster_geom.intmat import Matrix
 from cluster_geom.laurent import LaurentPolynomial
 from cluster_geom.rank2 import (
     Fan2D,
+    Rank2Data,
     build_seed,
     classify_definiteness,
-    cubic_data,
     fg_failure_flag,
     invariance_check,
-    nine_ray_data,
     non_fg_flag,
     symmetric_form,
 )
@@ -38,6 +37,7 @@ from cluster_geom.seeds import (
     seed_from_epsilon,
     totally_coprime_sufficient,
 )
+from golden_cases import NINE_RAY, TRIANGLE
 
 A2 = [[0, 1], [-1, 0]]
 A3 = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]  # acyclic path quiver
@@ -73,7 +73,7 @@ def test_criterion_1_laurent_phenomenon_depth_5():
         "A2": seed_from_epsilon(A2),
         "A3": seed_from_epsilon(A3),
         "Markov": seed_from_epsilon(MARKOV),
-        "nine-ray": build_seed(nine_ray_data()),
+        "nine-ray": build_seed(Rank2Data(**NINE_RAY)),
     }
     for name, seed in seeds.items():
         graph = explore(root_node(seed), 5)
@@ -199,7 +199,7 @@ def test_criterion_5_symmetric_form_invariance():
     the 9 single mutations, by 20 random depth-3 paths, and by switching to
     a different smooth fan completion."""
     started = time.time()
-    data = nine_ray_data()
+    data = Rank2Data(**NINE_RAY)
     base = symmetric_form(data)
     for k in range(9):
         assert invariance_check(base, (k,))
@@ -221,13 +221,13 @@ def test_criterion_6_concrete_form_values():
     conjecture impossible.  Values verified against the plane-blowup
     oracle (line class c H minus exceptional parts)."""
     started = time.time()
-    cubic_form = symmetric_form(cubic_data())
+    cubic_form = symmetric_form(Rank2Data(**TRIANGLE))
     assert cubic_form.gram == Matrix([[-2]])
     assert classify_definiteness(cubic_form.gram) == "negative_definite"
     assert fg_failure_flag(cubic_form)["fg_conjecture_possible"] is True
 
     from cluster_geom.rank2 import _gram_for_vectors
-    data = nine_ray_data()
+    data = Rank2Data(**NINE_RAY)
     diff = (1, -1, 0, 0, 0, 0, 0, 0, 0)
     total = (1,) * 9
     gram = _gram_for_vectors(symmetric_form(data).surface, [diff, total])
@@ -256,11 +256,11 @@ def test_criterion_7_non_fg_detector():
     """Nine-ray: all boundary self-intersections -2 and the principal
     coefficient ring is flagged non-Noetherian; cubic: flag false."""
     started = time.time()
-    nine = non_fg_flag(symmetric_form(nine_ray_data()))
+    nine = non_fg_flag(symmetric_form(Rank2Data(**NINE_RAY)))
     assert nine["boundary_self_intersections"] == [-2, -2, -2]
     assert nine["all_minus_two"] is True
     assert nine["non_noetherian_principal"] is True
-    cubic = non_fg_flag(symmetric_form(cubic_data()))
+    cubic = non_fg_flag(symmetric_form(Rank2Data(**TRIANGLE)))
     assert cubic["all_minus_two"] is False
     assert cubic["non_noetherian_principal"] is False
     _pass("criterion 7: non-finite-generation detector", started)
@@ -273,7 +273,7 @@ def test_criterion_8_coprimality():
     for mat in (A2, A3, MARKOV):
         ps = principal_double(seed_from_epsilon(mat))
         assert totally_coprime_sufficient(ps.seed)
-    nine = build_seed(nine_ray_data())
+    nine = build_seed(Rank2Data(**NINE_RAY))
     assert totally_coprime_sufficient(principal_double(nine).seed)
     assert is_coprime_seed(nine) is False
     _pass("criterion 8: coprimality flags", started)

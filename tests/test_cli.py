@@ -2,14 +2,13 @@ import json
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_geom import cli
-from golden_cases import CASES, GOLDEN
+from golden_cases import CASES, GOLDEN, TRIANGLE
 
 CLI = [sys.executable, "-m", "cluster_geom"]
 A2_SKEW = [[0, 1], [-1, 0]]
@@ -245,6 +244,23 @@ class TestMalformedSeedFile:
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
         assert "Traceback" not in out.stderr
+
+    # plane data mixed with skew-form fields, and plane data nested in a block
+    @pytest.mark.parametrize("doc", [
+        {**TRIANGLE, "rank": 3, "skew": [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]},
+        {**TRIANGLE, "d": [1, 1, 1]},
+        {**TRIANGLE, "frozen": []},
+        {**TRIANGLE, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        {"rank": 2, "skew": A2_SKEW, "nu": [1, 1]},
+        {"rank2": TRIANGLE},
+    ])
+    def test_one_of_the_two_shapes(self, tmp_path, capsys, doc):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["picard", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:")
 
     def test_directory_as_seed_file(self, tmp_path):
         out = run_cli("picard", str(tmp_path))

@@ -13,13 +13,11 @@ from cluster_geom.errors import (
     ValidationError,
 )
 from cluster_geom.explore import (
-    MAX_TERMS_ENV,
     SeedNode,
     _node_key,
     _verify_along_paths,
     exchange_polynomial,
     explore,
-    max_terms_limit,
     root_node,
     step,
     verify_laurent_A,
@@ -27,14 +25,17 @@ from cluster_geom.explore import (
 )
 from cluster_geom.intmat import Matrix, kernel_basis
 from cluster_geom.laurent import (
+    MAX_TERMS_ENV,
     ExponentOverflow,
     LaurentPolynomial,
     RationalExpression,
     inverse_pullback_A,
+    max_terms_limit,
     pullback_A,
 )
-from cluster_geom.rank2 import build_seed, nine_ray_data
+from cluster_geom.rank2 import Rank2Data, build_seed
 from cluster_geom.seeds import epsilon_from_basis, mutate_seed, seed_from_epsilon
+from golden_cases import NINE_RAY
 
 LP = LaurentPolynomial
 # the module, which the package's `explore` function shadows as an attribute
@@ -118,10 +119,6 @@ class TestLimits:
             max_terms_limit()
         monkeypatch.setenv(MAX_TERMS_ENV, "7")
         assert max_terms_limit() == 7
-
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            explore(a2_root(), 1, workers=0)
 
     def test_exchange_polynomial_without_negative_part(self):
         # row 0 of A2 is (0, 1): the product over negative entries is empty
@@ -210,15 +207,6 @@ class TestExplore:
         assert rep["laurent_ok"]
         assert rep["nonnegative_coefficients_observed"]
         assert not rep["truncated"]
-
-    def test_deterministic_across_workers(self):
-        g1 = explore(root_node(seed_from_epsilon(MARKOV)), 3, workers=1)
-        g4 = explore(root_node(seed_from_epsilon(MARKOV)), 3, workers=4)
-        assert g1.report() == g4.report()
-        assert [
-            tuple(v.terms() for v in n.cluster_vars) for n in g1.nodes
-        ] == [tuple(v.terms() for v in n.cluster_vars) for n in g4.nodes]
-        assert g1.edges == g4.edges
 
 
 class TestFrozenCoefficients:
@@ -611,7 +599,7 @@ class TestVerifyLaurent:
             verify_laurent_X(seed, (0, 1), 2)
 
     def test_nine_ray_x_dual_cone_trivial(self):
-        seed = build_seed(nine_ray_data())
+        seed = build_seed(Rank2Data(**NINE_RAY))
         # rays span three directions whose dual cone is the origin only
         rep = verify_laurent_X(seed, (0,) * 9, 2)
         assert rep["laurent_ok"]
@@ -737,7 +725,7 @@ GRADED_RANDOM = _random_graded_seeds(8, 1709)
 
 class TestGradedOracle:
     @pytest.mark.parametrize("seed, depth", [
-        (build_seed(nine_ray_data()), 4),
+        (build_seed(Rank2Data(**NINE_RAY)), 4),
         (seed_from_epsilon(MARKOV), 6),
         (seed_from_epsilon(D4), 6),
         (seed_from_epsilon(A5, frozen={4}), 6),

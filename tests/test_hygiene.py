@@ -1,0 +1,62 @@
+"""Checks on the repository's own files, standard library only: every name a
+src module imports is used in it, and README's library quick start runs and
+prints what its comments say."""
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+# the package's __init__ imports names in order to export them
+MODULES = sorted(p for p in (ROOT / "src" / "cluster_geom").glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """The names bound by the import statements of a module that no other
+    node of the module reads, sorted; __future__ imports are not names."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = "import os.path\nimport sys as system\nfrom a import b, c as d\nd(os)\n"
+    assert unused_imports(source) == ["b", "system"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_src_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_readme_quick_start():
+    """Runs the quick start statement by statement; an expression statement
+    with a comment must evaluate to the literal that opens the comment (up
+    to a colon)."""
+    text = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        tok.start[0]: tok.string.lstrip("# ")
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        comment = comments.get(stmt.end_lineno)
+        if isinstance(stmt, ast.Expr) and comment:
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert value == ast.literal_eval(comment.split(":")[0]), ast.unparse(stmt)
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert checked == 4

@@ -15,7 +15,8 @@ from cluster_geom.intmat import (
     smith_normal_form,
     solve_integer,
 )
-from cluster_geom.rank2 import nine_ray_data, symmetric_form
+from cluster_geom.rank2 import Rank2Data, symmetric_form
+from golden_cases import NINE_RAY
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ class TestTransformsFromReduction:
         a = Matrix([[4, -2, 7], [0, 3, 3], [-5, 1, 2]])
         assert solve_integer(a, a.matvec((1, 2, 3))) == (1, 2, 3)
         assert kernel_basis(MARKOV_EPS) == ((1, 1, 1),)
-        assert symmetric_form(nine_ray_data()).gram.rows == 7
+        assert symmetric_form(Rank2Data(**NINE_RAY)).gram.rows == 7
 
 
 class TestHermite:

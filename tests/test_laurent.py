@@ -193,9 +193,9 @@ class TestPackedProduct:
             r = exact_divide(p * q, q)
             assert r == p
             assert r._frame() == _fresh_frame(r)
-        lo, hi, _ = _fresh_frame(p)
-        assert p.min_exponents() == lo
-        assert p.max_total_degree() == max((sum(e) for e, _ in p.items()), default=0)
+        lo, hi, top = _fresh_frame(p)
+        assert p._frame() == (lo, hi, top)
+        assert top + sum(lo) == max((sum(e) for e, _ in p.items()), default=0)
         assert p.max_abs_exponent() == max(map(abs, lo + hi), default=0)
 
     def test_zero_factor(self):
@@ -253,7 +253,7 @@ def _max_scan_divide(p, q, max_terms=None):
     cap, it raises once the quotient has more than max_terms terms."""
     if p.is_zero():
         return LP.zero(p.nvars)
-    sp, sq = p.min_exponents(), q.min_exponents()
+    sp, sq = p._frame()[0], q._frame()[0]
     phat = {tuple(x - y for x, y in zip(e, sp)): c for e, c in p.items()}
     qhat = {tuple(x - y for x, y in zip(e, sq)): c for e, c in q.items()}
     grlex = lambda e: (sum(e), e)
@@ -493,7 +493,8 @@ class TestFastDivisionRoutes:
         a = 3 << 59
         q = lp(3, {(a, a, a): 1, (0, 0, 0): 1}).shift((-1, 5, -2))
         r = lp(3, {(a, a, a): 1, (0, 1, 0): -2, (0, 0, 0): -1}).shift((-3, 4, -2))
-        assert (q * r).max_total_degree() == (9 << 60) + 1
+        lo, _, top = (q * r)._frame()
+        assert top + sum(lo) == (9 << 60) + 1
         quotient = _divide_checked(q * r, q)
         assert quotient == r == _max_scan_divide(q * r, q)
         assert quotient.terms() == _fresh_terms(quotient)

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from cluster_geom.errors import PreconditionError, UnsupportedError, ValidationError
+from cluster_geom.errors import UnsupportedError, ValidationError
 from cluster_geom.intmat import Matrix, kernel_basis
 from cluster_geom.rank2 import (
     DivisorClass,
@@ -18,20 +18,16 @@ from cluster_geom.rank2 import (
     build_seed,
     classify_definiteness,
     complete_smooth_fan,
-    cubic_data,
     fg_failure_flag,
     inertia,
     invariance_check,
-    nine_ray_data,
     non_fg_flag,
     rot90,
-    seed_to_rank2,
     self_intersections,
-    weighted_triangle_data,
     symmetric_form,
     wedge,
 )
-from cluster_geom.seeds import seed_from_epsilon
+from golden_cases import NINE_RAY, TRIANGLE, WEIGHTED_TRIANGLE
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +265,14 @@ class TestRank2Data:
 
 class TestBuildSeed:
     def test_weighted_triangle_epsilon(self):
-        seed = build_seed(weighted_triangle_data())
+        seed = build_seed(Rank2Data(**WEIGHTED_TRIANGLE))
         assert seed.eps == Matrix(
             [[0, 3, -3], [-3, 0, 3], [3, -3, 0]]
         )
         assert seed.fixed.d == (1, 1, 1)
 
     def test_nine_ray_epsilon(self):
-        data = nine_ray_data()
+        data = Rank2Data(**NINE_RAY)
         seed = build_seed(data)
         eps = seed.eps
         for i in range(9):
@@ -287,39 +283,6 @@ class TestBuildSeed:
         seed = build_seed(Rank2Data(((1, 0), (0, 1))))
         assert seed.eps == Matrix([[0, 1], [-1, 0]])
         assert kernel_basis(seed.eps) == ()
-
-
-class TestSeedToRank2:
-    def test_markov_not_unimodular(self):
-        seed = seed_from_epsilon([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
-        with pytest.raises(PreconditionError, match="unimodular"):
-            seed_to_rank2(seed)
-
-    def test_cubic_roundtrip(self):
-        data = cubic_data()
-        recovered = seed_to_rank2(build_seed(data))
-        # recovered w's agree with the originals up to one GL_2(Z) change
-        m = [[None] * 2 for _ in range(2)]
-        # solve G w_0 = w'_0, G w_1 = w'_1 using that (w_0, w_1) is a basis
-        w0, w1 = data.w[0], data.w[1]
-        v0, v1 = recovered.w[0], recovered.w[1]
-        base = Matrix([[w0[0], w1[0]], [w0[1], w1[1]]])
-        img = Matrix([[v0[0], v1[0]], [v0[1], v1[1]]])
-        g = img @ base.inverse()
-        assert g.is_integral()
-        assert abs(g.det()) == 1
-        for w, v in zip(data.w, recovered.w):
-            assert g.matvec(w) == v
-
-    def test_rank_zero_rejected(self):
-        seed = seed_from_epsilon([[0, 0], [0, 0]])
-        with pytest.raises(PreconditionError, match="rank"):
-            seed_to_rank2(seed)
-
-    def test_d_not_one_rejected(self):
-        seed = seed_from_epsilon([[0, 2], [-1, 0]], d=(1, 2))
-        with pytest.raises(PreconditionError, match="d_i"):
-            seed_to_rank2(seed)
 
 
 class TestFans:
@@ -389,7 +352,6 @@ class TestBlowupSurface:
         fan = Fan2D(P2_RAYS)
         surf = blowup_surface(fan, [0, 1, 2])
         assert surf.boundary_self_intersections == (0, 0, 0)
-        assert surf.picard_rank == 4
 
     def test_three_centers_per_line(self):
         fan = Fan2D(P2_RAYS)
@@ -400,7 +362,6 @@ class TestBlowupSurface:
         fan = Fan2D(P2_RAYS)
         surf = blowup_surface(fan, [])
         assert surf.boundary_self_intersections == (1, 1, 1)
-        assert surf.picard_rank == 1
 
     def test_intersect_matches_the_dense_form(self):
         # the O(r) wall-data pairing equals x Q y - sum of exceptional products
@@ -454,7 +415,7 @@ def random_mixed_area_data():
 
 class TestKToDPerp:
     def test_nine_ray_difference_vector(self):
-        data = nine_ray_data()
+        data = Rank2Data(**NINE_RAY)
         a = (1, -1, 0, 0, 0, 0, 0, 0, 0)
         cls, surface = class_of(data, a)
         # C = 0: the class is E_1 - E_0 with square -2
@@ -462,7 +423,7 @@ class TestKToDPerp:
         assert surface.intersect(cls, cls) == -2
 
     def test_cubic_anticanonical_vector(self):
-        data = cubic_data()
+        data = Rank2Data(**TRIANGLE)
         cls, surface = class_of(data, (1, 1, 1))
         # C is a line class: C^2 = 1, and the full class has square -2
         toric_sq = sum(
@@ -472,14 +433,14 @@ class TestKToDPerp:
         assert surface.intersect(cls, cls) == -2
 
     def test_zero_class(self):
-        data = cubic_data()
+        data = Rank2Data(**TRIANGLE)
         cls, surface = class_of(data, (0, 0, 0))
         assert surface.intersect(cls, cls) == 0
 
     def test_gram_stable_under_relation_shift(self):
         # shifting the toric solution by a character relation does not move
         # intersection numbers
-        data = nine_ray_data()
+        data = Rank2Data(**NINE_RAY)
         a = (1, 1, 1, 1, 1, 1, 1, 1, 1)
         cls, surface = class_of(data, a)
         rel = tuple(u[0] for u in surface.fan.rays)  # <(1,0), u_i>
@@ -488,7 +449,7 @@ class TestKToDPerp:
         assert surface.intersect(cls2, cls2) == surface.intersect(cls, cls)
 
     def test_basis_classes_orthogonal_to_boundary(self):
-        for data in [nine_ray_data(), cubic_data()] + random_mixed_area_data():
+        for data in [Rank2Data(**NINE_RAY), Rank2Data(**TRIANGLE)] + random_mixed_area_data():
             form = symmetric_form(data)
             surface = form.surface
             for cls in _kernel_classes(surface, form.basis):
@@ -499,12 +460,12 @@ class TestKToDPerp:
 
 class TestSymmetricForm:
     def test_cubic_gram(self):
-        form = symmetric_form(cubic_data())
+        form = symmetric_form(Rank2Data(**TRIANGLE))
         assert form.basis == ((1, 1, 1),)
         assert form.gram == Matrix([[-2]])
 
     def test_nine_ray_values(self):
-        data = nine_ray_data()
+        data = Rank2Data(**NINE_RAY)
         form = symmetric_form(data)
         assert len(form.basis) == 7
         # oracle cross-check on the canonical kernel basis
@@ -512,7 +473,7 @@ class TestSymmetricForm:
 
     def test_nine_ray_specific_vectors(self):
         from cluster_geom.rank2 import _gram_for_vectors
-        data = nine_ray_data()
+        data = Rank2Data(**NINE_RAY)
         vecs = [(1, -1, 0, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1, 1, 1, 1)]
         gram = _gram_for_vectors(symmetric_form(data).surface, vecs)
         assert gram[0, 0] == -2
@@ -525,7 +486,7 @@ class TestSymmetricForm:
         assert form.gram.rows == 0
 
     def test_completion_independent(self):
-        data = nine_ray_data()
+        data = Rank2Data(**NINE_RAY)
         default = symmetric_form(data)
         other = symmetric_form(
             data, fan=Fan2D(((1, 0), (1, 1), (0, 1), (-1, -1)))
@@ -534,7 +495,7 @@ class TestSymmetricForm:
 
     def test_weighted_rejected(self):
         with pytest.raises(UnsupportedError):
-            symmetric_form(weighted_triangle_data())
+            symmetric_form(Rank2Data(**WEIGHTED_TRIANGLE))
 
     def test_random_forms_match_mixed_area(self):
         for data in random_mixed_area_data():
@@ -544,15 +505,15 @@ class TestSymmetricForm:
 
 class TestInvariance:
     def test_empty_path(self):
-        assert invariance_check(symmetric_form(cubic_data()), ())
+        assert invariance_check(symmetric_form(Rank2Data(**TRIANGLE)), ())
 
     def test_nine_ray_single_mutations(self):
-        form = symmetric_form(nine_ray_data())
+        form = symmetric_form(Rank2Data(**NINE_RAY))
         for k in range(9):
             assert invariance_check(form, (k,))
 
     def test_cubic_depth_two(self):
-        form = symmetric_form(cubic_data())
+        form = symmetric_form(Rank2Data(**TRIANGLE))
         for a in range(3):
             for b in range(3):
                 assert invariance_check(form, (a, b))
@@ -675,11 +636,11 @@ class TestClassification:
         assert classify_definiteness(Matrix([[-1, 0], [0, 1]])) == "indefinite"
 
     def test_nine_ray_degenerate(self):
-        form = symmetric_form(nine_ray_data())
+        form = symmetric_form(Rank2Data(**NINE_RAY))
         assert classify_definiteness(form.gram) == "negative_semidefinite_degenerate"
 
     def test_cubic_negative_definite(self):
-        form = symmetric_form(cubic_data())
+        form = symmetric_form(Rank2Data(**TRIANGLE))
         assert classify_definiteness(form.gram) == "negative_definite"
 
     def test_indefinite_twelve_rays(self):
@@ -690,12 +651,12 @@ class TestClassification:
 
 class TestFlags:
     def test_fg_cubic(self):
-        rep = fg_failure_flag(symmetric_form(cubic_data()))
+        rep = fg_failure_flag(symmetric_form(Rank2Data(**TRIANGLE)))
         assert rep["fg_conjecture_possible"] is True
         assert rep["form_classification"] == "negative_definite"
 
     def test_fg_nine_ray(self):
-        rep = fg_failure_flag(symmetric_form(nine_ray_data()))
+        rep = fg_failure_flag(symmetric_form(Rank2Data(**NINE_RAY)))
         assert rep["fg_conjecture_possible"] is False
 
     def test_fg_trivial_kernel(self):
@@ -704,12 +665,12 @@ class TestFlags:
         assert rep["form_classification"] == "zero_rank"
 
     def test_non_fg_nine_ray(self):
-        rep = non_fg_flag(symmetric_form(nine_ray_data()))
+        rep = non_fg_flag(symmetric_form(Rank2Data(**NINE_RAY)))
         assert rep["all_minus_two"] is True
         assert rep["non_noetherian_principal"] is True
 
     def test_non_fg_cubic(self):
-        rep = non_fg_flag(symmetric_form(cubic_data()))
+        rep = non_fg_flag(symmetric_form(Rank2Data(**TRIANGLE)))
         assert rep["boundary_self_intersections"] == [0, 0, 0]
         assert rep["non_noetherian_principal"] is False
 
@@ -724,7 +685,7 @@ class TestFlags:
     def test_non_fg_weighted_reported_unsupported(self, tmp_path, capsys):
         # weighted data never gets a surface, so the CLI reports it directly
         from cluster_geom import cli
-        data = weighted_triangle_data()
+        data = Rank2Data(**WEIGHTED_TRIANGLE)
         with pytest.raises(UnsupportedError):
             symmetric_form(data)
         path = tmp_path / "weighted.json"
@@ -741,7 +702,7 @@ class TestWorkCounts:
         from cluster_geom.seeds import Seed
 
         path = tmp_path / "nine.json"
-        path.write_text(json.dumps({"w": [list(w) for w in nine_ray_data().w]}))
+        path.write_text(json.dumps(NINE_RAY))
         counts = Counter()
 
         def counting(name, fn):
@@ -771,7 +732,7 @@ class TestWorkCounts:
         from cluster_geom import cli, intmat, rank2
 
         path = tmp_path / "nine.json"
-        path.write_text(json.dumps({"w": [list(w) for w in nine_ray_data().w]}))
+        path.write_text(json.dumps(NINE_RAY))
         calls = []
 
         def solve(a, b):

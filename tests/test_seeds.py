@@ -13,16 +13,14 @@ from cluster_geom.laurent import (
     LaurentPolynomial,
     RationalExpression,
     inverse_pullback_A,
+    inverse_pullback_X,
     pullback_A,
-    pullback_X,
 )
 from cluster_geom.seeds import (
     FixedData,
     Seed,
     check_symmetrizable,
     fan_mutation_consistency,
-    fan_rays_A,
-    fan_rays_X,
     is_coprime_seed,
     mutate_along,
     mutate_epsilon,
@@ -35,6 +33,7 @@ from cluster_geom.seeds import (
     tropical_mutation_A,
     tropical_mutation_X,
 )
+from golden_cases import NINE_RAY, WEIGHTED_TRIANGLE
 
 A2 = [[0, 1], [-1, 0]]
 MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
@@ -103,7 +102,7 @@ class TestEpsilon:
     def test_weighted_triangle_construction(self):
         # skew {e_i, e_j} = 3 (w_i ^ w_j) for the three triangle directions
         from cluster_geom.rank2 import Rank2Data, build_seed
-        seed = build_seed(Rank2Data(((1, 0), (0, 1), (-1, -1)), (3, 3, 3)))
+        seed = build_seed(Rank2Data(**WEIGHTED_TRIANGLE))
         assert seed.eps == Matrix(TRIPLED_TRIANGLE)
 
     def test_principal_a2_blocks(self):
@@ -415,8 +414,8 @@ class TestCoprimality:
         assert is_coprime_seed(markov_seed())
 
     def test_equal_v_vectors(self):
-        from cluster_geom.rank2 import nine_ray_data, build_seed
-        seed = build_seed(nine_ray_data())
+        from cluster_geom.rank2 import Rank2Data, build_seed
+        seed = build_seed(Rank2Data(**NINE_RAY))
         assert not is_coprime_seed(seed)
 
     def test_doubled_direction_is_coprime(self):
@@ -615,26 +614,6 @@ class TestSeedValidationRoutes:
 
 
 class TestFans:
-    def test_a_rays_are_scaled_columns(self):
-        s = seed_from_epsilon([[0, 2], [-1, 0]], d=(1, 2))
-        assert fan_rays_A(s) == ((1, 0), (0, 2))
-
-    def test_a2_x_rays(self):
-        rays = fan_rays_X(a2_seed())
-        assert [(r.direction, r.multiplicity) for r in rays] == [
-            ((0, -1), 1),
-            ((1, 0), 1),
-        ]
-
-    def test_weighted_triangle_multiplicity(self):
-        rays = fan_rays_X(seed_from_epsilon(TRIPLED_TRIANGLE))
-        assert all(r.multiplicity == 3 for r in rays)
-
-    def test_zero_column_rejected(self):
-        s = seed_from_epsilon([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
-        with pytest.raises(ValidationError):
-            fan_rays_X(s)
-
     def test_consistency_small(self):
         for mat in (A2, MARKOV):
             s = seed_from_epsilon(mat)
@@ -675,23 +654,35 @@ class TestPullbacks:
     def test_x_variable_inverts(self):
         s = a2_seed()
         mutated = mutate_seed(s, 0)
-        pulled = pullback_X(s, 0, RationalExpression.from_monomial(mutated.e_vector(0)))
-        assert pulled.as_laurent() == LaurentPolynomial.monomial((-1, 0))
+        out = inverse_pullback_X(s, 0, RationalExpression.from_monomial((-1, 0)))
+        assert out.as_laurent() == LaurentPolynomial.monomial(mutated.e_vector(0))
 
     def test_x_neighbour_formula(self):
-        # X_1' pulls back to X_1 (1 + X_0): eps_10 = -1
+        # X_1' pulls back to X_1 (1 + X_0) (eps_10 = -1), and back again
         s = a2_seed()
         mutated = mutate_seed(s, 0)
-        pulled = pullback_X(s, 0, RationalExpression.from_monomial(mutated.e_vector(1)))
-        expected = RationalExpression(
-            LaurentPolynomial(2, {(0, 1): 1, (1, 1): 1})
+        out = inverse_pullback_X(
+            s, 0, RationalExpression(LaurentPolynomial(2, {(0, 1): 1, (1, 1): 1}))
         )
-        assert pulled.equals(expected)
+        assert out.as_laurent() == LaurentPolynomial.monomial(mutated.e_vector(1))
 
     def test_x_zero_bracket_unchanged(self):
         s = markov_seed()
-        out = pullback_X(s, 0, RationalExpression.from_monomial((1, 1, 1)))
+        out = inverse_pullback_X(s, 0, RationalExpression.from_monomial((1, 1, 1)))
         assert out.as_laurent() == LaurentPolynomial.monomial((1, 1, 1))
+
+    def test_inverse_x_homomorphism(self):
+        rng = random.Random(18)
+        for _ in range(40):
+            s = random_symmetrizable_seed(rng, 3)
+            k = rng.randrange(3)
+            m1 = tuple(rng.randint(-2, 2) for _ in range(3))
+            m2 = tuple(rng.randint(-2, 2) for _ in range(3))
+            p1, p2, p12 = (
+                inverse_pullback_X(s, k, RationalExpression.from_monomial(m))
+                for m in (m1, m2, tuple(a + b for a, b in zip(m1, m2)))
+            )
+            assert p12.equals(p1 * p2)
 
     def test_pullback_homomorphism(self):
         rng = random.Random(15)

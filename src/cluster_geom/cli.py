@@ -87,6 +87,10 @@ def _encode_matrix(m):
     return [[_encode_entry(x) for x in row] for row in m.data]
 
 
+_SKEW_KEYS = ("rank", "skew", "d", "frozen", "basis")
+_PLANE_KEYS = ("w", "nu")
+
+
 def load_seed_file(path):
     """Parse a seed file, which holds either a skew form (rank, skew, d,
     frozen, basis) or plane data (w, nu), never fields of both; returns
@@ -98,9 +102,12 @@ def load_seed_file(path):
             raise ValidationError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ValidationError("seed file must be a JSON object")
-    plane = [key for key in ("w", "nu") if key in doc]
+    unknown = [key for key in doc if key not in _SKEW_KEYS + _PLANE_KEYS]
+    if unknown:
+        raise ValidationError(f"seed file has unknown key(s): {', '.join(map(repr, unknown))}")
+    plane = [key for key in _PLANE_KEYS if key in doc]
     if plane:
-        mixed = [key for key in ("rank", "skew", "d", "frozen", "basis") if key in doc]
+        mixed = [key for key in _SKEW_KEYS if key in doc]
         if mixed:
             raise ValidationError(
                 f"seed file mixes plane data ({', '.join(plane)}) with "

@@ -3,10 +3,11 @@
 Everything here is exact: entries are Python ints or fractions.Fraction,
 never floats.  Normal forms are deterministic (fixed pivot rules) so that
 repeated runs produce identical output.  Elimination runs over the
-integers: the determinant and the inverse by fraction-free (Bareiss)
-elimination, a rational matrix first scaled by the lcm of its
+integers: the determinant and the inverse by one fraction-free (Bareiss)
+Gauss-Jordan elimination, a rational matrix first scaled by the lcm of its
 denominators; ranks, kernels and integer solutions from one Smith
-reduction.
+reduction, which tracks its row and column transforms L and R with
+S = L @ A @ R.
 """
 
 from __future__ import annotations
@@ -118,72 +119,71 @@ class Matrix:
         return f"Matrix({self.to_lists()!r})"
 
     def det(self):
-        """Exact determinant of an integer matrix (Bareiss)."""
+        """Exact determinant of an integer matrix: the last pivot of the
+        fraction-free elimination, times the sign of its row swaps."""
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
         if not self.is_integral():
             raise TypeError("determinant needs an integer matrix")
-        if self.rows == 0:
-            return 1
-        return _det_bareiss([list(r) for r in self.data])
+        done = _gauss_jordan([list(r) for r in self.data], self.rows)
+        return 0 if done is None else done[0] * done[1]
 
     def rank(self):
         """Rank of an integer matrix: its nonzero Smith invariant factors."""
         return _smith_reduce(self).rank()
 
     def inverse(self):
-        """Exact inverse by fraction-free Gauss-Jordan elimination (Bareiss)
-        on [s A | s I], where s is the lcm of the denominators of A (1 for
-        an integer matrix).  Every division is exact, and the last pivot p
-        is +-det(s A), so the right block ends as p A^-1 and dividing it
-        by p gives A^-1: entries are ints when that division is exact (so
-        always when A is unimodular), Fractions otherwise."""
+        """Exact inverse by the fraction-free elimination of [s A | s I],
+        where s is the lcm of the denominators of A (1 for an integer
+        matrix).  The right block ends as p A^-1 for the last pivot p, and
+        dividing it by p gives A^-1: entries are ints when that division
+        is exact (so always when A is unimodular), Fractions otherwise."""
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.rows
         s = lcm(*(x.denominator for row in self.data for x in row))
         m = [[int(x * s) for x in row] + [s if j == i else 0 for j in range(n)]
              for i, row in enumerate(self.data)]
-        prev = 1
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c]), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            m[c], m[piv] = m[piv], m[c]
-            prow = m[c]
-            p = prow[c]
-            tail = prow[c + 1:]
-            # columns up to c of the other rows are never read again: to the
-            # left of the pivot they are the last pivot or 0, at c they are 0
-            for r in range(n):
-                row = m[r]
-                f = row[c]
-                if r != c and (f or p != prev):
-                    row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-            prev = p
+        done = _gauss_jordan(m, n)
+        if done is None:
+            raise ValueError("matrix is singular")
+        p = done[0]
         return Matrix._trusted(tuple(
-            tuple(x // prev if x % prev == 0 else Fraction(x, prev) for x in row[n:])
+            tuple(x // p if x % p == 0 else Fraction(x, p) for x in row[n:])
             for row in m
         ))
 
 
-def _det_bareiss(m):
-    n = len(m)
-    sign = 1
-    prev = 1
+def _gauss_jordan(m, n):
+    """Fraction-free Gauss-Jordan elimination (Bareiss), in place, on the
+    integer rows m whose first n columns are square.  Every division is
+    exact and each pivot is a leading minor of the row-swapped matrix; the
+    row operations bring the first n columns to p I, p the last pivot, and
+    act alike on any further columns (the first n are left stale, since no
+    step reads them again).  Returns (p, sign of the row swaps), with
+    sign * p the determinant of the first n columns, or None when they are
+    singular."""
+    prev = sign = 1
     for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        piv = next((r for r in range(c, n) if m[r][c]), None)
         if piv is None:
-            return 0
+            return None
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
-        for r in range(c + 1, n):
-            for k in range(c + 1, n):
-                m[r][k] = (m[r][k] * m[c][c] - m[r][c] * m[c][k]) // prev
-            m[r][c] = 0
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
+        prow = m[c]
+        p = prow[c]
+        tail = prow[c + 1:]
+        # columns up to c of the other rows are never read again: to the
+        # left of the pivot they are the last pivot or 0, at c they are 0;
+        # a row with f == 0 is unchanged when p == prev
+        for r in range(n):
+            row = m[r]
+            f = row[c]
+            if r != c and (f or p != prev):
+                row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+        prev = p
+    return prev, sign
 
 
 def vector_gcd(v):
@@ -194,58 +194,46 @@ def vector_gcd(v):
 
 
 class _SNFState:
-    """Working state for Smith reduction: S = L @ A @ R with all four
-    transforms tracked, so A = U @ S @ V for U = L^-1, V = R^-1."""
+    """Working state for Smith reduction: S = L @ A @ R, where L collects
+    the row operations and R the column operations (both unimodular)."""
 
     def __init__(self, a):
         self.s = [list(row) for row in a.data]
         self.r, self.c = a.rows, a.cols
-        self.u = [[int(i == j) for j in range(self.r)] for i in range(self.r)]
-        self.ui = [[int(i == j) for j in range(self.r)] for i in range(self.r)]
-        self.v = [[int(i == j) for j in range(self.c)] for i in range(self.c)]
-        self.vi = [[int(i == j) for j in range(self.c)] for i in range(self.c)]
+        self.left = [[int(i == j) for j in range(self.r)] for i in range(self.r)]
+        self.right = [[int(i == j) for j in range(self.c)] for i in range(self.c)]
 
     def row_swap(self, i, j):
         if i == j:
             return
         self.s[i], self.s[j] = self.s[j], self.s[i]
-        for row in self.u:
-            row[i], row[j] = row[j], row[i]
-        self.ui[i], self.ui[j] = self.ui[j], self.ui[i]
+        self.left[i], self.left[j] = self.left[j], self.left[i]
 
     def col_swap(self, i, j):
         if i == j:
             return
-        for row in self.s:
-            row[i], row[j] = row[j], row[i]
-        self.v[i], self.v[j] = self.v[j], self.v[i]
-        for row in self.vi:
-            row[i], row[j] = row[j], row[i]
+        for rows in (self.s, self.right):
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
 
     def row_add(self, i, j, q):
         # row_i += q * row_j
         if q == 0:
             return
         self.s[i] = [a + q * b for a, b in zip(self.s[i], self.s[j])]
-        for row in self.u:
-            row[j] -= q * row[i]
-        self.ui[i] = [a + q * b for a, b in zip(self.ui[i], self.ui[j])]
+        self.left[i] = [a + q * b for a, b in zip(self.left[i], self.left[j])]
 
     def col_add(self, j, i, q):
         # col_j += q * col_i
         if q == 0:
             return
-        for row in self.s:
-            row[j] += q * row[i]
-        self.v[i] = [a - q * b for a, b in zip(self.v[i], self.v[j])]
-        for row in self.vi:
-            row[j] += q * row[i]
+        for rows in (self.s, self.right):
+            for row in rows:
+                row[j] += q * row[i]
 
     def row_negate(self, i):
         self.s[i] = [-x for x in self.s[i]]
-        for row in self.u:
-            row[i] = -row[i]
-        self.ui[i] = [-x for x in self.ui[i]]
+        self.left[i] = [-x for x in self.left[i]]
 
     def rank(self):
         return sum(1 for i in range(min(self.r, self.c)) if self.s[i][i] != 0)
@@ -262,7 +250,7 @@ class _SNFState:
 
 def _smith_reduce(a):
     """The final _SNFState of the Smith reduction of A, from which callers
-    read S, U, V, U^-1 (ui) and V^-1 (vi).  The reduction picks the
+    read S, L (left) and R (right).  The reduction picks the
     smallest-magnitude pivot (ties broken by position), which makes the
     output deterministic."""
     if not a.is_integral():
@@ -324,10 +312,10 @@ def _smith_reduce(a):
 def smith_normal_form(a):
     """Smith normal form with transforms.
 
-    Returns (U, S, V) with A = U @ S @ V, U and V unimodular, and S diagonal
-    with nonnegative entries d_1 | d_2 | ... ."""
+    Returns (L, S, R) with S = L @ A @ R, L and R unimodular, and S
+    diagonal with nonnegative entries d_1 | d_2 | ... ."""
     st = _smith_reduce(a)
-    return Matrix(st.u), Matrix(st.s), Matrix(st.v)
+    return Matrix(st.left), Matrix(st.s), Matrix(st.right)
 
 
 def smith_diagonal(a):
@@ -390,7 +378,7 @@ def kernel_basis(a):
     if not a.is_integral():
         raise TypeError("kernel basis needs an integer matrix")
     st = _smith_reduce(a)
-    raw = [tuple(row[j] for row in st.vi) for j in range(st.rank(), a.cols)]
+    raw = [tuple(row[j] for row in st.right) for j in range(st.rank(), a.cols)]
     return hermite_row_basis(raw, a.cols)
 
 
@@ -411,11 +399,11 @@ def solve_integer(a, b):
     diag = [st.s[i][i] for i in range(rank)]
     out = []
     for v in rhs:
-        c = [sum(map(mul, row, v)) for row in st.ui]
+        c = [sum(map(mul, row, v)) for row in st.left]
         if any(c[rank:]) or any(x % d for x, d in zip(c, diag)):
             out.append(None)
             continue
         y = [x // d for x, d in zip(c, diag)] + [0] * (a.cols - rank)
-        out.append(tuple(sum(map(mul, row, y)) for row in st.vi))
+        out.append(tuple(sum(map(mul, row, y)) for row in st.right))
     return out if isinstance(b, list) else out[0]
 

@@ -129,12 +129,11 @@ class Seed:
     of both epsilon routes on random seeds.
     """
 
-    __slots__ = ("fixed", "basis", "_base", "_link", "eps", "_basis_inv")
+    __slots__ = ("fixed", "basis", "_link", "eps", "_basis_inv")
 
-    def __init__(self, fixed, basis, path=()):
+    def __init__(self, fixed, basis):
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_base", tuple(path))
         object.__setattr__(self, "_link", None)
         object.__setattr__(self, "_basis_inv", None)
         self._validate_and_derive()
@@ -143,11 +142,10 @@ class Seed:
         raise AttributeError("Seed is immutable")
 
     @classmethod
-    def _trusted(cls, fixed, basis, base, link, eps):
+    def _trusted(cls, fixed, basis, link, eps):
         self = object.__new__(cls)
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_link", link)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "_basis_inv", None)
@@ -185,7 +183,7 @@ class Seed:
 
     @property
     def path(self):
-        """The labels the seed was built with, then one per mutate_seed,
+        """The labels of the mutate_seed steps from the constructed seed,
         spelled out from parent links (last label, parent's link): a
         mutation copies no path."""
         labels = []
@@ -193,7 +191,7 @@ class Seed:
         while link:
             k, link = link
             labels.append(k)
-        return self._base + tuple(reversed(labels))
+        return tuple(reversed(labels))
 
     def __hash__(self):
         return hash((self.fixed, self.basis))
@@ -364,7 +362,6 @@ def mutate_seed(seed, k):
     return Seed._trusted(
         seed.fixed,
         Matrix._trusted(tuple(basis)),
-        seed._base,
         (k, seed._link),
         mutate_epsilon(eps, seed.fixed.d, k),
     )

@@ -262,6 +262,20 @@ class TestMalformedSeedFile:
         assert out.out == ""
         assert out.err.startswith("error:")
 
+    # a misspelled optional field must not silently take its default
+    @pytest.mark.parametrize("doc, key", [
+        ({"rank": 2, "skew": A2_SKEW, "frozn": [1]}, "frozn"),
+        ({**TRIANGLE, "weights": [1, 1, 1]}, "weights"),
+        ({"skew": A2_SKEW, "rank": 2, "": 0}, ""),
+    ])
+    def test_unknown_key(self, tmp_path, doc, key):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli("mutate", str(path), "--path", "1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == f"error: seed file has unknown key(s): {key!r}\n"
+
     def test_directory_as_seed_file(self, tmp_path):
         out = run_cli("picard", str(tmp_path))
         assert out.returncode == 2

@@ -1,8 +1,10 @@
 """Checks on the repository's own files, standard library only: every name a
-src module imports is used in it, and README's library quick start runs and
-prints what its comments say."""
+src module imports is used in it, README's library quick start runs and
+prints what its comments say, and every layer the benchmark traces exists."""
 
 import ast
+import importlib
+import importlib.util
 import io
 import tokenize
 from pathlib import Path
@@ -60,3 +62,24 @@ def test_readme_quick_start():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert checked == 4
+
+
+def _traced_layers():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.LAYERS
+
+
+@pytest.mark.parametrize("layer", _traced_layers(), ids=lambda layer: f"{layer[1]}.{layer[2]}")
+def test_traced_layer_resolves(layer):
+    """A traced run wraps a module function, or a method from its class's own
+    namespace; a rename that breaks it fails here."""
+    _, module, attr, _ = layer
+    owner = importlib.import_module(f"cluster_geom.{module}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        owner, attr = vars(owner)[cls_name], meth
+    assert callable(vars(owner).get(attr)), f"cluster_geom.{module}.{layer[2]}"

@@ -72,9 +72,9 @@ class TestSmithNormalForm:
         assert smith_diagonal(Matrix([[2, 0], [0, 3]])) == (1, 6)
 
     def test_identity(self):
-        u, s, v = smith_normal_form(Matrix.identity(3))
+        left, s, right = smith_normal_form(Matrix.identity(3))
         assert s == Matrix.identity(3)
-        assert u @ s @ v == Matrix.identity(3)
+        assert left @ Matrix.identity(3) @ right == s
 
     def test_markov(self):
         # gcd of entries 2, gcd of 2x2 minors 4, det 0
@@ -86,10 +86,11 @@ class TestSmithNormalForm:
         rng = random.Random(20240 + shape[0] * 10 + shape[1])
         for _ in range(40):
             a = random_matrix(rng, *shape)
-            u, s, v = smith_normal_form(a)
-            assert u @ s @ v == a
-            assert abs(u.det()) == 1
-            assert abs(v.det()) == 1
+            left, s, right = smith_normal_form(a)
+            assert left @ a @ right == s
+            assert (left.rows, right.rows) == shape
+            assert abs(left.det()) == 1
+            assert abs(right.det()) == 1
             diag = [s[i, i] for i in range(min(shape))]
             assert all(d >= 0 for d in diag)
             for x, y in zip(diag, diag[1:]):
@@ -182,32 +183,36 @@ class TestSolveInteger:
 
 
 # ---------------------------------------------------------------------------
-# Differential oracle: the route solve_integer and kernel_basis took before
-# they read U^-1 and V^-1 from the Smith reduction, inverting U and V by
-# Gauss-Jordan elimination over Q instead.
+# Independent oracles on Hermite forms, which involve no Smith reduction.
+# hermite_row_basis is an echelon basis: each row is zero before its pivot,
+# and the pivot columns increase.  It is not canonical (reducing above the
+# pivots from the last one upward can undo an earlier reduction), so the
+# oracles compare lattices, not tuples.
 # ---------------------------------------------------------------------------
 
-def _inverse_route_solve(a, b):
-    u, s, v = smith_normal_form(a)
-    c = u.inverse().matvec(b)
-    y = [0] * a.cols
-    for i in range(a.rows):
-        d = s[i, i] if i < min(a.rows, a.cols) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return v.inverse().matvec(y)
+def _in_lattice(v, echelon):
+    """Whether v is an integer combination of the rows of an echelon basis."""
+    v = list(v)
+    for row in echelon:
+        c = next(j for j, x in enumerate(row) if x)
+        q, rem = divmod(v[c], row[c])
+        if rem:
+            return False
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
 
 
-def _inverse_route_kernel(a):
-    _, s, v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(a.rows, a.cols)) if s[i, i] != 0)
-    vi = v.inverse()
-    return hermite_row_basis([vi.column(j) for j in range(rank, a.cols)], a.cols)
+def _same_lattice(xs, ys, width):
+    hx, hy = hermite_row_basis(xs, width), hermite_row_basis(ys, width)
+    return all(_in_lattice(v, hy) for v in xs) and all(_in_lattice(v, hx) for v in ys)
+
+
+def _hermite_kernel(a):
+    """The kernel of A from the Hermite form of [A^T | I]: the rows whose A
+    part is zero, read in their I part."""
+    rows = [a.column(j) + tuple(int(i == j) for i in range(a.cols)) for j in range(a.cols)]
+    h = hermite_row_basis(rows, a.rows + a.cols)
+    return [row[a.rows:] for row in h if not any(row[:a.rows])]
 
 
 def _rank_deficient(rng, n, rank):
@@ -218,18 +223,18 @@ def _rank_deficient(rng, n, rank):
 
 class TestTransformsFromReduction:
     @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (2, 3), (3, 2), (4, 4)])
-    def test_random_shapes_match_inverse_route(self, shape):
+    def test_random_shapes_match_hermite_oracles(self, shape):
         rng = random.Random(5150 + shape[0] * 10 + shape[1])
         for _ in range(40):
             a = random_matrix(rng, *shape)
             self._check(rng, a)
 
-    def test_zero_matrices_match_inverse_route(self):
+    def test_zero_matrices_match_hermite_oracles(self):
         rng = random.Random(17)
         for shape in [(1, 1), (1, 5), (5, 1), (3, 3), (2, 4)]:
             self._check(rng, Matrix.zeros(*shape))
 
-    def test_rank_deficient_4x4_matches_inverse_route(self):
+    def test_rank_deficient_4x4_matches_hermite_oracles(self):
         rng = random.Random(23)
         for rank in (1, 2, 3):
             for _ in range(20):
@@ -239,16 +244,26 @@ class TestTransformsFromReduction:
 
     @staticmethod
     def _check(rng, a):
-        assert kernel_basis(a) == _inverse_route_kernel(a)
+        kernel = kernel_basis(a)
+        assert len(kernel) == a.cols - a.rank()
+        assert _same_lattice(kernel, _hermite_kernel(a), a.cols)
+        columns = hermite_row_basis([a.column(j) for j in range(a.cols)], a.rows)
         x0 = tuple(rng.randint(-5, 5) for _ in range(a.cols))
         rhs = [a.matvec(x0), tuple(rng.randint(-9, 9) for _ in range(a.rows))]
         for b in rhs:
             x = solve_integer(a, b)
-            assert x == _inverse_route_solve(a, b)
+            # a solution exactly when b lies in the column lattice of A
+            assert (x is not None) == _in_lattice(b, columns)
             if x is not None:
                 assert a.matvec(x) == b
                 assert all(type(e) is int for e in x)
         assert solve_integer(a, rhs) == [solve_integer(a, b) for b in rhs]
+
+    def test_oracles_can_say_no(self):
+        # an unsaturated kernel, and a point off an index-2 lattice
+        assert not _same_lattice([(2, -2)], _hermite_kernel(Matrix([[1, 1]])), 2)
+        assert _in_lattice((3, 1), hermite_row_basis([(2, 0), (1, 1)], 2))
+        assert not _in_lattice((1, 0), hermite_row_basis([(2, 0), (1, 1)], 2))
 
     def test_a_list_of_right_hand_sides_takes_one_reduction(self, monkeypatch):
         rng = random.Random(6160)
@@ -377,6 +392,91 @@ class TestMatrix:
                 expected = [[sum(x[i, t] * y[t, j] for t in range(k)) for j in range(c)]
                             for i in range(r)]
                 assert (x @ y).to_lists() == expected
+
+
+# ---------------------------------------------------------------------------
+# Matrix.det against the Laplace expansion _minor_det.
+# ---------------------------------------------------------------------------
+
+def _laplace(a):
+    return _minor_det(a.to_lists(), range(a.rows), range(a.rows)) if a.rows else 1
+
+
+def _permuted_triangular(rng, n, lo=-5, hi=5):
+    """P @ T for a random permutation P and an upper triangular T with a
+    nonzero diagonal: column 0 has one nonzero entry, wherever P puts it,
+    so the elimination swaps rows exactly when P is not the identity.
+    Returns the matrix and its determinant, sign(P) times the diagonal."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    diag = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)]
+    t = [[diag[i] if i == j else rng.randint(lo, hi) * (i < j) for j in range(n)]
+         for i in range(n)]
+    sign = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if perm[i] > perm[j]:
+                sign = -sign
+    det = sign
+    for x in diag:
+        det *= x
+    return Matrix([t[perm[i]] for i in range(n)]), det
+
+
+class TestDeterminant:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_matches_laplace(self, n):
+        rng = random.Random(9100 + n)
+        for trial in range(30):
+            a = random_matrix(rng, n, n, -5, 5)
+            if trial % 3 == 0:
+                # zero leading entries: the first pivots need row swaps
+                rows = a.to_lists()
+                for i in range(rng.randint(1, n)):
+                    rows[i][0] = 0
+                    if i < n - 1:
+                        rows[i][1 % n] = 0
+                a = Matrix(rows)
+            assert a.det() == _laplace(a)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_row_swaps_carry_their_sign(self, n):
+        rng = random.Random(9200 + n)
+        negative = 0
+        for _ in range(30):
+            a, det = _permuted_triangular(rng, n)
+            assert a.det() == det == _laplace(a)
+            negative += det < 0
+        assert negative
+        assert Matrix([[0, 1], [1, 0]]).det() == -1
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_singular(self, n):
+        rng = random.Random(9300 + n)
+        for trial in range(15):
+            if trial % 3:
+                a = _rank_deficient(rng, n, rng.randint(1, n - 1))
+            else:
+                rows = random_matrix(rng, n, n).to_lists()
+                rows[-1] = [2 * x for x in rows[0]]
+                a = Matrix(rows)
+            assert a.det() == _laplace(a) == 0
+        assert Matrix.zeros(n, n).det() == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_entries_near_1e30(self, n):
+        rng = random.Random(9400 + n)
+        big = 10 ** 30
+        for _ in range(10):
+            a = Matrix([[big * rng.choice([-1, 0, 1]) + rng.randint(-9, 9) for _ in range(n)]
+                        for _ in range(n)])
+            assert a.det() == _laplace(a)
+
+    def test_identity_and_empty(self):
+        assert Matrix([]).det() == 1
+        for n in range(1, 15):
+            assert Matrix.identity(n).det() == 1
+            assert (-Matrix.identity(n)).det() == (-1) ** n
 
 
 # ---------------------------------------------------------------------------

@@ -146,19 +146,19 @@ class TestMutateSeed:
         assert s.path == (0, 1, 2)
 
     def test_mutation_copies_no_path(self):
-        # the child links to its parent instead of copying the 8 MB path
-        root = markov_seed()
-        base = tuple(i % 3 for i in range(10**6))
-        s = Seed(root.fixed, root.basis, path=base)
+        # the child links to its parent instead of copying the path, whose
+        # 2 * 10**4 references alone take 160 kB
+        base = tuple(i % 2 for i in range(2 * 10**4))
+        s = mutate_along(a2_seed(), base)
         tracemalloc.start()
         try:
-            child = mutate_seed(s, 1)
+            child = mutate_seed(s, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert child.path == base + (1,)
-        assert mutate_seed(child, 2).path == base + (1, 2)
+        assert child.path == base + (0,)
+        assert mutate_seed(child, 1).path == base + (0, 1)
         assert s.path == base
 
 

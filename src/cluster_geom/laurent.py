@@ -1,43 +1,41 @@
 """Sparse multivariate Laurent polynomials over arbitrary-precision integers.
 
 Terms are stored as {exponent tuple: nonzero int coefficient}.  The canonical
-term order used for serialization and leading-term selection is graded
-lexicographic, read descending: higher total degree first, ties broken by the
-lexicographically larger exponent tuple.
+term order used for serialization is graded lexicographic, read descending:
+higher total degree first, ties broken by the lexicographically larger
+exponent tuple.
 
 Every polynomial caches its frame: the componentwise minimum and maximum of
-its exponent vectors, and its largest total degree less the minimum's sum.
-Over the integers the extreme terms of a product are products of extreme
-terms of the factors and cannot cancel, so a product's frame is the sum of
-its factors' frames and is set without a scan, and an exact quotient's is
-the difference of the dividend's and the divisor's; a shift moves the frame
-along, and a sum in which no term cancels takes the componentwise extremes
-of its summands' frames.  The frame is the one source of the packing and
-overflow test of products and quotients, of exact division's degree test,
-and of max_abs_exponent.  The sorted terms are cached too: an exact
-quotient is built in canonical order, so it is never sorted again.
+its exponent vectors.  Over the integers the extreme terms of a product are
+products of extreme terms of the factors and cannot cancel, so a product's
+frame is the sum of its factors' frames and is set without a scan, and an
+exact quotient's is the difference of the dividend's and the divisor's; a
+shift moves the frame along, and a sum in which no term cancels takes the
+componentwise extremes of its summands' frames.  The frame is the one source
+of the packing and overflow test of products and quotients, of exact
+division's span test, and of max_abs_exponent.  The sorted terms are cached
+too.
 
-Products and exact division work on packed exponents (Monagan and Pearce,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007): an exponent vector, less a componentwise minimum, is
-packed into one int with one field per variable, the first variable in the
-top field, so that a monomial product is one int addition.  A product packs
-both factors in the product's frame, in fields of 1, 2, 4 or 8 bytes, the
-fewest that hold the product's largest span (maximum less minimum) in one
-variable.  A field of a product key never exceeds that span, so no carry
-crosses fields and no guard bit is needed.  Squares form each cross term
-once and double it; a monomial factor only shifts and scales the other,
-and a monomial divisor likewise.  Division subtracts keys, so its
-whole-byte fields carry one guard bit above the dividend's degree, which a
-borrow sets, and a total-degree field on top makes int order graded-lex
-order; the quotient leaves the heap in that order (see exact_divide).
-_unpack turns the keys of a product, a line twist or a quotient into
+Products, line twists and exact division share one packed layout (Monagan
+and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007): an exponent vector, less a componentwise
+minimum, is packed into one int with one field per variable, the first
+variable in the top field, so that a monomial product is one int addition
+and int order is lexicographic order.  Every field has 1, 2, 4 or 8 bytes,
+the fewest that hold the largest span (maximum less minimum) of one
+variable.  A product or a twist sizes its fields to the span of its result;
+no field of its keys exceeds that span, so no carry crosses fields.  Exact
+division subtracts keys, so its fields hold the dividend's largest span and
+one guard bit above it, which a borrow sets (see exact_divide).  Squares
+form each cross term once and double it; a monomial factor only shifts and
+scales the other, and a monomial divisor likewise.  _unpack turns keys into
 exponent tuples and adds the minimum back in the same pass.
 
 Exponents are kept below 2**62 in magnitude; crossing that bound raises
 ExponentOverflow rather than silently producing huge objects.  Since the
 frame of a product, a quotient or a shift is exact, the test on frames
-raises exactly when some term would reach the bound.
+raises exactly when some term would reach the bound.  Every span is then
+below 2**63, so a field with its guard bit fits in 8 bytes.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ import os
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import cycle, repeat
-from math import comb, lcm
-from operator import add, mul, neg, sub
+from math import lcm
+from operator import add, gt, mul, neg, sub
 from struct import unpack
 
 from .errors import ResourceLimitExceeded, ValidationError
@@ -100,17 +98,6 @@ def _field_weights(n, width):
     return tuple(1 << (width * i) for i in range(n - 1, -1, -1))
 
 
-@lru_cache(maxsize=64)
-def _division_keys(n, size):
-    """(weights, guard) of exact division's keys in n variables with fields
-    of `size` bytes: a total-degree field on top, then e_0 ... e_{n-1}.
-    guard has the top bit of every field set."""
-    width = 8 * size
-    fields = _field_weights(n + 1, width)
-    # the key's total degree goes to the top field
-    return tuple(fields[0] + w for w in fields[1:]), sum(fields) << (width - 1)
-
-
 def _pack(terms, lo, weights):
     """{key: coefficient} with key = sum_i (e_i - lo_i) * weights[i]."""
     offset = sum(map(mul, lo, weights))
@@ -123,29 +110,21 @@ _FIELD_SIZES = ((1, "B"), (1, "B"), (2, "H"), (4, "I"), (4, "I")) + ((8, "Q"),) 
 
 
 def _field_size(bits):
-    """(bytes, struct code) of the fewest whole-byte fields that hold `bits`
-    bits: 1, 2, 4 or 8 bytes with their struct code, or more bytes and None."""
-    need = (bits + 7) // 8
-    return _FIELD_SIZES[need] if need < len(_FIELD_SIZES) else (need, None)
+    """(bytes, struct code) of the fewest fields of 1, 2, 4 or 8 bytes that
+    hold `bits` <= 64 bits."""
+    return _FIELD_SIZES[(bits + 7) // 8]
 
 
 def _unpack(packed, lo, size, code):
     """{exponents: coefficient} from {key: coefficient}, in the order of the
     keys and without zero coefficients: n = len(lo) fields of `size` bytes,
-    the first variable highest, each plus its entry of lo.  With a struct
-    code the keys are written to one bytes object and split in one struct
-    call; wider fields are read one by one."""
+    the first variable highest, each plus its entry of lo.  The keys are
+    written to one bytes object and split in one struct call."""
     if 0 in packed.values():
         packed = {k: c for k, c in packed.items() if c}
     n = len(lo)
-    if code:
-        data = b"".join(map(int.to_bytes, packed, repeat(n * size), repeat("big")))
-        fields = map(add, unpack(f">{n * len(packed)}{code}", data), cycle(lo))
-    else:
-        width = 8 * size
-        mask = (1 << width) - 1
-        shifts = range((n - 1) * width, -1, -width)
-        fields = (((k >> s) & mask) + x for k in packed for s, x in zip(shifts, lo))
+    data = b"".join(map(int.to_bytes, packed, repeat(n * size), repeat("big")))
+    fields = map(add, unpack(f">{n * len(packed)}{code}", data), cycle(lo))
     # each run of n fields is one exponent vector
     return dict(zip(zip(*[fields] * n), packed.values()))
 
@@ -209,8 +188,7 @@ class LaurentPolynomial:
         """Terms as ((exponents, coefficient), ...) in descending canonical order.
 
         Sorted once per polynomial and cached, since the polynomial is
-        immutable; an exact quotient is built in this order and caches it
-        from the start.
+        immutable.
         """
         cached = self._sorted
         if cached is None:
@@ -232,25 +210,24 @@ class LaurentPolynomial:
         return len(self._terms)
 
     def _frame(self):
-        """(componentwise min, componentwise max, max total degree - sum(min))
-        of the exponent vectors; the origin twice and 0 for the zero
-        polynomial.  Computed once and cached, like terms(), unless the
-        operation that made the polynomial already knew it."""
+        """(componentwise min, componentwise max) of the exponent vectors;
+        the origin twice for the zero polynomial.  Computed once and cached,
+        like terms(), unless the operation that made the polynomial already
+        knew it."""
         frame = self._frame_cache
         if frame is None:
             t = self._terms
             if t:
                 cols = tuple(zip(*t))
-                lo = tuple(map(min, cols))
-                frame = (lo, tuple(map(max, cols)), max(map(sum, t)) - sum(lo))
+                frame = (tuple(map(min, cols)), tuple(map(max, cols)))
             else:
                 origin = (0,) * self.nvars
-                frame = (origin, origin, 0)
+                frame = (origin, origin)
             object.__setattr__(self, "_frame_cache", frame)
         return frame
 
     def max_abs_exponent(self):
-        lo, hi, _ = self._frame()
+        lo, hi = self._frame()
         return max(map(abs, lo + hi), default=0)
 
     def has_nonnegative_coefficients(self):
@@ -283,11 +260,10 @@ class LaurentPolynomial:
                 cancelled = True
         if cancelled:
             return LaurentPolynomial._raw(self.nvars, out)
-        alo, ahi, atop = self._frame()
-        blo, bhi, btop = other._frame()
-        lo = tuple(map(min, alo, blo))
-        top = max(atop + sum(alo), btop + sum(blo)) - sum(lo)
-        return LaurentPolynomial._raw(self.nvars, out, (lo, tuple(map(max, ahi, bhi)), top))
+        alo, ahi = self._frame()
+        blo, bhi = other._frame()
+        frame = (tuple(map(min, alo, blo)), tuple(map(max, ahi, bhi)))
+        return LaurentPolynomial._raw(self.nvars, out, frame)
 
     def __neg__(self):
         return LaurentPolynomial._raw(self.nvars, {e: -c for e, c in self._terms.items()})
@@ -319,12 +295,12 @@ class LaurentPolynomial:
         a, b = self._terms, other._terms
         if not a or not b:
             return LaurentPolynomial.zero(n)
-        alo, ahi, atop = self._frame()
-        blo, bhi, btop = other._frame()
+        alo, ahi = self._frame()
+        blo, bhi = other._frame()
         lo = tuple(map(add, alo, blo))
         hi = tuple(map(add, ahi, bhi))
         _check_exponents(lo + hi)
-        frame = (lo, hi, atop + btop)
+        frame = (lo, hi)
         if len(a) < len(b):
             a, b, alo, blo = b, a, blo, alo
         if len(b) == 1:  # a monomial factor only shifts and scales the other
@@ -372,12 +348,12 @@ class LaurentPolynomial:
         exps = tuple(exps)
         if not any(exps) or not self._terms:
             return self  # the zero polynomial's frame bounds no terms
-        lo, hi, top = self._frame()
+        lo, hi = self._frame()
         lo = tuple(map(add, lo, exps))
         hi = tuple(map(add, hi, exps))
         _check_exponents(lo + hi)
         out = {tuple(map(add, e, exps)): c for e, c in self._terms.items()}
-        return LaurentPolynomial._raw(self.nvars, out, (lo, hi, top))
+        return LaurentPolynomial._raw(self.nvars, out, (lo, hi))
 
     def __eq__(self, other):
         return (
@@ -419,17 +395,16 @@ class LaurentPolynomial:
 
 
 def binomial_power(v, a):
-    """Expansion of (1 + z^v)^a for a >= 0."""
+    """Expansion of (1 + z^v)^a for a >= 0, from one Pascal row.  Every term
+    j v lies between 0 and a v, so the bound is tested on a v alone, before
+    anything is built."""
     if not isinstance(a, int) or a < 0:
         raise ValueError("binomial_power needs a nonnegative integer exponent")
     v = tuple(v)
-    check = a * max(map(abs, v), default=0) >= EXPONENT_LIMIT
-    terms = {}
-    for j in range(a + 1):
-        e = tuple(j * x for x in v)
-        if check:
-            _check_exponents(e)
-        terms[e] = terms.get(e, 0) + comb(a, j)
+    _check_exponents([a * x for x in v])
+    if not any(v):
+        return LaurentPolynomial.constant(len(v), 1 << a)
+    terms = {tuple(j * x for x in v): c for j, c in enumerate(_pascal_row(a))}
     return LaurentPolynomial._raw(len(v), terms)
 
 
@@ -444,35 +419,47 @@ def exact_divide(p, q, max_terms=None):
     A monomial divisor c z^e only shifts and scales: r is p / c shifted by
     -e, and exists exactly when c divides every coefficient of p.
 
-    Otherwise both operands are packed less their componentwise minima, and
-    the packing and the degree test below read the cached frames.
-    Single-divisor reduction by the divisor's graded-lex leading term
-    then either ends with a zero remainder (success) or meets a remainder lead
-    that the divisor's lead does not divide, which proves that no quotient
-    exists.
-
-    Every remainder term, less the dividend's minimum, has nonnegative
-    exponents and a total degree of at most D, the dividend's largest total
-    degree less its minimum's sum.  So each exponent vector packs into one
-    int: the total degree in the top field, then e_0 ... e_{n-1}, every field
-    the fewest whole bytes (1, 2, 4, 8 or more) that hold D plus one guard
-    bit.  Int order is then graded-lex
-    order, a monomial product is one int addition, and the divisor's lead
-    divides a term exactly when their difference has no guard bit set.  The
+    Otherwise q r = p makes each span of p (its maximum less its minimum in
+    one variable) the sum of the spans of q and r, so a divisor with a
+    larger span than p in some variable gives None at once.  Both operands
+    are packed less their minima in the layout of products (see the module
+    docstring), every field the fewest whole bytes that hold p's largest
+    span and a guard bit above it, and int order is lexicographic order.
+    Single-divisor reduction by the divisor's leading term then either ends
+    with a zero remainder (success) or proves that no quotient exists.  The
     remainder is a dict plus a max-heap of its keys with lazy deletion
     (Monagan and Pearce, "Sparse polynomial division using a heap",
-    J. Symb. Comp. 2011): each step takes the largest live key, and every
-    term it adds is smaller, so a processed key never returns.  Every step
-    that does not end the division adds a quotient term, and each quotient
-    term pushes at most |q| - 1 keys, so fewer than |p| + (cap + 1) * |q|
-    steps run before the cap is hit.
+    J. Symb. Comp. 2011), which is correct in any monomial order: each step
+    takes the largest live key, and every term it adds is smaller, so a
+    processed key never returns.  Every step that does not end the division
+    adds a quotient term, and each quotient term pushes at most |q| - 1
+    keys, so fewer than |p| + (cap + 1) * |q| steps run before the cap is
+    hit.
 
-    Quotient terms are therefore found in descending graded-lex order.  Only
-    the quotient is unpacked, in that order and straight to its exponents:
-    its frame is exact (min p - min q, max p - max q, D_p - D_q), its keys
-    lie at min p - min q, which the unpacking adds back, and its sorted
-    terms() are cached as it is built.  ExponentOverflow is raised when that
-    frame reaches the bound, even where neither operand does.
+    After k steps of an exact division the remainder is q (r - r_k), with
+    r_k the first k terms of r, so it lies in frame(q) + frame(r) =
+    frame(p), and the quotient term that its lead gives lies in frame(r):
+    less r's minimum, each of its exponents is at least 0 and at most p's
+    span, below the guard bit.  That quotient key is the difference of the
+    remainder's lead and the divisor's lead, and a guard bit in it means a
+    borrow (a negative exponent) or an exponent past p's span, either of
+    which proves that the division is not exact; so does a coefficient that
+    the divisor's leading coefficient does not divide.  A pushed key is an
+    accepted quotient key plus a divisor key, each field below the guard
+    bit plus at most the divisor's span, so no field carries into the next.
+
+    An exact division finds the terms of r in descending order, so it
+    passes the cap exactly when r has more terms than the cap, in any term
+    order.  A division that is not exact may stop with None in one order
+    and at the cap in another.  In the command-line tools only a fraction
+    that is not Laurent divides inexactly: that is a witness, which only a
+    bug produces.
+
+    Only the quotient is unpacked, straight to its exponents: its frame is
+    exact (min p - min q, max p - max q), and its keys lie at
+    min p - min q, which the unpacking adds back.  ExponentOverflow is
+    raised when that frame reaches the bound, even where neither operand
+    does.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
@@ -493,18 +480,20 @@ def exact_divide(p, q, max_terms=None):
         if len(p._terms) > limit:
             raise _quotient_too_large(limit)
         return p.shift(map(neg, e))
-    sp, phi, degree = p._frame()
-    sq, qhi, qdegree = q._frame()
-    if qdegree > degree:
-        return None  # the divisor's lead cannot divide the dividend's
-    size, code = _field_size(degree.bit_length() + 1)  # D and a guard bit
-    weights, guard = _division_keys(n, size)
+    sp, phi = p._frame()
+    sq, qhi = q._frame()
+    span = tuple(map(sub, phi, sp))
+    if any(map(gt, map(sub, qhi, sq), span)):
+        return None
+    size, code = _field_size(max(span).bit_length() + 1)  # and a guard bit
+    width = 8 * size
+    weights = _field_weights(n, width)
+    guard = sum(weights) << (width - 1)
     rem = _pack(p._terms, sp, weights)
     rest = _pack(q._terms, sq, weights)
     qlead = max(rest)
     qlc = rest.pop(qlead)
     rest = tuple(rest.items())
-    low = (1 << (8 * size * n)) - 1
     heap = [-key for key in rem]
     heapify(heap)
     quotient = {}
@@ -517,7 +506,7 @@ def exact_divide(p, q, max_terms=None):
         if d & guard or c % qlc:
             return None
         f = c // qlc
-        quotient[d & low] = f  # without its total-degree field
+        quotient[d] = f
         if len(quotient) > limit:
             raise _quotient_too_large(limit)
         for eq, cq in rest:
@@ -537,11 +526,7 @@ def exact_divide(p, q, max_terms=None):
     lo = tuple(map(sub, sp, sq))
     hi = tuple(map(sub, phi, qhi))
     _check_exponents(lo + hi)
-    terms = _unpack(quotient, lo, size, code)
-    r = LaurentPolynomial._raw(n, terms, (lo, hi, degree - qdegree))
-    # the keys were found in descending order, which is graded-lex order
-    object.__setattr__(r, "_sorted", tuple(terms.items()))
-    return r
+    return LaurentPolynomial._raw(n, _unpack(quotient, lo, size, code), (lo, hi))
 
 
 class RationalExpression:
@@ -653,8 +638,12 @@ class LinearForm:
 
 @lru_cache(maxsize=64)
 def _pascal_row(a):
-    """(comb(a, 0), ..., comb(a, a)): the coefficients of (1 + t)^a."""
-    return tuple(comb(a, j) for j in range(a + 1))
+    """(comb(a, 0), ..., comb(a, a)): the coefficients of (1 + t)^a, each
+    from the one before it."""
+    row = [1]
+    for j in range(a):
+        row.append(row[-1] * (a - j) // (j + 1))
+    return tuple(row)
 
 
 def _times_binomial(coeffs, a):
@@ -734,7 +723,7 @@ def _twist_lines(p, v, g):
     dense = sum(top - bottom + 1 + max(a, 0) for _, _, a, bottom, top in powers)
     if dense > 2 * sum(len(line) * (a + floor + 1) for _, line, a, _, _ in powers):
         return None
-    lo, hi, _ = p._frame()
+    lo, hi = p._frame()
     wide = tuple(max(0, high) * x for x in v)
     lo = tuple(x + min(0, w) for x, w in zip(lo, wide))
     hi = tuple(x + max(0, w) for x, w in zip(hi, wide))

@@ -100,16 +100,18 @@ class FixedData:
 
 def _epsilon_from_basis(fixed, basis):
     """Definitional exchange matrix: (B^T skew B) D, column j of B^T skew B
-    scaled by d_j, with integrality checked off the frozen block."""
+    scaled by d_j.
+
+    It is integral off the frozen block for every basis that Seed accepts,
+    so nothing is checked here.  Write S for the skew form and take i or j
+    unfrozen; then eps_ij = sum_{a,b} B_ai (S_ab d_b) (B_bj d_j / d_b).
+    When a and b are not both frozen, the term is integral: FixedData
+    checks that S_ab d_b is, and Seed that d_b divides d_j B_bj.  When a
+    and b are both frozen, the term vanishes: B_ai = 0 if i is unfrozen and
+    B_bj = 0 if j is, since unfrozen columns of B have no frozen
+    coordinates."""
     gram = basis.transpose() @ fixed.skew @ basis
-    eps = Matrix([[x * dj for x, dj in zip(row, fixed.d)] for row in gram.data])
-    for i in range(fixed.n):
-        for j in range(fixed.n):
-            if i in fixed.frozen and j in fixed.frozen:
-                continue
-            if not isinstance(eps[i, j], int):
-                raise ValidationError("exchange matrix has a non-integral entry")
-    return eps
+    return Matrix([[x * dj for x, dj in zip(row, fixed.d)] for row in gram.data])
 
 
 class Seed:

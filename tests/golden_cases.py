@@ -3,15 +3,16 @@ and of the Laurent workloads, pinned in golden/<name>.json so that refactors of 
 or of the polynomial kernels show.
 
 CASES maps each name to (seed document, argv), where argv is the command
-and its options; the seed file goes right after the command.
+and its options; the seed file goes right after the command.  Every case
+exits 0 unless EXIT_CODES names another code for it.
 tests/test_cli.py runs every case in-process.  Run as a script with a
 command prefix, this module runs every case through that command and
-compares its stdout, byte for byte, with the golden file:
+compares its exit code, and its stdout byte for byte, with the golden file:
 
     PYTHONPATH=src python tests/golden_cases.py python -m cluster_geom
     python tests/golden_cases.py cluster-geom
 
-It prints one line per case and exits 1 if any case differs or fails.
+It prints one line per case and exits 1 if any case differs.
 """
 
 import json
@@ -59,6 +60,11 @@ CASES = {
         MARKOV, ["laurent-check", "--side", "A", "--q", "1,0,0", "--depth", "5"]
     ),
     "explore_g2_d10": (G2, ["explore", "--depth", "10"]),
+    # a quotient passes the term cap of 60 before depth 8: the graph found
+    # until then, 118 nodes, marked truncated
+    "explore_markov_d8_max_terms_60": (
+        MARKOV, ["explore", "--depth", "8", "--max-terms", "60"]
+    ),
     "laurent_check_d4_X_d5": (
         D4, ["laurent-check", "--side", "X", "--q=0,0,-1,-1", "--depth", "5"]
     ),
@@ -85,6 +91,7 @@ CASES = {
     "picard_markov": (MARKOV, ["picard"]),
     "picard_weighted_triangle": (WEIGHTED_TRIANGLE, ["picard"]),
 }
+EXIT_CODES = {"explore_markov_d8_max_terms_60": 3}
 
 
 def main(prefix):
@@ -94,7 +101,8 @@ def main(prefix):
             seed = Path(tmp) / f"{name}.json"
             seed.write_text(json.dumps(doc))
             run = subprocess.run([*prefix, argv[0], str(seed), *argv[1:]], capture_output=True)
-            same = run.returncode == 0 and run.stdout == (GOLDEN / f"{name}.json").read_bytes()
+            golden = (GOLDEN / f"{name}.json").read_bytes()
+            same = run.returncode == EXIT_CODES.get(name, 0) and run.stdout == golden
             print(f"{'ok' if same else 'MISMATCH'} {name}")
             if not same:
                 failed.append(name)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_geom import cli
-from golden_cases import CASES, GOLDEN, TRIANGLE
+from golden_cases import CASES, EXIT_CODES, GOLDEN, TRIANGLE
 
 CLI = [sys.executable, "-m", "cluster_geom"]
 A2_SKEW = [[0, 1], [-1, 0]]
@@ -470,7 +470,7 @@ class TestRank2:
     def test_golden_stdout(self, tmp_path, capsys, name, doc, extra):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
-        assert cli.main(["rank2", str(path), *extra]) == 0
+        assert cli.main(["rank2", str(path), *extra]) == EXIT_CODES.get(name, 0)
         out = capsys.readouterr().out
         assert out == (GOLDEN / f"{name}.json").read_text()
         keys = set(json.loads(out))
@@ -494,7 +494,7 @@ class TestRank2:
 def _golden_stdout(tmp_path, capsys, name, doc, command, extra):
     path = tmp_path / "seed.json"
     path.write_text(json.dumps(doc))
-    assert cli.main([command, str(path), *extra]) == 0
+    assert cli.main([command, str(path), *extra]) == EXIT_CODES.get(name, 0)
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 

@@ -1,4 +1,8 @@
+import json
 import random
+import time
+from math import comb
+from operator import neg, sub
 from unittest import mock
 
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_symmetrizable_seed
 
+from cluster_geom import cli, laurent
 from cluster_geom.errors import ResourceLimitExceeded
 from cluster_geom.laurent import (
     EXPONENT_LIMIT,
@@ -17,6 +22,7 @@ from cluster_geom.laurent import (
     _a_side_exponent,
     _field_size,
     _grlex_key,
+    _pascal_row,
     _x_side_exponent,
     binomial_power,
     exact_divide,
@@ -193,9 +199,8 @@ class TestPackedProduct:
             r = exact_divide(p * q, q)
             assert r == p
             assert r._frame() == _fresh_frame(r)
-        lo, hi, top = _fresh_frame(p)
-        assert p._frame() == (lo, hi, top)
-        assert top + sum(lo) == max((sum(e) for e, _ in p.items()), default=0)
+        lo, hi = _fresh_frame(p)
+        assert p._frame() == (lo, hi)
         assert p.max_abs_exponent() == max(map(abs, lo + hi), default=0)
 
     def test_zero_factor(self):
@@ -245,23 +250,49 @@ class TestBinomialPower:
         with pytest.raises(ValueError):
             binomial_power((1,), -1)
 
+    def test_pascal_row_is_the_binomial_coefficients(self):
+        for a in range(201):
+            assert _pascal_row(a) == tuple(comb(a, j) for j in range(a + 1))
+
+    def test_top_term_past_the_bound_raises_before_any_work(self):
+        # a row of 2**62 + 1 coefficients is never built
+        with pytest.raises(ExponentOverflow):
+            binomial_power((1,), 1 << 62)
+        with pytest.raises(ExponentOverflow):
+            binomial_power((0, -3), 1 << 61)
+        assert binomial_power((0, 0), 5) == LP.constant(2, 32)
+
+    def test_a_long_twist_within_budget(self, tmp_path, capsys):
+        # q = 10000 on A2 twists by (1 + z^v)^10000: one Pascal row of
+        # 10001 big coefficients, each from the one before it
+        started = time.time()
+        path = tmp_path / "a2.json"
+        path.write_text(json.dumps({"rank": 2, "skew": [[0, 1], [-1, 0]]}))
+        argv = ["laurent-check", str(path), "--side", "A", "--q=10000,0", "--depth", "1"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["laurent_ok"] and report["max_terms"] == 10001
+        elapsed = time.time() - started
+        assert elapsed < 5, f"q = 10000 exceeded 5s: {elapsed:.1f}s"
+
 
 def _max_scan_divide(p, q, max_terms=None):
-    """Single-divisor reduction that rescans the whole remainder for its
-    graded-lex maximum at every step: the route exact_divide took before it
-    packed keys into a heap, kept here as a differential oracle.  With a
-    cap, it raises once the quotient has more than max_terms terms."""
+    """Single-divisor reduction on exponent tuples that rescans the whole
+    remainder for its lexicographic maximum at every step, after the span
+    test of exact_divide: a differential oracle for the packed heap route.
+    With a cap, it raises once the quotient has more than max_terms terms."""
     if p.is_zero():
         return LP.zero(p.nvars)
-    sp, sq = p._frame()[0], q._frame()[0]
+    (sp, php), (sq, qhp) = p._frame(), q._frame()
+    if any(b - a > d - c for a, b, c, d in zip(sq, qhp, sp, php)):
+        return None  # q r = p makes each span of p the sum of q's and r's
     phat = {tuple(x - y for x, y in zip(e, sp)): c for e, c in p.items()}
     qhat = {tuple(x - y for x, y in zip(e, sq)): c for e, c in q.items()}
-    grlex = lambda e: (sum(e), e)
-    qlead = max(qhat, key=grlex)
+    qlead = max(qhat)
     qlc = qhat[qlead]
     quotient, rem = {}, dict(phat)
     while rem:
-        e = max(rem, key=grlex)
+        e = max(rem)
         c = rem[e]
         diff = tuple(x - y for x, y in zip(e, qlead))
         if any(d < 0 for d in diff) or c % qlc != 0:
@@ -307,15 +338,14 @@ def _division_operands(draw):
 def _divide_checked(p, q, max_terms=None):
     """exact_divide, with LaurentPolynomial.shift made to fail when q has
     more than one term: the heap route builds its quotient at its final
-    exponents and shifts nothing.  Its quotient's cached frame and terms
-    must equal a fresh scan and a fresh sort."""
+    exponents and shifts nothing.  Its quotient's cached frame must equal a
+    fresh scan."""
     if q.n_terms() == 1:
         return exact_divide(p, q, max_terms)
     with mock.patch.object(LP, "shift", side_effect=AssertionError("shifted")):
         r = exact_divide(p, q, max_terms)
     if r is not None and not r.is_zero():
         assert r._frame_cache == _fresh_frame(r)
-        assert r._sorted == _fresh_terms(r)
     return r
 
 
@@ -334,14 +364,18 @@ class TestExactDivide:
         # by 1 + x takes one step per term.  The cap of 20 sits above the
         # 19 terms a dividend here can have, so a monomial divisor, which
         # exact_divide checks whole and the oracle term by term, never
-        # reaches it.
+        # reaches it.  Both find the same quotient terms in the same order,
+        # but the guard bits also stop a quotient exponent past the
+        # dividend's span, so an inexact division can end with None before
+        # the oracle, which stops only at a negative exponent, meets the cap.
         p, q, r = operands
         if q.is_zero():
             return
         assert _divide_checked(p * q, q, 20) == p
         for num in (p * q, p * q + r, p):
             expected = _capped(_max_scan_divide, num, q, 20)
-            assert _capped(_divide_checked, num, q, 20) == expected
+            got = _capped(_divide_checked, num, q, 20)
+            assert got == expected or (got is None and expected == "over the cap")
 
     def test_a_huge_quotient_stops_at_the_default_cap(self, monkeypatch):
         # (x^(2^40) + 1) / (1 + x) has no Laurent quotient, and the reduction
@@ -366,20 +400,38 @@ class TestExactDivide:
             exact_divide(r, x, 4)
 
     def test_divisor_lead_exceeds_a_component(self):
-        # x^2 / (1 + y^2): the divisor's lead y^2 has the dividend's total
-        # degree but a larger y exponent, so the guard bit of y fires
+        # x^2 / (1 + y^2): the divisor spans more of y than the dividend
         p = lp(2, {(2, 0): 1})
         q = lp(2, {(0, 0): 1, (0, 2): 1})
         assert exact_divide(p, q) is None
         assert _max_scan_divide(p, q) is None
-        # (x1 x2 x3 - x2^3) / (x1 x2 - x1 x3): the lead x1 x2 does not
-        # divide x2^3, though the packed difference is positive; a sign test
-        # in place of the guard bits accepts it and reduces to a bogus
-        # quotient, since the divisor is homogeneous
+        # (1 + x) / (1 + y^256): in the dividend's 1-byte fields y^256 would
+        # carry into the field of x and pass for x, giving the quotient 1
+        p = lp(2, {(0, 0): 1, (1, 0): 1})
+        q = lp(2, {(0, 0): 1, (0, 256): 1})
+        assert exact_divide(p, q) is None
+        # (x1 x2 x3 - x2^3) / (x1 x2 - x1 x3): less the minima, the leads
+        # differ by x1 x2^-1 x3, a borrow whose packed key is positive; a
+        # sign test in place of the guard bits accepts it and reduces to a
+        # bogus quotient
         p = lp(3, {(1, 1, 1): 1, (0, 3, 0): -1})
         q = lp(3, {(1, 1, 0): 1, (1, 0, 1): -1})
         assert exact_divide(p, q) is None
         assert _max_scan_divide(p, q) is None
+
+    def test_inexact_division_meets_the_cap_or_a_borrow(self, monkeypatch):
+        # (x^50 + y^2) / (x + y^2) has no Laurent quotient.  Reduction by
+        # the lexicographic lead x finds 50 quotient terms x^(49-j) (-y^2)^j
+        # before a borrow in x proves that: past a cap of 20, None below a
+        # cap of 50 or more
+        monkeypatch.delenv(MAX_TERMS_ENV, raising=False)
+        p = lp(2, {(50, 0): 1, (0, 2): 1})
+        q = lp(2, {(1, 0): 1, (0, 2): 1})
+        for divide in (exact_divide, _max_scan_divide):
+            with pytest.raises(ResourceLimitExceeded):
+                divide(p, q, 20)
+            assert divide(p, q, 50) is None
+        assert exact_divide(p, q) is None
 
     def test_square_by_factor(self):
         b = lp(1, {(0,): 1, (1,): 1})
@@ -459,8 +511,6 @@ class TestFastDivisionRoutes:
         if q.is_zero():
             return
         r = _divide_checked(p * q, q)
-        if q.n_terms() > 1 and not p.is_zero():
-            assert r._sorted is not None  # cached while the quotient was built
         shifted = r.shift(move[: r.nvars])
         for poly in (r, shifted):
             assert poly.terms() == _fresh_terms(poly)
@@ -484,33 +534,35 @@ class TestFastDivisionRoutes:
         assert ((x + y) + (-x))._frame_cache is None
         assert (x - x)._frame_cache is None
         # no cancellation: the frame is set, and spans both summands
-        assert (x * x + LP.monomial((0, -3)))._frame_cache == ((0, -3), (2, 0), 5)
+        assert (x * x + LP.monomial((0, -3)))._frame_cache == ((0, -3), (2, 0))
 
-    def test_keys_wider_than_eight_byte_fields(self):
-        # a dividend degree of 9 * 2**60 needs 65 bits with the guard bit,
-        # past every struct field, so the quotient is unpacked field by field,
-        # and the unpacking adds the offset min p - min q = (-3, 4, -2) back
-        a = 3 << 59
-        q = lp(3, {(a, a, a): 1, (0, 0, 0): 1}).shift((-1, 5, -2))
-        r = lp(3, {(a, a, a): 1, (0, 1, 0): -2, (0, 0, 0): -1}).shift((-3, 4, -2))
-        lo, _, top = (q * r)._frame()
-        assert top + sum(lo) == (9 << 60) + 1
+    def test_keys_in_the_widest_fields(self):
+        # a dividend span of 2**63 - 5 in x1 needs all 64 bits of an 8-byte
+        # field with the guard bit, and the unpacking adds the offset
+        # min p - min q = (1 - h, -h, -h) back
+        h = (1 << 61) - 1
+        q = lp(3, {(h, h, h): 1, (-h, 0, 1 - h): 1})
+        r = lp(3, {(h, h, h): 1, (0, 1, 0): -2, (1 - h, -h, -h): -1})
+        lo, hi = (q * r)._frame()
+        span = max(map(sub, hi, lo))
+        assert span == (1 << 63) - 5 and span.bit_length() + 1 == 64
         quotient = _divide_checked(q * r, q)
         assert quotient == r == _max_scan_divide(q * r, q)
         assert quotient.terms() == _fresh_terms(quotient)
         assert exact_divide(q * r + LP.variable(3, 2), q) is None
 
     @pytest.mark.parametrize("a, size", [
-        (10, 1), (1000, 2), (10**6, 4), (10**15, 8), (3 << 59, 9),
-    ], ids=["1-byte", "2-byte", "4-byte", "8-byte", "9-byte"])
+        (10, 1), (1000, 2), (10**6, 4), (10**15, 8), ((1 << 61) - 4, 8),
+    ], ids=["1-byte", "2-byte", "4-byte", "8-byte", "8-byte-top"])
     def test_quotient_frame_in_every_field_size(self, a, size):
-        # negative minima on both operands, and a dividend degree that
-        # needs fields of `size` bytes
+        # negative minima on both operands, and a dividend span that needs
+        # fields of `size` bytes; the top case spans 2**62 + 1 in x1, a
+        # 63-bit span with the guard bit in the top bit
         q = lp(3, {(a, a, a): 1, (-2, 5, 0): -3, (0, -1, -4): 2})
         r = lp(3, {(a, a, a): 2, (-7, 1, 3): 1, (3, -2, 0): -1})
         p = q * r
-        _, _, degree = p._frame()
-        assert _field_size(degree.bit_length() + 1)[0] == size
+        lo, hi = p._frame()
+        assert _field_size(max(map(sub, hi, lo)).bit_length() + 1)[0] == size
         assert _divide_checked(p, q) == r == _max_scan_divide(p, q)
         assert _divide_checked(p, r) == q
         assert _divide_checked(p + LP.variable(3, 0), q) is None
@@ -537,6 +589,54 @@ class TestFastDivisionRoutes:
         with pytest.raises(ExponentOverflow):
             exact_divide(lp(2, {(-h, 0): 2, (0, 1): 2}), LP.monomial((h, 5), c))
 
+
+_EDGE = EXPONENT_LIMIT - 1
+
+
+@st.composite
+def _edge_operands(draw):
+    """(p, q, r, line) with exponents at +-(2**62 - 1), at half of it or
+    near 0: p with exponents <= 0 and q with exponents >= 0 in 1-3
+    variables, so that p * q stays inside the bound, r anywhere, and a
+    Laurent polynomial with one term on each of some lines m + Z(1, -1),
+    m_0 + m_1 in [-3, 3], the twist exponent of _LINE_FORM."""
+    n = draw(st.integers(1, 3))
+    low = st.one_of(st.sampled_from([-_EDGE, -(_EDGE >> 1)]), st.integers(-3, 0))
+    coeffs = st.integers(-5, 5).filter(bool)
+
+    def poly(exps, size):
+        return lp(n, draw(st.dictionaries(st.tuples(*[exps] * n), coeffs, max_size=size)))
+
+    p = poly(low, 3)
+    q = poly(low.map(neg), 3)
+    r = poly(st.one_of(low, low.map(neg)), 2)
+    # far enough inside the bound that the line route packs its frame
+    firsts = st.one_of(st.sampled_from([9 - _EDGE, _EDGE - 9]), st.integers(-3, 3))
+    lines = draw(st.dictionaries(st.integers(-3, 3), st.tuples(firsts, coeffs), max_size=4))
+    return p, q, r, lp(2, {(x, a - x): c for a, (x, c) in lines.items()})
+
+
+_LINE_FORM = LinearForm((1, 1), 1, "unused")
+
+
+class TestFieldSizes:
+    @given(_edge_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_no_kernel_asks_for_more_than_64_bits(self, operands):
+        # every exponent is below 2**62 in magnitude, so every span is below
+        # 2**63, and with exact division's guard bit every field fits 8 bytes
+        p, q, r, line = operands
+        with mock.patch.object(laurent, "_field_size", wraps=laurent._field_size) as spy:
+            product = p * q
+            if not q.is_zero():
+                assert exact_divide(product, q) == p
+                _capped(exact_divide, product + r, q, 20)
+            for g in (_LINE_FORM, -_LINE_FORM):
+                try:
+                    monomial_twist(line, (1, -1), g)
+                except ExponentOverflow:
+                    pass
+        assert all(call.args[0] <= 64 for call in spy.call_args_list)
 
 class TestRationalExpression:
     def test_no_auto_reduction(self):

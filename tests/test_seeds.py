@@ -112,6 +112,55 @@ class TestEpsilon:
         )
 
 
+def _rational_fixed(rng, n):
+    """FixedData of rank n with d != 1 and two or more frozen indices: off
+    the frozen block {e_i, e_j} = t / gcd(d_i, d_j), so that {e_i, e_j} d_j
+    is integral and often {e_i, e_j} is not; on it any fraction t / s."""
+    while True:
+        d = tuple(rng.choice((1, 2, 3, 4, 6)) for _ in range(n))
+        if gcd(*d) == 1 and d != (1,) * n:
+            break
+    frozen = set(rng.sample(range(n), rng.randint(2, n - 1)))
+    skew = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i in frozen and j in frozen:
+                x = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            else:
+                x = Fraction(rng.randint(-3, 3), gcd(d[i], d[j]))
+            skew[i][j], skew[j][i] = x, -x
+    return FixedData(n, Matrix(skew), d, frozen)
+
+
+class TestEpsilonIntegrality:
+    def test_integral_off_the_frozen_block_for_every_accepted_basis(self):
+        # Seed checks no entry of eps: integrality off the frozen block
+        # follows from its column conditions (see _epsilon_from_basis).
+        # Bases come from random elementary column operations, each kept
+        # only when Seed accepts the result.
+        rng = random.Random(47)
+        checked = 0
+        for _ in range(150):
+            n = rng.randint(3, 5)
+            fixed = _rational_fixed(rng, n)
+            b = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(4 * n):
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice((-3, -2, -1, 1, 2, 3))
+                trial = [row[:j] + [row[j] + c * row[i]] + row[j + 1:] for row in b]
+                try:
+                    seed = Seed(fixed, Matrix(trial))
+                except ValidationError:
+                    continue
+                b = trial
+                for x in range(n):
+                    for y in range(n):
+                        if x not in fixed.frozen or y not in fixed.frozen:
+                            assert isinstance(seed.eps[x, y], int), (fixed.d, trial)
+                checked += 1
+        assert checked > 1000, checked
+
+
 class TestMutateSeed:
     def test_markov_k1(self):
         s = mutate_seed(markov_seed(), 1)

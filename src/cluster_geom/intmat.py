@@ -6,8 +6,8 @@ repeated runs produce identical output.  Elimination runs over the
 integers: the determinant and the inverse by one fraction-free (Bareiss)
 Gauss-Jordan elimination, a rational matrix first scaled by the lcm of its
 denominators; ranks, kernels and integer solutions from one Smith
-reduction, which tracks its row and column transforms L and R with
-S = L @ A @ R.
+reduction of the augmented array [[A, I], [I, 0]], whose row operations
+build L and column operations R alongside S = L @ A @ R.
 """
 
 from __future__ import annotations
@@ -129,8 +129,9 @@ class Matrix:
         return 0 if done is None else done[0] * done[1]
 
     def rank(self):
-        """Rank of an integer matrix: its nonzero Smith invariant factors."""
-        return _smith_reduce(self).rank()
+        """Rank of an integer matrix: its nonzero Smith invariant factors,
+        which are the nonzero rows of the diagonal S."""
+        return sum(map(any, _smith_reduce(self)[0]))
 
     def inverse(self):
         """Exact inverse by the fraction-free elimination of [s A | s I],
@@ -193,120 +194,77 @@ def vector_gcd(v):
     return g
 
 
-class _SNFState:
-    """Working state for Smith reduction: S = L @ A @ R, where L collects
-    the row operations and R the column operations (both unimodular)."""
-
-    def __init__(self, a):
-        self.s = [list(row) for row in a.data]
-        self.r, self.c = a.rows, a.cols
-        self.left = [[int(i == j) for j in range(self.r)] for i in range(self.r)]
-        self.right = [[int(i == j) for j in range(self.c)] for i in range(self.c)]
-
-    def row_swap(self, i, j):
-        if i == j:
-            return
-        self.s[i], self.s[j] = self.s[j], self.s[i]
-        self.left[i], self.left[j] = self.left[j], self.left[i]
-
-    def col_swap(self, i, j):
-        if i == j:
-            return
-        for rows in (self.s, self.right):
-            for row in rows:
-                row[i], row[j] = row[j], row[i]
-
-    def row_add(self, i, j, q):
-        # row_i += q * row_j
-        if q == 0:
-            return
-        self.s[i] = [a + q * b for a, b in zip(self.s[i], self.s[j])]
-        self.left[i] = [a + q * b for a, b in zip(self.left[i], self.left[j])]
-
-    def col_add(self, j, i, q):
-        # col_j += q * col_i
-        if q == 0:
-            return
-        for rows in (self.s, self.right):
-            for row in rows:
-                row[j] += q * row[i]
-
-    def row_negate(self, i):
-        self.s[i] = [-x for x in self.s[i]]
-        self.left[i] = [-x for x in self.left[i]]
-
-    def rank(self):
-        return sum(1 for i in range(min(self.r, self.c)) if self.s[i][i] != 0)
-
-    def pivot_search(self, t):
-        best = None
-        for i in range(t, self.r):
-            for j in range(t, self.c):
-                x = abs(self.s[i][j])
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-        return best
-
-
 def _smith_reduce(a):
-    """The final _SNFState of the Smith reduction of A, from which callers
-    read S, L (left) and R (right).  The reduction picks the
-    smallest-magnitude pivot (ties broken by position), which makes the
-    output deterministic."""
+    """The Smith reduction of A: (S, L, R) as lists of rows, with
+    S = L @ A @ R and L, R unimodular.
+
+    It reduces one array M = [[A, I_r], [I_c, 0]], so each operation is
+    applied once: row operations act on the first r rows, which are
+    [S | L], and column operations on the first c columns, which are
+    [S; R].  No operation reaches the zero block, so it is left out.  The
+    pivot is the entry of smallest magnitude (ties broken by position),
+    which makes the output deterministic."""
     if not a.is_integral():
         raise TypeError("Smith normal form needs an integer matrix")
-    st = _SNFState(a)
-    t = 0
-    limit = min(st.r, st.c)
-    while t < limit:
-        found = st.pivot_search(t)
-        if found is None:
+    r, c = a.rows, a.cols
+    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(a.data)]
+    m += [[int(i == j) for j in range(c)] for i in range(c)]
+    for t in range(min(r, c)):
+        best = None
+        for i in range(t, r):
+            row = m[i]
+            for j in range(t, c):
+                x = abs(row[j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+        if best is None:
             break
-        _, pi, pj = found
-        st.row_swap(t, pi)
-        st.col_swap(t, pj)
+        _, pi, pj = best
+        m[t], m[pi] = m[pi], m[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
         while True:
             # clear column t with row operations, restarting if a remainder
             # becomes the new (smaller) pivot
+            p = m[t][t]
             dirty = False
-            for i in range(t + 1, st.r):
-                if st.s[i][t] == 0:
+            for i in range(t + 1, r):
+                if m[i][t] == 0:
                     continue
-                q = st.s[i][t] // st.s[t][t]
-                st.row_add(i, t, -q)
-                if st.s[i][t] != 0:
-                    st.row_swap(t, i)
+                q = m[i][t] // p
+                if q:
+                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                if m[i][t] != 0:
+                    m[t], m[i] = m[i], m[t]
                     dirty = True
                     break
             if dirty:
                 continue
-            for j in range(t + 1, st.c):
-                if st.s[t][j] == 0:
+            for j in range(t + 1, c):
+                if m[t][j] == 0:
                     continue
-                q = st.s[t][j] // st.s[t][t]
-                st.col_add(j, t, -q)
-                if st.s[t][j] != 0:
-                    st.col_swap(t, j)
+                q = m[t][j] // p
+                if q:
+                    for row in m:
+                        row[j] -= q * row[t]
+                if m[t][j] != 0:
+                    for row in m:
+                        row[t], row[j] = row[j], row[t]
                     dirty = True
                     break
             if dirty:
                 continue
             # pivot must divide the rest of the submatrix
-            offender = None
-            for i in range(t + 1, st.r):
-                for j in range(t + 1, st.c):
-                    if st.s[i][j] % st.s[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(t + 1, r) if any(x % p for x in m[i][t + 1:c])), None
+            )
             if offender is None:
                 break
-            st.row_add(t, offender, 1)
-        if st.s[t][t] < 0:
-            st.row_negate(t)
-        t += 1
-    return st
+            m[t] = [x + y for x, y in zip(m[t], m[offender])]
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+    return [row[:c] for row in m[:r]], [row[c:] for row in m[:r]], m[r:]
 
 
 def smith_normal_form(a):
@@ -314,8 +272,8 @@ def smith_normal_form(a):
 
     Returns (L, S, R) with S = L @ A @ R, L and R unimodular, and S
     diagonal with nonnegative entries d_1 | d_2 | ... ."""
-    st = _smith_reduce(a)
-    return Matrix(st.left), Matrix(st.s), Matrix(st.right)
+    s, left, right = _smith_reduce(a)
+    return Matrix(left), Matrix(s), Matrix(right)
 
 
 def smith_diagonal(a):
@@ -377,9 +335,8 @@ def kernel_basis(a):
     normalized (Hermite form, deterministic)."""
     if not a.is_integral():
         raise TypeError("kernel basis needs an integer matrix")
-    st = _smith_reduce(a)
-    raw = [tuple(row[j] for row in st.right) for j in range(st.rank(), a.cols)]
-    return hermite_row_basis(raw, a.cols)
+    s, _, right = _smith_reduce(a)
+    return hermite_row_basis(list(zip(*right))[sum(map(any, s)):], a.cols)
 
 
 def solve_integer(a, b):
@@ -393,17 +350,17 @@ def solve_integer(a, b):
     rhs = b if isinstance(b, list) else [b]
     if any(len(v) != a.rows for v in rhs):
         raise ValueError("right-hand side length mismatch")
-    st = _smith_reduce(a)
+    s, left, right = _smith_reduce(a)
     # the nonzero invariant factors come first, in rows 0 .. rank - 1
-    rank = st.rank()
-    diag = [st.s[i][i] for i in range(rank)]
+    rank = sum(map(any, s))
+    diag = [s[i][i] for i in range(rank)]
     out = []
     for v in rhs:
-        c = [sum(map(mul, row, v)) for row in st.left]
+        c = [sum(map(mul, row, v)) for row in left]
         if any(c[rank:]) or any(x % d for x, d in zip(c, diag)):
             out.append(None)
             continue
         y = [x // d for x, d in zip(c, diag)] + [0] * (a.cols - rank)
-        out.append(tuple(sum(map(mul, row, y)) for row in st.right))
+        out.append(tuple(sum(map(mul, row, y)) for row in right))
     return out if isinstance(b, list) else out[0]
 

@@ -13,8 +13,7 @@ exact quotient's is the difference of the dividend's and the divisor's; a
 shift moves the frame along, and a sum in which no term cancels takes the
 componentwise extremes of its summands' frames.  The frame is the one source
 of the packing and overflow test of products and quotients, of exact
-division's span test, and of max_abs_exponent.  The sorted terms are cached
-too.
+division's span test, and of max_abs_exponent.
 
 Products, line twists and exact division share one packed layout (Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
@@ -130,7 +129,7 @@ def _unpack(packed, lo, size, code):
 
 
 class LaurentPolynomial:
-    __slots__ = ("nvars", "_terms", "_sorted", "_frame_cache")
+    __slots__ = ("nvars", "_terms", "_frame_cache")
 
     def __init__(self, nvars, terms=None):
         cleaned = {}
@@ -146,7 +145,6 @@ class LaurentPolynomial:
             cleaned[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", cleaned)
-        object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_frame_cache", None)
 
     def __setattr__(self, name, value):
@@ -158,7 +156,6 @@ class LaurentPolynomial:
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_frame_cache", frame)
         return self
 
@@ -185,17 +182,9 @@ class LaurentPolynomial:
         return cls.monomial(tuple(1 if j == i else 0 for j in range(nvars)), 1)
 
     def terms(self):
-        """Terms as ((exponents, coefficient), ...) in descending canonical order.
-
-        Sorted once per polynomial and cached, since the polynomial is
-        immutable.
-        """
-        cached = self._sorted
-        if cached is None:
-            t = self._terms
-            cached = tuple((e, t[e]) for e in sorted(t, key=_grlex_key, reverse=True))
-            object.__setattr__(self, "_sorted", cached)
-        return cached
+        """Terms as ((exponents, coefficient), ...) in descending canonical order."""
+        t = self._terms
+        return tuple((e, t[e]) for e in sorted(t, key=_grlex_key, reverse=True))
 
     def items(self):
         return self._terms.items()
@@ -636,14 +625,25 @@ class LinearForm:
         return not sum(map(mul, self.ints, v))
 
 
-@lru_cache(maxsize=64)
+# Pascal rows with a <= _PASCAL_CACHE_MAX are kept once built (257 rows at
+# most); a longer row is built on every call, so that a large twist
+# exponent does not stay in memory
+_PASCAL_CACHE_MAX = 256
+_pascal_rows = {}
+
+
 def _pascal_row(a):
     """(comb(a, 0), ..., comb(a, a)): the coefficients of (1 + t)^a, each
-    from the one before it."""
-    row = [1]
-    for j in range(a):
-        row.append(row[-1] * (a - j) // (j + 1))
-    return tuple(row)
+    from the one before it, cached when a <= _PASCAL_CACHE_MAX."""
+    row = _pascal_rows.get(a)
+    if row is None:
+        row = [1]
+        for j in range(a):
+            row.append(row[-1] * (a - j) // (j + 1))
+        row = tuple(row)
+        if a <= _PASCAL_CACHE_MAX:
+            _pascal_rows[a] = row
+    return row
 
 
 def _times_binomial(coeffs, a):

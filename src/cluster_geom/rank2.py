@@ -326,7 +326,7 @@ def invariance_check(form, path):
                 f"mutated image of basis vector {i} is not primitive"
             )
         ws.append(wi)
-    binv = mutated.basis_inv
+    binv = mutated.basis.inverse()
     carried = [binv.matvec(kappa) for kappa in form.basis]
     return _gram_for_vectors(_surface_for(ws), carried) == form.gram
 

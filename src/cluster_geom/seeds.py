@@ -131,13 +131,12 @@ class Seed:
     of both epsilon routes on random seeds.
     """
 
-    __slots__ = ("fixed", "basis", "_link", "eps", "_basis_inv")
+    __slots__ = ("fixed", "basis", "_link", "eps")
 
     def __init__(self, fixed, basis):
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_link", None)
-        object.__setattr__(self, "_basis_inv", None)
         self._validate_and_derive()
 
     def __setattr__(self, name, value):
@@ -150,7 +149,6 @@ class Seed:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_link", link)
         object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "_basis_inv", None)
         return self
 
     def _validate_and_derive(self):
@@ -170,14 +168,6 @@ class Seed:
         if any(d[i] * b[j, i] % d[j] for i in range(n) for j in range(n)):
             raise ValidationError("scaled columns d_i e_i do not span the expected sublattice")
         object.__setattr__(self, "eps", _epsilon_from_basis(fx, b))
-
-    @property
-    def basis_inv(self):
-        cached = self._basis_inv
-        if cached is None:
-            cached = self.basis.inverse()
-            object.__setattr__(self, "_basis_inv", cached)
-        return cached
 
     @property
     def n(self):
@@ -217,9 +207,10 @@ class Seed:
     def f_vector(self, i):
         """Dual basis vector f_i = e_i^*/d_i in initial dual coordinates."""
         d = self.fixed.d
+        inv = self.basis.inverse()
         out = []
         for a in range(self.n):
-            x = Fraction(d[a], d[i]) * self.basis_inv[i, a]
+            x = Fraction(d[a], d[i]) * inv[i, a]
             out.append(_as_int(x, "dual basis coordinate"))
         return tuple(out)
 

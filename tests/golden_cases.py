@@ -36,6 +36,9 @@ A3_FROZEN = {**A4, "frozen": [3]}
 NINE_RAY = {"w": [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3}
 TRIANGLE = {"w": [[1, 0], [0, 1], [-1, -1]]}
 WEIGHTED_TRIANGLE = {**TRIANGLE, "nu": [3, 3, 3]}
+# eleven rays: the plane data g11 of the perfbench geometry workload, seed 2
+G11 = {"w": [[1, -1], [-1, 0], [1, 0], [-1, -1], [1, 1], [1, 0], [0, -1], [0, -1],
+             [1, -1], [-1, 1], [1, 1]]}
 # rank 4 with d = (1, 2, 1, 1), frozen indices 2 and 3, a unimodular basis
 # that is not the identity, and the rational entry 1/2 in the frozen block
 RANK4_FROZEN = {
@@ -53,6 +56,10 @@ CASES = {
     # a 44-ray fan: the cone from (1, 0) to (1, 40) resolves into a
     # continued-fraction chain of 39 rays
     "rank2_w40_2": ({"w": [[1, 0], [0, 1], [1, 40]]}, ["rank2", "--mutations", "2"]),
+    # K_basis is the Hermite form of columns of the Smith transform R, and
+    # it keeps -1 and -2 above the pivot 2 of its eighth row: that form is
+    # not canonical, so a change to R shows here
+    "rank2_g11_6_10_3": (G11, ["rank2", "--mutations", "6,10,3"]),
     "explore_markov_d6": (MARKOV, ["explore", "--depth", "6"]),
     "explore_cycle4_d3": (CYCLE4, ["explore", "--depth", "3"]),
     "explore_a4_d5_unlabeled": (A4, ["explore", "--depth", "5", "--dedup", "unlabeled"]),

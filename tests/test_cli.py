@@ -401,6 +401,20 @@ class TestLaurentCheck:
         )
         assert out.returncode == 0
 
+    def test_a_long_pascal_row_is_not_kept(self, a2_file, capsys):
+        # the twist reads the row of (1 + t)^30000, about 80 MB of ints,
+        # which must not outlive the job
+        from cluster_geom import laurent
+
+        code = cli.main(["laurent-check", a2_file, "--side", "A", "--q=30000,0", "--depth", "1"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "depth": 1, "laurent_ok": True, "max_degree": 30000, "max_terms": 30001,
+            "paths_checked": 2, "q": [30000, 0], "side": "A", "witnesses": [],
+        }
+        rows = laurent._pascal_rows.values()
+        assert max(map(len, rows), default=0) <= laurent._PASCAL_CACHE_MAX + 1
+
 
 class TestPicard:
     def test_markov(self, markov_file):

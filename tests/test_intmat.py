@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -111,6 +112,37 @@ class TestSmithNormalForm:
     def test_rejects_rational(self):
         with pytest.raises(TypeError):
             smith_normal_form(Matrix([[Fraction(1, 2)]]))
+
+
+class TestPinnedTransforms:
+    """(L, S, R) exactly as the pivot rule and the order of operations give
+    them.  The transforms are not unique, and kernel_basis prints a Hermite
+    form of columns of R that is not canonical, so any change to the
+    reduction's operations shows in CLI stdout; these pins show it first."""
+
+    @pytest.mark.parametrize("a, left, s, right", [
+        # a row remainder
+        ([[2], [3]], [[-1, 1], [3, -2]], [[1], [0]], [[1]]),
+        # a column remainder
+        ([[2, 3]], [[1]], [[1, 0]], [[-1, 3], [1, -2]]),
+        # a column remainder, the divisibility fix-up and a negated pivot
+        ([[2, 0], [0, 3]], [[1, 1], [3, 2]], [[1, 0], [0, 6]], [[-1, 3], [1, -2]]),
+        ([[-3, 5], [7, -2]], [[-1, -3], [2, 5]], [[1, 0], [0, 29]], [[0, 1], [1, 18]]),
+    ])
+    def test_small_cases(self, a, left, s, right):
+        assert smith_normal_form(Matrix(a)) == (Matrix(left), Matrix(s), Matrix(right))
+
+    def test_random_digest(self):
+        rng = random.Random(2121)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            rows, cols, density = rng.randint(1, 6), rng.randint(1, 6), rng.random()
+            a = Matrix([[rng.randint(-9, 9) if rng.random() < density else 0
+                         for _ in range(cols)] for _ in range(rows)])
+            digest.update(repr(tuple(m.data for m in smith_normal_form(a))).encode())
+        assert digest.hexdigest() == (
+            "68c31383f751153181c091a128a931cf67dde669d116ee1f648532df95d44ef8"
+        )
 
 
 def _is_saturated_family(vectors):

@@ -30,7 +30,25 @@ key.  A seed (basis, checked exchange matrix, path) is built only for a
 child that is a new node, or by the step that solves a relation, so every
 stored node holds a real seed and a repeat edge builds none.  A mutated
 exchange matrix is again skew-symmetrizable with the same d (Fomin and
-Zelevinsky, Prop. 4.5), so the unchecked rule serves the key.
+Zelevinsky, Prop. 4.5), so the unchecked rule serves the key, and a new
+node's seed is built from the rows its key was made of.
+
+A relation that is solved is also solved for its images under the signed
+symmetries of the root: the index permutations s that map frozen indices
+to frozen ones and have one sign t with eps[s(i)][s(j)] = t eps[i][j].
+Renaming x_i to x_s(i) is a ring automorphism s* of the Laurent ring, so it
+maps the true relation new * old = P+ + P- to a true relation, with old,
+new and the variables of P+- replaced by their images; the sign t only
+swaps P+ and P-.  The memo records that image relation with s*(new), and
+no division takes place for it.  This holds for every permutation, so a
+symmetry that the search misses only shares less, and a permutation that
+is not a symmetry changes no answer.  A symmetry maps label paths from the
+root to label paths of the same length, so every image is a relation that
+the search meets at the same depth anyway; explore keeps only the
+generators whose s* maps the root's variables as s maps its indices, which
+holds for initial variables.  s* keeps term counts, so a relation that
+passes the term cap is never solved, and each of its images passes it too
+when it is met.
 
 Everything runs serially in one thread: the work is pure Python and holds
 the GIL, so threads cannot speed it up.
@@ -39,6 +57,7 @@ the GIL, so threads cannot speed it up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     LaurentViolation,
@@ -56,7 +75,7 @@ from .laurent import (
     inverse_pullback_X,
     max_terms_limit,
 )
-from .seeds import Seed, _mutated_rows, mutate_seed
+from .seeds import Seed, _exchange_matrix, _mutated_rows, _mutated_seed, mutate_seed
 
 
 @dataclass(frozen=True)
@@ -129,14 +148,15 @@ def step(node, k, max_terms=None):
             path=seed.path + (k,),
             expression=RationalExpression(p, old),
         )
-    return _exchanged(node, k, new_var)
+    return _exchanged(node, k, new_var, mutate_seed(seed, k))
 
 
-def _exchanged(node, k, new_var):
-    """The child of a node at index k, whose k-th variable is new_var."""
+def _exchanged(node, k, new_var, seed):
+    """The child of a node at index k, with the given seed, whose k-th
+    variable is new_var."""
     vars_new = list(node.cluster_vars)
     vars_new[k] = new_var
-    return SeedNode(mutate_seed(node.seed, k), tuple(vars_new), node.depth + 1)
+    return SeedNode(seed, tuple(vars_new), node.depth + 1)
 
 
 # -- node keys ---------------------------------------------------------------
@@ -167,6 +187,119 @@ def _node_key(eps, fixed, ranks, dedup):
         tuple(tuple(eps[a][b] for b in order) for a in order),
         tuple(ranks[a] for a in order),
     )
+
+
+# -- signed symmetries of the root --------------------------------------------
+
+# The candidate tests that the symmetry search may make, per squared rank.
+_SYMMETRY_BUDGET = 64
+
+
+def _symmetry_generators(eps, frozen):
+    """Generators of the group of index permutations s, each as the tuple
+    (s(0), ..., s(n-1)), that map frozen indices to frozen ones and have one
+    sign t = +-1 with eps[s(i)][s(j)] = t eps[i][j] for all i, j.  The
+    search makes at most _SYMMETRY_BUDGET * n^2 candidate tests and returns
+    the generators found by then."""
+    return _symmetry_search(eps, frozen, _SYMMETRY_BUDGET * len(eps) ** 2)[0]
+
+
+def _symmetry_search(eps, frozen, budget):
+    """(generators, candidate tests made), by a stabilizer chain: for i from
+    n - 1 down to 0, and for each c > i outside the orbit of i under the
+    generators found so far, search for one symmetry that fixes 0..i-1 and
+    sends i to c.  Unless the budget runs out, the generators found from
+    level i on generate the symmetries that fix 0..i-1: they lie in that
+    group, contain generators of the stabilizer of 0..i, and move i across
+    its whole orbit.
+
+    The search extends a partial map index by index.  The candidates for
+    s(j) are the indices of j's kind (frozen or not) whose sorted row is
+    sorted(t row j), and a candidate test checks one candidate against
+    every index mapped so far.  Once `budget` tests are spent the search
+    stops and keeps what it found."""
+    n = len(eps)
+    frozen = set(frozen)
+    kind = {}  # (frozen, sorted row) -> indices
+    for i, row in enumerate(eps):
+        kind.setdefault((i in frozen, tuple(sorted(row))), []).append(i)
+    candidates = {
+        t: [kind.get((j in frozen, tuple(sorted(t * x for x in row))), ())
+            for j, row in enumerate(eps)]
+        for t in (1, -1)
+    }
+    cols = tuple(zip(*eps))
+    generators = []
+    tests = 0
+
+    def fits(s, x, t):
+        """Whether index len(s) may map to x, given the images s of the
+        indices before it; False once the budget is spent."""
+        nonlocal tests
+        if tests == budget:
+            return False
+        tests += 1
+        j = len(s)
+        row, col, image_row, image_col = eps[j], cols[j], eps[x], cols[x]
+        # the diagonal of a skew-symmetrizable matrix is zero
+        return all(
+            image_row[y] == t * row[a] and image_col[y] == t * col[a]
+            for a, y in enumerate(s)
+        )
+
+    def complete(s, t):
+        """The symmetry with sign t that extends s, or None."""
+        if len(s) == n:
+            return tuple(s)
+        for x in candidates[t][len(s)]:
+            if x not in s and fits(s, x, t):
+                found = complete(s + [x], t)
+                if found:
+                    return found
+        return None
+
+    for i in range(n - 1, -1, -1):
+        orbit = {i}
+        # a symmetry that fixes 0..i-1 has the sign -1 only if eps vanishes
+        # on them
+        zero = not any(eps[a][b] for a in range(i) for b in range(i))
+        for c in range(i + 1, n):
+            if c in orbit:
+                continue
+            for t in (1, -1) if zero else (1,):
+                s = list(range(i))
+                if c in candidates[t][i] and fits(s, c, t):
+                    found = complete(s + [c], t)
+                    if found:
+                        generators.append(found)
+                        orbit = _orbit(i, generators)
+                        break
+            if tests == budget:
+                return generators, tests
+    return generators, tests
+
+
+def _orbit(i, generators):
+    orbit = {i}
+    todo = [i]
+    while todo:
+        x = todo.pop()
+        for g in generators:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                todo.append(g[x])
+    return orbit
+
+
+def _relation(pairs):
+    """The rank-sorted (rank, exponent) pairs of a relation, negated if the
+    first exponent is negative: the exchange polynomial is symmetric in its
+    two monomials.  A seed's variables are distinct, so negating keeps the
+    sort order."""
+    relation = sorted(pairs)
+    if relation and relation[0][1] < 0:
+        relation = [(r, -e) for r, e in relation]
+    return tuple(relation)
 
 
 @dataclass(frozen=True)
@@ -237,12 +370,33 @@ def explore(root, depth, dedup="labeled", max_terms=None):
     edges = []
     truncated = False
     frontier = [0]
-    # (rank of old, relation) -> rank of new, where the relation is the
-    # rank-sorted (rank, exponent) pairs of the nonzero entries of row k,
-    # negated if the first exponent is negative: the exchange polynomial is
-    # symmetric in its two monomials.  A seed's variables are distinct, so
-    # negating keeps the sort order.
+    # (rank of old, relation) -> rank of new, where the relation is
+    # _relation of the (rank, exponent) pairs of the nonzero entries of row k
     solved = {}
+
+    def mover(g):
+        """rank -> rank of g*(variable), where g* renames x_i to x_g(i);
+        each image is computed once."""
+        exponents = itemgetter(*[g.index(j) for j in range(fixed.n)])
+        images = {}
+
+        def move(rank):
+            image = images.get(rank)
+            if image is None:
+                v = variables[rank]
+                image = images[rank] = intern(LaurentPolynomial._raw(
+                    v.nvars, {exponents(m): c for m, c in v.items()}
+                ))
+            return image
+        return move
+
+    # the symmetries that map the root's variables as they map its indices,
+    # so that they map the explored ball to itself
+    movers = []
+    for g in _symmetry_generators(root.seed.eps.data, fixed.frozen):
+        move = mover(g)
+        if all(move(r) == root_ranks[j] for r, j in zip(root_ranks, g)):
+            movers.append(move)
     for _ in range(depth):
         if not frontier:  # the graph is complete; deeper levels add nothing
             break
@@ -251,10 +405,7 @@ def explore(root, depth, dedup="labeled", max_terms=None):
             node, ranks = nodes[nid], ranks_of[nid]
             eps = node.seed.eps.data
             for k in unfrozen:
-                relation = sorted((ranks[j], e) for j, e in enumerate(eps[k]) if e)
-                if relation and relation[0][1] < 0:
-                    relation = [(r, -e) for r, e in relation]
-                relation = tuple(relation)
+                relation = _relation((ranks[j], e) for j, e in enumerate(eps[k]) if e)
                 new = solved.get((ranks[k], relation))
                 if new is None:
                     try:
@@ -269,9 +420,21 @@ def explore(root, depth, dedup="labeled", max_terms=None):
                         vars_new[k] = variables[new]
                         child = SeedNode(child.seed, tuple(vars_new), child.depth)
                     # row k of the child's matrix is minus row k, which
-                    # gives the same relation
+                    # gives the same relation; each image of the relation
+                    # under the symmetries is recorded with it
                     solved[(ranks[k], relation)] = new
                     solved[(new, relation)] = ranks[k]
+                    todo = [(ranks[k], relation, new)]
+                    while todo:
+                        old_rank, rel, new_rank = todo.pop()
+                        for move in movers:
+                            old_image = move(old_rank)
+                            image = _relation((move(r), e) for r, e in rel)
+                            if (old_image, image) not in solved:
+                                new_image = move(new_rank)
+                                solved[(old_image, image)] = new_image
+                                solved[(new_image, image)] = old_image
+                                todo.append((old_image, image, new_image))
                     child_eps = child.seed.eps.data
                 else:
                     # the seed is built only if the child is a new node
@@ -282,7 +445,10 @@ def explore(root, depth, dedup="labeled", max_terms=None):
                 cid = ids.get(key)
                 if cid is None:
                     if child is None:
-                        child = _exchanged(node, k, variables[new])
+                        child_seed = _mutated_seed(
+                            node.seed, k, _exchange_matrix(child_eps, k)
+                        )
+                        child = _exchanged(node, k, variables[new], child_seed)
                     cid = len(nodes)
                     ids[key] = cid
                     nodes.append(child)

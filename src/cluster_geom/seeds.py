@@ -320,7 +320,12 @@ def mutate_epsilon(eps, d, k):
     n = eps.rows
     if not 0 <= k < n:
         raise ValidationError(f"mutation index {k} out of range")
-    rows = _mutated_rows(eps.data, k)
+    return _exchange_matrix(_mutated_rows(eps.data, k), k)
+
+
+def _exchange_matrix(rows, k):
+    """The Matrix of the rows that _mutated_rows gives at k, skipping
+    normalization when row and column k are integral."""
     if all(x.__class__ is int for x in rows[k]) and all(
         row[k].__class__ is int for row in rows
     ):
@@ -341,9 +346,14 @@ def mutate_seed(seed, k):
         raise ValidationError(f"cannot mutate at frozen index {k}")
     if not 0 <= k < seed.n:
         raise ValidationError(f"mutation index {k} out of range")
-    eps = seed.eps
-    # column k of eps is integral because k is unfrozen
-    c = [pos_part(row[k]) for row in eps.data]
+    return _mutated_seed(seed, k, mutate_epsilon(seed.eps, seed.fixed.d, k))
+
+
+def _mutated_seed(seed, k, eps):
+    """mutate_seed at an unfrozen index k in range, unchecked, given the
+    mutated exchange matrix eps."""
+    # column k of the seed's exchange matrix is integral because k is unfrozen
+    c = [pos_part(row[k]) for row in seed.eps.data]
     basis = []
     for row in seed.basis.data:
         b = row[k]
@@ -353,10 +363,7 @@ def mutate_seed(seed, k):
             row = tuple(row)
         basis.append(row)
     return Seed._trusted(
-        seed.fixed,
-        Matrix._trusted(tuple(basis)),
-        (k, seed._link),
-        mutate_epsilon(eps, seed.fixed.d, k),
+        seed.fixed, Matrix._trusted(tuple(basis)), (k, seed._link), eps
     )
 
 

@@ -62,6 +62,10 @@ CASES = {
     "rank2_g11_6_10_3": (G11, ["rank2", "--mutations", "6,10,3"]),
     "explore_markov_d6": (MARKOV, ["explore", "--depth", "6"]),
     "explore_cycle4_d3": (CYCLE4, ["explore", "--depth", "3"]),
+    # unlabeled keys on a seed with eight signed symmetries (117 nodes)
+    "explore_cycle4_d4_unlabeled": (
+        CYCLE4, ["explore", "--depth", "4", "--dedup", "unlabeled"]
+    ),
     "explore_a4_d5_unlabeled": (A4, ["explore", "--depth", "5", "--dedup", "unlabeled"]),
     "laurent_check_markov_A100_d5": (
         MARKOV, ["laurent-check", "--side", "A", "--q", "1,0,0", "--depth", "5"]

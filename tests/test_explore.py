@@ -40,6 +40,7 @@ from golden_cases import NINE_RAY
 LP = LaurentPolynomial
 # the module, which the package's `explore` function shadows as an attribute
 explore_module = importlib.import_module("cluster_geom.explore")
+seeds_module = importlib.import_module("cluster_geom.seeds")
 
 A2 = [[0, 1], [-1, 0]]
 MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
@@ -48,6 +49,7 @@ D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 A5 = [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0],
       [0, 0, -1, 0, 1], [0, 0, 0, -1, 0]]
 A3 = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
+A4 = [row[:4] for row in A5[:4]]
 # type B3: skew [[0,1,0],[-1,0,1],[0,-1,0]] with d = (1, 1, 2)
 B3 = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
 
@@ -462,8 +464,12 @@ def _assert_nodes_replay(root, graph):
 
 
 class TestSolvedRelations:
+    # Markov, the 4-cycle and nine-ray share relations across their signed
+    # symmetries (6, 8 and 1296 of them)
     @pytest.mark.parametrize("eps, d, depth", [
         (A5, None, 5), (D4, None, 5), (MARKOV, None, 4), (B3, (1, 1, 2), 6),
+        (MARKOV, None, 5), (CYCLE4, None, 3),
+        (build_seed(Rank2Data(**NINE_RAY)).eps.data, None, 3),
     ])
     def test_every_node_replays_along_its_path(self, eps, d, depth):
         root = root_node(seed_from_epsilon(eps, d))
@@ -473,11 +479,14 @@ class TestSolvedRelations:
     @pytest.mark.parametrize("frozen", [(), (4,)], ids=["A5", "A5-frozen"])
     def test_a_seed_is_built_only_for_a_kept_node(self, frozen, monkeypatch):
         # a repeat edge computes the child's exchange matrix and no seed;
-        # the seeds that are built are the kept nodes' and the steps'
+        # the seeds that are built are the kept nodes' and the steps'.
+        # Every seed is built by _mutated_seed: a step's through the checked
+        # mutate_seed, a kept repeat edge's straight from its keyed rows
         root = root_node(seed_from_epsilon(A5, frozen=frozen))
         public_step, public_mutate = explore_module.step, explore_module.mutate_seed
+        built_seed = seeds_module._mutated_seed
         for dedup in ("labeled", "unlabeled"):
-            steps, mutations = [], []
+            steps, mutations, builds = [], [], []
 
             def record_step(node, k, max_terms=None):
                 steps.append(k)
@@ -487,12 +496,19 @@ class TestSolvedRelations:
                 mutations.append(k)
                 return public_mutate(seed, k)
 
+            def record_build(seed, k, eps):
+                builds.append(k)
+                return built_seed(seed, k, eps)
+
             monkeypatch.setattr(explore_module, "step", record_step)
             monkeypatch.setattr(explore_module, "mutate_seed", record_mutation)
+            monkeypatch.setattr(explore_module, "_mutated_seed", record_build)
+            monkeypatch.setattr(seeds_module, "_mutated_seed", record_build)
             graph = explore(root, 6, dedup=dedup)
             monkeypatch.undo()
-            assert len(mutations) <= len(graph.nodes) - 1 + len(steps)
-            assert len(mutations) < len(graph.edges)
+            assert len(mutations) == len(steps)
+            assert len(builds) <= len(graph.nodes) - 1 + len(steps)
+            assert len(builds) < len(graph.edges)
             if (dedup, frozen) == ("labeled", ()):
                 assert (len(graph.nodes), len(graph.edges)) == (811, 1830)
             _assert_nodes_replay(root, graph)
@@ -555,6 +571,170 @@ class TestSolvedRelations:
         assert len(relations) == len(solved)
         variables = [v for node in graph.nodes for v in node.cluster_vars]
         assert len({id(v) for v in variables}) == len({v.terms() for v in variables})
+
+
+def _signed_symmetries(eps, frozen):
+    """Brute force: the permutations s of the indices that map frozen ones
+    to frozen ones and have a sign t with eps[s(i)][s(j)] = t eps[i][j]."""
+    n = len(eps)
+    return {
+        s for s in permutations(range(n))
+        if all((s[i] in frozen) == (i in frozen) for i in range(n))
+        and any(
+            all(eps[s[i]][s[j]] == t * eps[i][j] for i in range(n) for j in range(n))
+            for t in (1, -1)
+        )
+    }
+
+
+def _group(generators, n):
+    """The permutations that the generators generate."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        s = todo.pop()
+        for g in generators:
+            gs = tuple(g[x] for x in s)
+            if gs not in group:
+                group.add(gs)
+                todo.append(gs)
+    return group
+
+
+def _random_symmetric_matrix(rng, n):
+    """(eps, frozen): in turn a skew-symmetrizable eps = S D with d_i in
+    {1, 2} and random frozen indices, or a skew-symmetric eps built to have
+    a random signed symmetry s, whose frozen indices are whole cycles of s.
+    Entries of S are 0, +-1 and +-2."""
+    entries = (0, 0, 1, -1, 2, -2)
+    if rng.random() < 0.5:
+        d = [rng.choice((1, 1, 2)) for _ in range(n)]
+        eps = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                x = rng.choice(entries)
+                eps[i][j], eps[j][i] = x * d[j], -x * d[i]
+        frozen = {i for i in range(n) if rng.random() < 0.2}
+        return tuple(map(tuple, eps)), frozen
+    s = list(range(n))
+    rng.shuffle(s)
+    t = rng.choice((1, -1))
+    eps = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) in eps:
+                continue
+            # the orbit of (i, j) under s, with eps[s a][s b] = t eps[a][b];
+            # an orbit that meets itself with the other sign is zero
+            orbit, a, b, x = {}, i, j, rng.choice(entries)
+            while (a, b) not in orbit:
+                orbit[(a, b)], orbit[(b, a)] = x, -x
+                a, b, x = s[a], s[b], t * x
+            consistent = orbit[(a, b)] == x
+            eps.update((key, x if consistent else 0) for key, x in orbit.items())
+    frozen = set()
+    for i in range(n):
+        if rng.random() < 0.2:
+            while i not in frozen:
+                frozen.add(i)
+                i = s[i]
+    return tuple(tuple(eps.get((i, j), 0) for j in range(n)) for i in range(n)), frozen
+
+
+class TestSymmetrySearch:
+    @pytest.mark.parametrize("eps, order", [
+        (MARKOV, 6), (CYCLE4, 8), (A3, 2), (A5, 2), (D4, 2),
+        (build_seed(Rank2Data(**NINE_RAY)).eps.data, 1296),
+    ], ids=["Markov", "cycle4", "A3", "A5", "D4", "nine-ray"])
+    def test_group_orders(self, eps, order):
+        generators = explore_module._symmetry_generators(eps, ())
+        assert len(_group(generators, len(eps))) == order
+
+    def test_generators_generate_the_brute_force_group(self):
+        rng = random.Random(2202)
+        nontrivial = 0
+        for _ in range(320):
+            n = rng.randint(1, 6)
+            eps, frozen = _random_symmetric_matrix(rng, n)
+            expected = _signed_symmetries(eps, frozen)
+            generators = explore_module._symmetry_generators(eps, frozen)
+            assert _group(generators, n) == expected, (eps, frozen)
+            nontrivial += len(expected) > 1
+        assert nontrivial > 100
+
+    def test_candidate_tests_stay_within_the_budget(self):
+        # counted, not timed: the budget bounds the search on any input
+        rng = random.Random(2203)
+        for _ in range(60):
+            n = rng.randint(2, 30)
+            eps, frozen = _random_symmetric_matrix(rng, n)
+            budget = explore_module._SYMMETRY_BUDGET * n * n
+            generators, tests = explore_module._symmetry_search(eps, frozen, budget)
+            assert tests <= budget
+            assert all(sorted(g) == list(range(n)) for g in generators)
+        # the zero matrix of rank 30: every permutation of its 25 unfrozen
+        # and of its 5 frozen indices
+        zero = ((0,) * 30,) * 30
+        generators, tests = explore_module._symmetry_search(zero, range(5), 64 * 900)
+        assert tests <= 30 * 30
+        assert len(generators) == 28
+
+    def test_a_search_without_budget_changes_no_report(self, monkeypatch):
+        root = seed_from_epsilon(MARKOV)
+        expected = explore(root, 6).report()
+        monkeypatch.setattr(explore_module, "_SYMMETRY_BUDGET", 0)
+        assert explore_module._symmetry_generators(MARKOV, ()) == []
+        assert explore(root, 6).report() == expected
+
+
+def _variable_terms(graph):
+    return [tuple(v.terms() for v in node.cluster_vars) for node in graph.nodes]
+
+
+class TestSymmetricMemo:
+    @pytest.mark.parametrize("eps, d, frozen, depth", [
+        (MARKOV, None, (), 5), (A4, None, (), 5), (B3, (1, 1, 2), (), 6),
+        (A4, None, (3,), 6),
+    ], ids=["Markov", "A4", "B3", "A3-frozen"])
+    def test_random_permutations_change_no_answer(
+            self, eps, d, frozen, depth, monkeypatch):
+        root = seed_from_epsilon(eps, d, frozen)
+        n = root.n
+        monkeypatch.setattr(explore_module, "_symmetry_generators", lambda *args: [])
+        expected = {
+            dedup: explore(root, depth, dedup=dedup) for dedup in ("labeled", "unlabeled")
+        }
+        rng = random.Random(f"{n}/{depth}")
+
+        def random_permutations(eps, frozen):
+            out = []
+            for _ in range(3):
+                s = list(range(n))
+                rng.shuffle(s)
+                out.append(tuple(s))
+            return out
+
+        monkeypatch.setattr(explore_module, "_symmetry_generators", random_permutations)
+        for dedup, graph in expected.items():
+            shared = explore(root, depth, dedup=dedup)
+            assert shared.report() == graph.report()
+            assert shared.edges == graph.edges
+            assert _variable_terms(shared) == _variable_terms(graph)
+
+    @pytest.mark.parametrize("eps, depth, most", [
+        (MARKOV, 5, 16), (CYCLE4, 3, 6),
+    ], ids=["Markov", "cycle4"])
+    def test_a_relation_is_solved_once_per_orbit(self, eps, depth, most, monkeypatch):
+        steps = []
+        public_step = explore_module.step
+
+        def record_step(node, k, max_terms=None):
+            steps.append(k)
+            return public_step(node, k, max_terms)
+
+        monkeypatch.setattr(explore_module, "step", record_step)
+        explore(seed_from_epsilon(eps), depth)
+        assert 0 < len(steps) <= most
 
 
 class TestVerifyLaurent:

@@ -220,19 +220,28 @@ def cmd_rank2(args):
         raise ValidationError(
             "rank2 analysis needs a file with a 'w'/'nu' block"
         )
-    paths = []
-    if args.mutations is not None:
-        paths = [_parse_int_list(args.mutations)]
-    for path in paths:
-        for k in path:
-            if not 0 <= k < seed.n:
-                raise ValidationError(f"mutation index {k} out of range")
-    out = {
+    path = None if args.mutations is None else _parse_int_list(args.mutations)
+    for k in path or ():
+        if not 0 <= k < seed.n:
+            raise ValidationError(f"mutation index {k} out of range")
+    out = dict.fromkeys((
+        "boundary_self_intersections", "all_minus_two", "non_noetherian_principal",
+        "K_basis", "gram", "classification", "inertia", "fg_conjecture_possible",
+        "invariance_ok",
+    ))
+    out.update({
         "epsilon": _encode_matrix(seed.eps),
         "is_coprime_seed": is_coprime_seed(seed),
         "totally_coprime_sufficient": totally_coprime_sufficient(seed),
-    }
-    if all(x == 1 for x in data.nu):
+        "invariance_checked_paths": [],
+    })
+    if any(x != 1 for x in data.nu):
+        out["supported"] = False
+        out["note"] = (
+            "weighted data (some nu_i > 1) gives singular surfaces; such "
+            "examples can be non-finitely generated but are outside this checker"
+        )
+    else:
         form = symmetric_form(data)
         nfg = non_fg_flag(form)
         fg = fg_failure_flag(form)
@@ -247,31 +256,9 @@ def cmd_rank2(args):
             "inertia": fg["inertia"],
             "fg_conjecture_possible": fg["fg_conjecture_possible"],
         })
-        checked = []
-        ok = True
-        for path in paths:
-            ok = ok and invariance_check(form, tuple(path))
-            checked.append(list(path))
-        out["invariance_checked_paths"] = checked
-        out["invariance_ok"] = ok if checked else None
-    else:
-        out.update({
-            "supported": False,
-            "note": (
-                "weighted data (some nu_i > 1) gives singular surfaces; such "
-                "examples can be non-finitely generated but are outside this checker"
-            ),
-            "boundary_self_intersections": None,
-            "all_minus_two": None,
-            "non_noetherian_principal": None,
-            "K_basis": None,
-            "gram": None,
-            "classification": None,
-            "inertia": None,
-            "fg_conjecture_possible": None,
-            "invariance_checked_paths": [],
-            "invariance_ok": None,
-        })
+        if path is not None:
+            out["invariance_checked_paths"] = [path]
+            out["invariance_ok"] = invariance_check(form, tuple(path))
     _emit(out)
     return EXIT_OK
 

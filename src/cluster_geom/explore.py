@@ -75,7 +75,7 @@ from .laurent import (
     inverse_pullback_X,
     max_terms_limit,
 )
-from .seeds import Seed, _exchange_matrix, _mutated_rows, _mutated_seed, mutate_seed
+from .seeds import Seed, _mutated_rows, _mutated_seed, mutate_seed
 
 
 @dataclass(frozen=True)
@@ -291,6 +291,27 @@ def _orbit(i, generators):
     return orbit
 
 
+def _record(solved, movers, old, relation, new):
+    """Record in the memo that the relation turns the variable of rank old
+    into the one of rank new, and the same for each image of it under the
+    symmetries.  The child's row k is minus the parent's, which gives the
+    same relation, so each is recorded both ways.  An image's new variable
+    is moved only if the image is not solved yet."""
+    solved[(old, relation)] = new
+    solved[(new, relation)] = old
+    todo = [(old, relation, new)]
+    while todo:
+        old, relation, new = todo.pop()
+        for move in movers:
+            old_image = move(old)
+            image = _relation((move(r), e) for r, e in relation)
+            if (old_image, image) not in solved:
+                new_image = move(new)
+                solved[(old_image, image)] = new_image
+                solved[(new_image, image)] = old_image
+                todo.append((old_image, image, new_image))
+
+
 def _relation(pairs):
     """The rank-sorted (rank, exponent) pairs of a relation, negated if the
     first exponent is negative: the exchange polynomial is symmetric in its
@@ -413,45 +434,23 @@ def explore(root, depth, dedup="labeled", max_terms=None):
                     except ResourceLimitExceeded:
                         truncated = True
                         continue
-                    var = child.cluster_vars[k]
-                    new = intern(var)
-                    if var is not variables[new]:  # found before, elsewhere
-                        vars_new = list(child.cluster_vars)
-                        vars_new[k] = variables[new]
-                        child = SeedNode(child.seed, tuple(vars_new), child.depth)
-                    # row k of the child's matrix is minus row k, which
-                    # gives the same relation; each image of the relation
-                    # under the symmetries is recorded with it
-                    solved[(ranks[k], relation)] = new
-                    solved[(new, relation)] = ranks[k]
-                    todo = [(ranks[k], relation, new)]
-                    while todo:
-                        old_rank, rel, new_rank = todo.pop()
-                        for move in movers:
-                            old_image = move(old_rank)
-                            image = _relation((move(r), e) for r, e in rel)
-                            if (old_image, image) not in solved:
-                                new_image = move(new_rank)
-                                solved[(old_image, image)] = new_image
-                                solved[(new_image, image)] = old_image
-                                todo.append((old_image, image, new_image))
-                    child_eps = child.seed.eps.data
+                    seed = child.seed
+                    new = intern(child.cluster_vars[k])
+                    _record(solved, movers, ranks[k], relation, new)
+                    child_eps = seed.eps.data
                 else:
                     # the seed is built only if the child is a new node
-                    child = None
+                    seed = None
                     child_eps = _mutated_rows(eps, k)
                 child_ranks = ranks[:k] + (new,) + ranks[k + 1:]
                 key = _node_key(child_eps, fixed, child_ranks, dedup)
                 cid = ids.get(key)
                 if cid is None:
-                    if child is None:
-                        child_seed = _mutated_seed(
-                            node.seed, k, _exchange_matrix(child_eps, k)
-                        )
-                        child = _exchanged(node, k, variables[new], child_seed)
+                    if seed is None:
+                        seed = _mutated_seed(node.seed, k, child_eps)
                     cid = len(nodes)
                     ids[key] = cid
-                    nodes.append(child)
+                    nodes.append(_exchanged(node, k, variables[new], seed))
                     ranks_of.append(child_ranks)
                     next_frontier.append(cid)
                 edges.append((nid, k, cid))

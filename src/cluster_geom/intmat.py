@@ -13,7 +13,7 @@ build L and column operations R alongside S = L @ A @ R.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .errors import ValidationError
@@ -83,17 +83,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix._trusted(tuple(zip(*self.data)))
-
-    def __neg__(self):
-        return Matrix([[-x for x in row] for row in self.data])
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -185,13 +174,6 @@ def _gauss_jordan(m, n):
                 row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
         prev = p
     return prev, sign
-
-
-def vector_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
 
 
 def _smith_reduce(a):

@@ -550,13 +550,6 @@ class RationalExpression:
             other = RationalExpression(other)
         return RationalExpression(self.num * other.num, self.den * other.den)
 
-    def __add__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            other = RationalExpression(other)
-        return RationalExpression(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
     def as_laurent(self, max_terms=None):
         """The equal Laurent polynomial, or None when the fraction is not one;
         the term cap is exact_divide's."""

@@ -20,7 +20,7 @@ from functools import cmp_to_key
 from math import gcd, lcm
 
 from .errors import PreconditionError, UnsupportedError, ValidationError
-from .intmat import Matrix, kernel_basis, smith_diagonal, solve_integer, vector_gcd
+from .intmat import Matrix, kernel_basis, smith_diagonal, solve_integer
 from .seeds import FixedData, mutate_along, root_seed
 
 
@@ -49,7 +49,7 @@ class Rank2Data:
         for v in w:
             if len(v) != 2 or not all(isinstance(x, int) for x in v):
                 raise ValidationError("each w must be an integer pair")
-            if v == (0, 0) or vector_gcd(v) != 1:
+            if gcd(*v) != 1:
                 raise ValidationError(f"vector {v} is not primitive")
         if any(not isinstance(x, int) or x <= 0 for x in nu):
             raise ValidationError("weights nu must be positive integers")
@@ -89,7 +89,7 @@ class Fan2D:
         if len(set(rays)) != len(rays):
             raise ValidationError("fan rays must be distinct")
         for u in rays:
-            if vector_gcd(u) != 1:
+            if gcd(*u) != 1:
                 raise ValidationError(f"ray {u} is not primitive")
         for u, v in zip(rays, rays[1:] + rays[:1]):
             if wedge(u, v) != 1:
@@ -153,7 +153,7 @@ def complete_smooth_fan(rays):
     if not rays:
         raise ValidationError("need at least one ray")
     for r in rays:
-        if len(r) != 2 or r == (0, 0) or vector_gcd(r) != 1:
+        if len(r) != 2 or gcd(*r) != 1:
             raise ValidationError(f"ray {r} must be a primitive integer pair")
     ccw = _ccw_sorted(set(rays))
     out = []
@@ -248,9 +248,7 @@ def _require_weight_one(data):
         )
 
 
-def _surface_for(ws, fan=None):
-    if fan is None:
-        fan = complete_smooth_fan(set(ws))
+def _surface_for(ws, fan):
     index = {ray: i for i, ray in enumerate(fan.rays)}
     for w in ws:
         if tuple(w) not in index:
@@ -298,13 +296,13 @@ def _gram_for_vectors(surface, kernel_vectors):
     return gram
 
 
-def symmetric_form(data, fan=None):
+def symmetric_form(data):
     """Gram matrix of the induced pairing on the kernel of the skew form,
     on the canonical kernel basis.  For weight-one data the skew form is the
     wedge matrix of the vectors w."""
     _require_weight_one(data)
     basis = kernel_basis(Matrix([[wedge(u, v) for v in data.w] for u in data.w]))
-    surface = _surface_for(data.w, fan)
+    surface = _surface_for(data.w, complete_smooth_fan(set(data.w)))
     return KGram(data, surface, basis, _gram_for_vectors(surface, basis))
 
 
@@ -321,14 +319,15 @@ def invariance_check(form, path):
             sum(c * w[0] for c, w in zip(col, data.w)),
             sum(c * w[1] for c, w in zip(col, data.w)),
         )
-        if wi == (0, 0) or vector_gcd(wi) != 1:
+        if gcd(*wi) != 1:
             raise PreconditionError(
                 f"mutated image of basis vector {i} is not primitive"
             )
         ws.append(wi)
     binv = mutated.basis.inverse()
     carried = [binv.matvec(kappa) for kappa in form.basis]
-    return _gram_for_vectors(_surface_for(ws), carried) == form.gram
+    surface = _surface_for(ws, complete_smooth_fan(set(ws)))
+    return _gram_for_vectors(surface, carried) == form.gram
 
 
 # -- classification ------------------------------------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import UnsupportedError, ValidationError
-from .intmat import Matrix, cokernel_invariants, vector_gcd
+from .intmat import Matrix, cokernel_invariants
 
 
 def _as_int(x, what):
@@ -63,7 +63,8 @@ class FixedData:
     def _validate(self):
         if self.skew.rows != self.n or self.skew.cols != self.n:
             raise ValidationError("skew form has the wrong shape")
-        if self.skew.transpose() != -self.skew:
+        rows = self.skew.data
+        if any(rows[i][j] != -rows[j][i] for i in range(self.n) for j in range(i, self.n)):
             raise ValidationError("skew form is not skew-symmetric")
         if len(self.d) != self.n or any(not isinstance(x, int) or x <= 0 for x in self.d):
             raise ValidationError("symmetrizers d must be positive integers")
@@ -320,12 +321,7 @@ def mutate_epsilon(eps, d, k):
     n = eps.rows
     if not 0 <= k < n:
         raise ValidationError(f"mutation index {k} out of range")
-    return _exchange_matrix(_mutated_rows(eps.data, k), k)
-
-
-def _exchange_matrix(rows, k):
-    """The Matrix of the rows that _mutated_rows gives at k, skipping
-    normalization when row and column k are integral."""
+    rows = _mutated_rows(eps.data, k)
     if all(x.__class__ is int for x in rows[k]) and all(
         row[k].__class__ is int for row in rows
     ):
@@ -346,12 +342,13 @@ def mutate_seed(seed, k):
         raise ValidationError(f"cannot mutate at frozen index {k}")
     if not 0 <= k < seed.n:
         raise ValidationError(f"mutation index {k} out of range")
-    return _mutated_seed(seed, k, mutate_epsilon(seed.eps, seed.fixed.d, k))
+    return _mutated_seed(seed, k, mutate_epsilon(seed.eps, seed.fixed.d, k).data)
 
 
-def _mutated_seed(seed, k, eps):
+def _mutated_seed(seed, k, rows):
     """mutate_seed at an unfrozen index k in range, unchecked, given the
-    mutated exchange matrix eps."""
+    rows of the mutated exchange matrix, taken as normalized: _mutated_rows
+    gives them so at an unfrozen k (see mutate_epsilon)."""
     # column k of the seed's exchange matrix is integral because k is unfrozen
     c = [pos_part(row[k]) for row in seed.eps.data]
     basis = []
@@ -363,7 +360,8 @@ def _mutated_seed(seed, k, eps):
             row = tuple(row)
         basis.append(row)
     return Seed._trusted(
-        seed.fixed, Matrix._trusted(tuple(basis)), (k, seed._link), eps
+        seed.fixed, Matrix._trusted(tuple(basis)), (k, seed._link),
+        Matrix._trusted(rows),
     )
 
 
@@ -414,44 +412,35 @@ class PrincipalSeed:
     p_star: Matrix | None
 
 
+def _diagonal(entries):
+    n = len(entries)
+    return [[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)]
+
+
+def _blocks(a, b, c, d):
+    """The Matrix [[A, B], [C, D]] of four n x n blocks, each given by rows."""
+    return Matrix([[*x, *y] for x, y in zip(a, b)] + [[*x, *y] for x, y in zip(c, d)])
+
+
 def principal_double(seed):
     if seed.basis != Matrix.identity(seed.n):
         raise ValidationError("principal coefficients are attached at a root seed")
     n = seed.n
     fx = seed.fixed
-    d2 = fx.d + fx.d
-    rows = []
-    for i in range(2 * n):
-        row = []
-        for j in range(2 * n):
-            if i < n and j < n:
-                row.append(fx.skew[i, j])
-            elif i < n <= j:
-                row.append(Fraction(int(i == j - n), fx.d[i]))
-            elif j < n <= i:
-                row.append(Fraction(-int(i - n == j), fx.d[j]))
-            else:
-                row.append(0)
-        rows.append(row)
-    frozen2 = frozenset(fx.frozen) | frozenset(range(n, 2 * n))
-    double = root_seed(FixedData(2 * n, Matrix(rows), d2, frozen2))
+    zero = _diagonal((0,) * n)
+    skew = _blocks(
+        fx.skew.data,
+        _diagonal([Fraction(1, x) for x in fx.d]),
+        _diagonal([Fraction(-1, x) for x in fx.d]),
+        zero,
+    )
+    frozen2 = fx.frozen | frozenset(range(n, 2 * n))
+    double = root_seed(FixedData(2 * n, skew, fx.d + fx.d, frozen2))
     p_star = None
     if not fx.frozen:
-        eps_t = seed.eps.transpose()
-        blocks = []
-        for i in range(2 * n):
-            row = []
-            for j in range(2 * n):
-                if i < n and j < n:
-                    row.append(eps_t[i, j])
-                elif i < n <= j:
-                    row.append(-int(i == j - n))
-                elif j < n <= i:
-                    row.append(int(i - n == j))
-                else:
-                    row.append(0)
-            blocks.append(row)
-        p_star = Matrix(blocks)
+        p_star = _blocks(
+            seed.eps.transpose().data, _diagonal((-1,) * n), _diagonal((1,) * n), zero
+        )
     return PrincipalSeed(double, p_star)
 
 
@@ -502,7 +491,7 @@ def is_coprime_seed(seed):
         v = seed.v_vector(i)
         if not any(v):
             continue
-        c = vector_gcd(v)
+        c = gcd(*v)
         key = (max(tuple(x // c for x in v), tuple(-x // c for x in v)), c & -c)
         if key in seen:
             return False
@@ -528,20 +517,15 @@ def fan_mutation_consistency(seed, k):
     the mutated seed (with the sign flip at the mutated index)?"""
     mutated = mutate_seed(seed, k)
     d = seed.fixed.d
-    for i in seed.fixed.unfrozen:
-        ray = tuple(d[i] * x for x in seed.e_vector(i))
-        new_ray = tuple(d[i] * x for x in mutated.e_vector(i))
-        image = tropical_mutation_A(seed, k, ray)
-        if i == k:
-            image = tuple(-x for x in image)
-        if image != new_ray:
-            return False
-    for i in seed.fixed.unfrozen:
-        ray = tuple(-d[i] * x for x in seed.v_vector(i))
-        new_ray = tuple(-d[i] * x for x in mutated.v_vector(i))
-        image = tropical_mutation_X(seed, k, ray)
-        if i == k:
-            image = tuple(-x for x in image)
-        if image != new_ray:
-            return False
+    sides = (
+        (tropical_mutation_A, lambda s, i: tuple(d[i] * x for x in s.e_vector(i))),
+        (tropical_mutation_X, lambda s, i: tuple(-d[i] * x for x in s.v_vector(i))),
+    )
+    for tropical, ray in sides:
+        for i in seed.fixed.unfrozen:
+            image = tropical(seed, k, ray(seed, i))
+            if i == k:
+                image = tuple(-x for x in image)
+            if image != ray(mutated, i):
+                return False
     return True

@@ -51,7 +51,10 @@ RANK4_FROZEN = {
 
 CASES = {
     "rank2_nine_ray_0_4_8": (NINE_RAY, ["rank2", "--mutations", "0,4,8"]),
+    # an empty --mutations is the empty path: it is checked, and listed
+    "rank2_nine_ray_empty_path": (NINE_RAY, ["rank2", "--mutations="]),
     "rank2_cubic": (TRIANGLE, ["rank2"]),
+    "rank2_weighted_triangle": (WEIGHTED_TRIANGLE, ["rank2"]),
     "rank2_weighted_triangle_0": (WEIGHTED_TRIANGLE, ["rank2", "--mutations", "0"]),
     # a 44-ray fan: the cone from (1, 0) to (1, 40) resolves into a
     # continued-fraction chain of 39 rays

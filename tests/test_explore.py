@@ -496,9 +496,9 @@ class TestSolvedRelations:
                 mutations.append(k)
                 return public_mutate(seed, k)
 
-            def record_build(seed, k, eps):
+            def record_build(seed, k, rows):
                 builds.append(k)
-                return built_seed(seed, k, eps)
+                return built_seed(seed, k, rows)
 
             monkeypatch.setattr(explore_module, "step", record_step)
             monkeypatch.setattr(explore_module, "mutate_seed", record_mutation)

@@ -353,6 +353,23 @@ class TestColumnUpdateMutation:
                 assert_normalized(m.eps)
         assert saw_rational
 
+    def test_trusted_rows_match_mutate_seed(self):
+        # _mutated_seed wraps the rows as they come: at an unfrozen k every
+        # entry must already be an int or a Fraction that is not integral,
+        # which tuple equality alone does not see (Fraction(2) == 2)
+        from cluster_geom.seeds import _mutated_rows, _mutated_seed
+        rng = random.Random(32)
+        saw_rational = False
+        for _ in range(120):
+            s = random_frozen_seed(rng, rng.randint(3, 6))
+            saw_rational = saw_rational or not s.eps.is_integral()
+            for k in s.fixed.unfrozen:
+                m = _mutated_seed(s, k, _mutated_rows(s.eps.data, k))
+                ref = mutate_seed(s, k)
+                assert (m.basis, m.eps, m.path) == (ref.basis, ref.eps, ref.path)
+                assert_normalized(m.eps)
+        assert saw_rational
+
     def test_rational_pivot_row_is_normalized(self):
         h = Fraction(1, 2)
         eps = Matrix([[0, h, -h], [-h, 0, Fraction(1, 4)], [h, Fraction(-1, 4), 0]])

@@ -26,12 +26,14 @@ exponents, up to one sign for all of them, and not on k or the labels.  A
 repeat of that data, and the backtracking step that reverses a solved
 relation, reuse the variable and compute only the child's exchange matrix,
 by the three-case rule on its rows; with the ranks that gives the child's
-key.  A seed (basis, checked exchange matrix, path) is built only for a
-child that is a new node, or by the step that solves a relation, so every
-stored node holds a real seed and a repeat edge builds none.  A mutated
-exchange matrix is again skew-symmetrizable with the same d (Fomin and
-Zelevinsky, Prop. 4.5), so the unchecked rule serves the key, and a new
-node's seed is built from the rows its key was made of.
+key.  A mutated exchange matrix is again skew-symmetrizable with the same
+d (Fomin and Zelevinsky, Prop. 4.5), so the unchecked rule serves the key,
+and no key, relation or report field reads a basis.  A seed (basis,
+checked exchange matrix, path) is built eagerly only by the step that
+solves a relation.  A new node that a repeat edge finds keeps its parent,
+its label and the rows its key was made of, and builds its seed from them
+when the seed is first read: by a step from the node, or by a caller.  A
+repeat edge builds no seed.
 
 A relation that is solved is also solved for its images under the signed
 symmetries of the root: the index permutations s that map frozen indices
@@ -78,15 +80,53 @@ from .laurent import (
 from .seeds import Seed, _mutated_rows, _mutated_seed, mutate_seed
 
 
-@dataclass(frozen=True)
 class SeedNode:
     """A seed together with its cluster variables written in the initial
-    variables.  The variables are genuine Laurent polynomials; that property
-    is (re)checked whenever a node is produced by a mutation step."""
+    variables, and its depth.  A step from a node checks that the new
+    variable is a genuine Laurent polynomial (the division is exact); a
+    node that explore keeps on a repeat edge takes its variable from the
+    step that solved the same relation.
 
-    seed: Seed
-    cluster_vars: tuple
-    depth: int = 0
+    `rows` are the rows of the seed's exchange matrix.  A node that explore
+    keeps on a repeat edge holds them, its parent and its label k, and
+    builds its seed when `seed` is first read, by the unchecked mutation of
+    its parent's seed, and keeps it.  The build walks up to the nearest
+    ancestor that has a seed and back down in a loop, so a long chain of
+    unbuilt nodes does not recurse."""
+
+    __slots__ = ("cluster_vars", "depth", "rows", "_seed", "_parent", "_k")
+
+    def __init__(self, seed, cluster_vars, depth=0):
+        self._set(cluster_vars, depth, seed.eps.data, seed, None, None)
+
+    @classmethod
+    def _deferred(cls, parent, k, rows, cluster_vars):
+        """The child of parent at index k, whose exchange matrix has the
+        given rows; its seed is built on first read."""
+        self = object.__new__(cls)
+        self._set(cluster_vars, parent.depth + 1, rows, None, parent, k)
+        return self
+
+    def _set(self, *values):
+        """Set the slots to the values, in the order of __slots__."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SeedNode is immutable")
+
+    @property
+    def seed(self):
+        if self._seed is None:
+            chain = []
+            node = self
+            while node._seed is None:
+                chain.append(node)
+                node = node._parent
+            for node in reversed(chain):
+                seed = _mutated_seed(node._parent._seed, node._k, node.rows)
+                object.__setattr__(node, "_seed", seed)
+        return self._seed
 
 
 def root_node(seed):
@@ -151,11 +191,14 @@ def step(node, k, max_terms=None):
     return _exchanged(node, k, new_var, mutate_seed(seed, k))
 
 
-def _exchanged(node, k, new_var, seed):
-    """The child of a node at index k, with the given seed, whose k-th
-    variable is new_var."""
+def _exchanged(node, k, new_var, seed, rows=None):
+    """The child of a node at index k whose k-th variable is new_var, with
+    the given seed, or, if that is None, with the exchange matrix of the
+    given rows and its seed built on first read."""
     vars_new = list(node.cluster_vars)
     vars_new[k] = new_var
+    if seed is None:
+        return SeedNode._deferred(node, k, rows, tuple(vars_new))
     return SeedNode(seed, tuple(vars_new), node.depth + 1)
 
 
@@ -339,6 +382,11 @@ class ExchangeGraph:
     truncated: bool
 
     def report(self):
+        """The graph's summary, as `explore` prints it.  "laurent_ok" is
+        always True and "witnesses" always []: a failed exact division
+        raises LaurentViolation out of explore, and the CLI then exits 4
+        with nothing on stdout, so no graph that broke Laurentness is
+        reported.  Both keys stay, so the output keeps its shape."""
         variables = {
             id(v): v for node in self.nodes for v in node.cluster_vars
         }.values()
@@ -387,7 +435,7 @@ def explore(root, depth, dedup="labeled", max_terms=None):
     root = SeedNode(root.seed, tuple(variables[r] for r in root_ranks), root.depth)
     nodes = [root]
     ranks_of = [root_ranks]  # node id -> ranks of its variables
-    ids = {_node_key(root.seed.eps.data, fixed, root_ranks, dedup): 0}
+    ids = {_node_key(root.rows, fixed, root_ranks, dedup): 0}
     edges = []
     truncated = False
     frontier = [0]
@@ -414,7 +462,7 @@ def explore(root, depth, dedup="labeled", max_terms=None):
     # the symmetries that map the root's variables as they map its indices,
     # so that they map the explored ball to itself
     movers = []
-    for g in _symmetry_generators(root.seed.eps.data, fixed.frozen):
+    for g in _symmetry_generators(root.rows, fixed.frozen):
         move = mover(g)
         if all(move(r) == root_ranks[j] for r, j in zip(root_ranks, g)):
             movers.append(move)
@@ -424,7 +472,7 @@ def explore(root, depth, dedup="labeled", max_terms=None):
         next_frontier = []
         for nid in frontier:
             node, ranks = nodes[nid], ranks_of[nid]
-            eps = node.seed.eps.data
+            eps = node.rows
             for k in unfrozen:
                 relation = _relation((ranks[j], e) for j, e in enumerate(eps[k]) if e)
                 new = solved.get((ranks[k], relation))
@@ -437,20 +485,19 @@ def explore(root, depth, dedup="labeled", max_terms=None):
                     seed = child.seed
                     new = intern(child.cluster_vars[k])
                     _record(solved, movers, ranks[k], relation, new)
-                    child_eps = seed.eps.data
+                    child_eps = child.rows
                 else:
-                    # the seed is built only if the child is a new node
+                    # a new node builds its seed when it is read
                     seed = None
                     child_eps = _mutated_rows(eps, k)
                 child_ranks = ranks[:k] + (new,) + ranks[k + 1:]
                 key = _node_key(child_eps, fixed, child_ranks, dedup)
                 cid = ids.get(key)
                 if cid is None:
-                    if seed is None:
-                        seed = _mutated_seed(node.seed, k, child_eps)
                     cid = len(nodes)
                     ids[key] = cid
-                    nodes.append(_exchanged(node, k, variables[new], seed))
+                    nodes.append(
+                        _exchanged(node, k, variables[new], seed, child_eps))
                     ranks_of.append(child_ranks)
                     next_frontier.append(cid)
                 edges.append((nid, k, cid))

@@ -155,6 +155,16 @@ class TestExplore:
         for key in ("nodes", "edges", "clusters"):
             assert deep[key] == shallow[key]
 
+    def test_violation_exit_four(self, a2_file, monkeypatch, capsys):
+        from importlib import import_module
+
+        explore = import_module("cluster_geom.explore")  # not the function
+        monkeypatch.setattr(explore, "exact_divide", lambda *args: None)
+        assert cli.main(["explore", a2_file, "--depth", "2"]) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("laurent violation:")
+
     def test_markov_determinism(self, markov_file):
         a = run_cli("explore", markov_file, "--depth", "4")
         b = run_cli("explore", markov_file, "--depth", "4")

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import random
 from itertools import permutations
 from math import gcd, lcm
@@ -449,16 +450,17 @@ class TestExchangePolynomial:
         assert exchange_polynomial(node, 0) == LP(3, {(0, 0, 0): 26})
 
 
-def _assert_nodes_replay(root, graph):
-    """Every node of the graph is its path from the root, stepped again: the
-    same basis, exchange matrix and variables; and its exchange matrix is
-    the one its basis defines."""
-    for node in graph.nodes:
+def _assert_nodes_replay(root, nodes):
+    """Every node is its path from the root, stepped again: the same basis,
+    exchange matrix and variables; and its exchange matrix is the one its
+    basis defines."""
+    for node in nodes:
         replay = root
         for k in node.seed.path:
             replay = step(replay, k)
         assert replay.seed.basis == node.seed.basis
         assert replay.seed.eps == node.seed.eps
+        assert node.rows == node.seed.eps.data
         assert epsilon_from_basis(node.seed) == node.seed.eps
         assert replay.cluster_vars == node.cluster_vars
 
@@ -474,14 +476,18 @@ class TestSolvedRelations:
     def test_every_node_replays_along_its_path(self, eps, d, depth):
         root = root_node(seed_from_epsilon(eps, d))
         for dedup in ("labeled", "unlabeled"):
-            _assert_nodes_replay(root, explore(root, depth, dedup=dedup))
+            _assert_nodes_replay(root, explore(root, depth, dedup=dedup).nodes)
 
-    @pytest.mark.parametrize("frozen", [(), (4,)], ids=["A5", "A5-frozen"])
-    def test_a_seed_is_built_only_for_a_kept_node(self, frozen, monkeypatch):
-        # a repeat edge computes the child's exchange matrix and no seed;
-        # the seeds that are built are the kept nodes' and the steps'.
-        # Every seed is built by _mutated_seed: a step's through the checked
-        # mutate_seed, a kept repeat edge's straight from its keyed rows
+    # (steps, seeds built during explore) for A5 at depth 6, either dedup
+    @pytest.mark.parametrize("frozen, counts", [((), (38, 55)), ((4,), (35, 45))],
+                             ids=["A5", "A5-frozen"])
+    def test_a_seed_is_built_only_by_a_step_or_a_read(
+            self, frozen, counts, monkeypatch):
+        # a repeat edge computes the child's exchange matrix and no seed.
+        # During explore the seeds that are built are the steps', through
+        # the checked mutate_seed, and those of the unbuilt ancestors of the
+        # nodes that a step starts from; a kept repeat-edge child builds its
+        # seed, once, when it is read
         root = root_node(seed_from_epsilon(A5, frozen=frozen))
         public_step, public_mutate = explore_module.step, explore_module.mutate_seed
         built_seed = seeds_module._mutated_seed
@@ -505,13 +511,45 @@ class TestSolvedRelations:
             monkeypatch.setattr(explore_module, "_mutated_seed", record_build)
             monkeypatch.setattr(seeds_module, "_mutated_seed", record_build)
             graph = explore(root, 6, dedup=dedup)
-            monkeypatch.undo()
             assert len(mutations) == len(steps)
-            assert len(builds) <= len(graph.nodes) - 1 + len(steps)
-            assert len(builds) < len(graph.edges)
+            assert (len(steps), len(builds)) == counts
             if (dedup, frozen) == ("labeled", ()):
                 assert (len(graph.nodes), len(graph.edges)) == (811, 1830)
-            _assert_nodes_replay(root, graph)
+            # the last node found is a repeat-edge child: its first read
+            # builds its seed and those of its unbuilt ancestors
+            last = graph.nodes[-1]
+            del builds[:]
+            seed = last.seed
+            assert 1 <= len(builds) <= last.depth
+            built = len(builds)
+            assert last.seed is seed
+            assert len(builds) == built
+            monkeypatch.undo()
+            # read deepest first, so that each read builds a chain
+            _assert_nodes_replay(root, reversed(graph.nodes))
+
+    def test_a_long_unbuilt_chain_is_built_without_recursion(self, monkeypatch):
+        # each Kronecker relation has one image under the root's symmetry,
+        # which swaps the indices and negates eps; so one side of the line
+        # of seeds is reached by repeat edges alone, and holds no seed
+        root = root_node(seed_from_epsilon([[0, 2], [-2, 0]]))
+        graph = explore(root, 24)
+        built_seed = seeds_module._mutated_seed
+        stack_depths = []
+
+        def record_build(seed, k, rows):
+            stack_depths.append(len(inspect.stack(0)))
+            return built_seed(seed, k, rows)
+
+        monkeypatch.setattr(explore_module, "_mutated_seed", record_build)
+        deepest = [node for node in graph.nodes if node.depth == 24]
+        assert len(deepest) == 2
+        for node in deepest:
+            node.seed
+        assert len(stack_depths) == 24
+        assert len(set(stack_depths)) == 1
+        monkeypatch.undo()
+        _assert_nodes_replay(root, deepest)
 
     @pytest.mark.parametrize("eps, d", [(A5, None), (MARKOV, None), (B3, (1, 1, 2))])
     def test_a_backtracking_step_reuses_the_grandparents_variable(

@@ -97,23 +97,35 @@ class SeedNode:
     __slots__ = ("cluster_vars", "depth", "rows", "_seed", "_parent", "_k")
 
     def __init__(self, seed, cluster_vars, depth=0):
-        self._set(cluster_vars, depth, seed.eps.data, seed, None, None)
+        object.__setattr__(self, "cluster_vars", cluster_vars)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "rows", seed.eps.data)
+        object.__setattr__(self, "_seed", seed)
+        object.__setattr__(self, "_parent", None)
+        object.__setattr__(self, "_k", None)
 
     @classmethod
     def _deferred(cls, parent, k, rows, cluster_vars):
         """The child of parent at index k, whose exchange matrix has the
         given rows; its seed is built on first read."""
         self = object.__new__(cls)
-        self._set(cluster_vars, parent.depth + 1, rows, None, parent, k)
+        object.__setattr__(self, "cluster_vars", cluster_vars)
+        object.__setattr__(self, "depth", parent.depth + 1)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_seed", None)
+        object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_k", k)
         return self
-
-    def _set(self, *values):
-        """Set the slots to the values, in the order of __slots__."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeedNode is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the node from its seed
+        return SeedNode, (self.seed, self.cluster_vars, self.depth)
+
+    def __repr__(self):
+        return f"SeedNode(depth={self.depth}, rows={self.rows!r})"
 
     @property
     def seed(self):
@@ -191,14 +203,11 @@ def step(node, k, max_terms=None):
     return _exchanged(node, k, new_var, mutate_seed(seed, k))
 
 
-def _exchanged(node, k, new_var, seed, rows=None):
-    """The child of a node at index k whose k-th variable is new_var, with
-    the given seed, or, if that is None, with the exchange matrix of the
-    given rows and its seed built on first read."""
+def _exchanged(node, k, new_var, seed):
+    """The child of a node at index k, with the given seed, whose k-th
+    variable is new_var."""
     vars_new = list(node.cluster_vars)
     vars_new[k] = new_var
-    if seed is None:
-        return SeedNode._deferred(node, k, rows, tuple(vars_new))
     return SeedNode(seed, tuple(vars_new), node.depth + 1)
 
 
@@ -487,7 +496,6 @@ def explore(root, depth, dedup="labeled", max_terms=None):
                     _record(solved, movers, ranks[k], relation, new)
                     child_eps = child.rows
                 else:
-                    # a new node builds its seed when it is read
                     seed = None
                     child_eps = _mutated_rows(eps, k)
                 child_ranks = ranks[:k] + (new,) + ranks[k + 1:]
@@ -496,8 +504,13 @@ def explore(root, depth, dedup="labeled", max_terms=None):
                 if cid is None:
                     cid = len(nodes)
                     ids[key] = cid
-                    nodes.append(
-                        _exchanged(node, k, variables[new], seed, child_eps))
+                    if seed is None:  # a repeat edge: build the seed when read
+                        child_vars = (node.cluster_vars[:k] + (variables[new],)
+                                      + node.cluster_vars[k + 1:])
+                        child = SeedNode._deferred(node, k, child_eps, child_vars)
+                    else:
+                        child = _exchanged(node, k, variables[new], seed)
+                    nodes.append(child)
                     ranks_of.append(child_ranks)
                     next_frontier.append(cid)
                 edges.append((nid, k, cid))

@@ -1,15 +1,15 @@
 """One sha256 digest of the exit code and stdout of every perfbench job.
 
 The jobs are those of perfbench/workloads.py (imported, not changed) for
-the four workloads and the given run seeds (1, 2 and 3 by default: 204
-jobs).  Each job's input files are written to a temporary directory, and
-the job runs once in-process through cluster_geom.cli.main, with the
-package imported from src/ of this checkout.  The digest covers, job by
+the four workloads and the run seeds in SEEDS (1, 2 and 3: 204 jobs).
+Each job's input files are written to a temporary directory, and the job
+runs once in-process through cluster_geom.cli.main, with the package
+imported from src/ of this checkout.  The digest covers, job by
 job in cycle order, the JSON pair [exit code, stdout].  Two checkouts, or
 two hash seeds, that print the same digest printed the same bytes:
 
     PYTHONHASHSEED=0 python tests/stdout_digest.py
-    PYTHONHASHSEED=4242 python tests/stdout_digest.py 1 2 3
+    PYTHONHASHSEED=4242 python tests/stdout_digest.py
 
 The digest goes to stdout and the job count to stderr.  pytest does not
 collect this file.
@@ -30,6 +30,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from cluster_geom import cli  # noqa: E402
 
+SEEDS = (1, 2, 3)
 
 def digest(seeds):
     """(sha256 hex digest, job count) over every job of the seeds."""
@@ -57,12 +58,11 @@ def digest(seeds):
     return h.hexdigest(), jobs
 
 
-def main(argv):
-    seeds = [int(a) for a in argv] or [1, 2, 3]
-    hexdigest, jobs = digest(seeds)
+def main():
+    hexdigest, jobs = digest(SEEDS)
     print(hexdigest)
-    print(f"{jobs} jobs, seeds {seeds}", file=sys.stderr)
+    print(f"{jobs} jobs, seeds {list(SEEDS)}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import inspect
 import random
@@ -550,6 +551,18 @@ class TestSolvedRelations:
         assert len(set(stack_depths)) == 1
         monkeypatch.undo()
         _assert_nodes_replay(root, deepest)
+
+    def test_a_copy_of_an_unbuilt_node_is_the_same_node(self):
+        root = root_node(seed_from_epsilon([[0, 2], [-2, 0]]))
+        node = explore(root, 4).nodes[-1]
+        assert node._seed is None
+        twin = copy.copy(node)
+        assert twin.seed is node.seed
+        assert (twin.rows, twin.cluster_vars, twin.depth) == (
+            node.rows, node.cluster_vars, node.depth)
+        assert repr(twin) == repr(node) == "SeedNode(depth=4, rows=((0, 2), (-2, 0)))"
+        with pytest.raises(AttributeError):
+            node.depth = 0
 
     @pytest.mark.parametrize("eps, d", [(A5, None), (MARKOV, None), (B3, (1, 1, 2))])
     def test_a_backtracking_step_reuses_the_grandparents_variable(

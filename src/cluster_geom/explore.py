@@ -28,12 +28,12 @@ relation, reuse the variable and compute only the child's exchange matrix,
 by the three-case rule on its rows; with the ranks that gives the child's
 key.  A mutated exchange matrix is again skew-symmetrizable with the same
 d (Fomin and Zelevinsky, Prop. 4.5), so the unchecked rule serves the key,
-and no key, relation or report field reads a basis.  A seed (basis,
-checked exchange matrix, path) is built eagerly only by the step that
-solves a relation.  A new node that a repeat edge finds keeps its parent,
-its label and the rows its key was made of, and builds its seed from them
-when the seed is first read: by a step from the node, or by a caller.  A
-repeat edge builds no seed.
+and no key, relation or report field reads a basis.  The step that
+solves a relation makes its child's seed by the checked mutate_seed; a
+new node that a repeat edge finds gets its seed by the unchecked mutation,
+from the rows its key was made of; a repeat edge to a known node makes no
+seed.  A mutated seed builds its basis only when the basis is first read
+(see seeds.Seed), so explore builds none.
 
 A relation that is solved is also solved for its images under the signed
 symmetries of the root: the index permutations s that map frozen indices
@@ -85,60 +85,28 @@ class SeedNode:
     variables, and its depth.  A step from a node checks that the new
     variable is a genuine Laurent polynomial (the division is exact); a
     node that explore keeps on a repeat edge takes its variable from the
-    step that solved the same relation.
+    step that solved the same relation.  `rows` are the rows of the seed's
+    exchange matrix."""
 
-    `rows` are the rows of the seed's exchange matrix.  A node that explore
-    keeps on a repeat edge holds them, its parent and its label k, and
-    builds its seed when `seed` is first read, by the unchecked mutation of
-    its parent's seed, and keeps it.  The build walks up to the nearest
-    ancestor that has a seed and back down in a loop, so a long chain of
-    unbuilt nodes does not recurse."""
-
-    __slots__ = ("cluster_vars", "depth", "rows", "_seed", "_parent", "_k")
+    __slots__ = ("seed", "cluster_vars", "depth")
 
     def __init__(self, seed, cluster_vars, depth=0):
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "cluster_vars", cluster_vars)
         object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "rows", seed.eps.data)
-        object.__setattr__(self, "_seed", seed)
-        object.__setattr__(self, "_parent", None)
-        object.__setattr__(self, "_k", None)
-
-    @classmethod
-    def _deferred(cls, parent, k, rows, cluster_vars):
-        """The child of parent at index k, whose exchange matrix has the
-        given rows; its seed is built on first read."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "cluster_vars", cluster_vars)
-        object.__setattr__(self, "depth", parent.depth + 1)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_seed", None)
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_k", k)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SeedNode is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild the node from its seed
         return SeedNode, (self.seed, self.cluster_vars, self.depth)
 
     def __repr__(self):
         return f"SeedNode(depth={self.depth}, rows={self.rows!r})"
 
     @property
-    def seed(self):
-        if self._seed is None:
-            chain = []
-            node = self
-            while node._seed is None:
-                chain.append(node)
-                node = node._parent
-            for node in reversed(chain):
-                seed = _mutated_seed(node._parent._seed, node._k, node.rows)
-                object.__setattr__(node, "_seed", seed)
-        return self._seed
+    def rows(self):
+        return self.seed.eps.data
 
 
 def root_node(seed):
@@ -156,11 +124,11 @@ def exchange_polynomial(node, k):
     no other factor is left), so powers and products run only on factors
     with more than one term.  A factor whose exponents alone reach the bound
     raises ExponentOverflow, as its power would."""
-    n = node.seed.n
+    n = len(node.rows)
     products = [None, None]  # the factors with more than one term
     shifts = [[0] * n, [0] * n]
     coeffs = [1, 1]
-    for v, e in zip(node.cluster_vars, node.seed.eps.row(k)):
+    for v, e in zip(node.cluster_vars, node.rows[k]):
         if not e:
             continue
         side = e < 0
@@ -187,20 +155,19 @@ def exchange_polynomial(node, k):
 
 
 def step(node, k, max_terms=None):
-    """Mutate a node at index k via the exchange relation."""
-    seed = node.seed
-    if k in seed.fixed.frozen:
-        raise ValidationError(f"cannot mutate at frozen index {k}")
+    """Mutate a node at index k via the exchange relation.  The index is
+    checked, by mutate_seed, before any other work."""
+    seed = mutate_seed(node.seed, k)
     p = exchange_polynomial(node, k)
     old = node.cluster_vars[k]
     new_var = exact_divide(p, old, max_terms_limit(max_terms))
     if new_var is None:
         raise LaurentViolation(
             f"exchange relation at index {k} failed exact division",
-            path=seed.path + (k,),
+            path=seed.path,
             expression=RationalExpression(p, old),
         )
-    return _exchanged(node, k, new_var, mutate_seed(seed, k))
+    return _exchanged(node, k, new_var, seed)
 
 
 def _exchanged(node, k, new_var, seed):
@@ -495,7 +462,7 @@ def explore(root, depth, dedup="labeled", max_terms=None):
                     new = intern(child.cluster_vars[k])
                     _record(solved, movers, ranks[k], relation, new)
                     child_eps = child.rows
-                else:
+                else:  # a repeat edge: a seed only for a kept child
                     seed = None
                     child_eps = _mutated_rows(eps, k)
                 child_ranks = ranks[:k] + (new,) + ranks[k + 1:]
@@ -504,13 +471,9 @@ def explore(root, depth, dedup="labeled", max_terms=None):
                 if cid is None:
                     cid = len(nodes)
                     ids[key] = cid
-                    if seed is None:  # a repeat edge: build the seed when read
-                        child_vars = (node.cluster_vars[:k] + (variables[new],)
-                                      + node.cluster_vars[k + 1:])
-                        child = SeedNode._deferred(node, k, child_eps, child_vars)
-                    else:
-                        child = _exchanged(node, k, variables[new], seed)
-                    nodes.append(child)
+                    if seed is None:
+                        seed = _mutated_seed(node.seed, k, child_eps)
+                    nodes.append(_exchanged(node, k, variables[new], seed))
                     ranks_of.append(child_ranks)
                     next_frontier.append(cid)
                 edges.append((nid, k, cid))

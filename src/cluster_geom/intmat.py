@@ -47,6 +47,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return Matrix, (self.data,)
+
     @classmethod
     def _trusted(cls, rows):
         # trusted constructor: rows is a tuple of equal-length tuples whose

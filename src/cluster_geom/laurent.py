@@ -150,6 +150,9 @@ class LaurentPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
 
+    def __reduce__(self):
+        return LaurentPolynomial, (self.nvars, self._terms)
+
     @classmethod
     def _raw(cls, nvars, terms, frame=None):
         # trusted constructor: terms already cleaned, frame exact or None
@@ -536,6 +539,9 @@ class RationalExpression:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalExpression is immutable")
+
+    def __reduce__(self):
+        return RationalExpression, (self.num, self.den)
 
     @classmethod
     def from_monomial(cls, exps, coeff=1):

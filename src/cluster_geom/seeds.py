@@ -60,6 +60,9 @@ class FixedData:
     def __setattr__(self, name, value):
         raise AttributeError("FixedData is immutable")
 
+    def __reduce__(self):
+        return FixedData, (self.n, self.skew, self.d, self.frozen)
+
     def _validate(self):
         if self.skew.rows != self.n or self.skew.cols != self.n:
             raise ValidationError("skew form has the wrong shape")
@@ -124,33 +127,44 @@ class Seed:
     sublattice), and d_j divides d_i B[j, i] for all i, j (so the d_i e_i
     are a basis of the sublattice N° spanned by the initial d_i e_i).  Given
     det B = +-1, these entrywise conditions are equivalent to the lattice
-    equalities of the definition.  Seeds produced by
-    mutate_seed take a fast internal path instead: the new basis is the old
-    one after the column operation e_k -> -e_k, e_i -> e_i + [eps_ik]_+ e_k,
-    which provably preserves the invariants, and the exchange matrix comes
-    from the matrix-mutation rule.  The acceptance suite checks the equality
-    of both epsilon routes on random seeds.
+    equalities of the definition.  Seeds produced by mutate_seed take a fast
+    internal path instead: the exchange matrix comes from the
+    matrix-mutation rule, and the basis is built on its first read, from
+    the parent's, by the column operation e_k -> -e_k,
+    e_i -> e_i + [eps_ik]_+ e_k, which provably preserves the invariants.
+    The acceptance suite checks the equality of both epsilon routes on
+    random seeds.
+
+    Copy and pickle rebuild a seed from its basis, exchange matrix and
+    path, so neither recurses along a long path.
     """
 
-    __slots__ = ("fixed", "basis", "_link", "eps")
+    __slots__ = ("fixed", "eps", "_basis", "_link", "_parent")
 
     def __init__(self, fixed, basis):
         object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_link", None)
+        object.__setattr__(self, "_parent", None)
         self._validate_and_derive()
 
     def __setattr__(self, name, value):
         raise AttributeError("Seed is immutable")
 
     @classmethod
-    def _trusted(cls, fixed, basis, link, eps):
+    def _trusted(cls, fixed, basis, link, eps, parent=None):
+        """A seed taken as valid.  With no basis, the basis is the parent's
+        after the column operation at the last label of the link."""
         self = object.__new__(cls)
         object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_link", link)
         object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_link", link)
+        object.__setattr__(self, "_parent", parent)
         return self
+
+    def __reduce__(self):
+        return _seed_along, (self.fixed, self.basis, self.eps, self.path)
 
     def _validate_and_derive(self):
         fx, b = self.fixed, self.basis
@@ -169,6 +183,35 @@ class Seed:
         if any(d[i] * b[j, i] % d[j] for i in range(n) for j in range(n)):
             raise ValidationError("scaled columns d_i e_i do not span the expected sublattice")
         object.__setattr__(self, "eps", _epsilon_from_basis(fx, b))
+
+    @property
+    def basis(self):
+        """The basis matrix.  A mutated seed builds it on first read: it
+        walks up to the nearest ancestor that has one and back down in a
+        loop, so a long unbuilt chain does not recurse, and each seed on the
+        way keeps its basis and drops its parent."""
+        if self._basis is None:
+            chain = []
+            seed = self
+            while seed._basis is None:
+                chain.append(seed)
+                seed = seed._parent
+            for seed in reversed(chain):
+                parent, k = seed._parent, seed._link[0]
+                # column k of the parent's exchange matrix is integral
+                # because k is unfrozen
+                c = [pos_part(row[k]) for row in parent.eps.data]
+                basis = []
+                for row in parent._basis.data:
+                    b = row[k]
+                    if b:
+                        row = [x + ci * b for x, ci in zip(row, c)]
+                        row[k] = -b
+                        row = tuple(row)
+                    basis.append(row)
+                object.__setattr__(seed, "_basis", Matrix._trusted(tuple(basis)))
+                object.__setattr__(seed, "_parent", None)
+        return self._basis
 
     @property
     def n(self):
@@ -332,11 +375,11 @@ def mutate_epsilon(eps, d, k):
 def mutate_seed(seed, k):
     """Seed mutation: e_k -> -e_k, e_i -> e_i + [eps_ik]_+ e_k.
 
-    The basis changes by that elementary column operation, applied row by
-    row to the basis matrix, so a step costs O(n^2).  The mutated exchange
-    matrix is produced by the three-case matrix rule; it provably equals the
-    recomputation from the new basis, and that coherence is property-tested,
-    so the result skips re-validation.
+    The mutated exchange matrix is produced by the three-case matrix rule;
+    it provably equals the recomputation from the new basis, and that
+    coherence is property-tested, so the result skips re-validation.  The
+    basis changes by the elementary column operation above, in O(n^2), when
+    it is first read.
     """
     if k in seed.fixed.frozen:
         raise ValidationError(f"cannot mutate at frozen index {k}")
@@ -348,26 +391,25 @@ def mutate_seed(seed, k):
 def _mutated_seed(seed, k, rows):
     """mutate_seed at an unfrozen index k in range, unchecked, given the
     rows of the mutated exchange matrix, taken as normalized: _mutated_rows
-    gives them so at an unfrozen k (see mutate_epsilon)."""
-    # column k of the seed's exchange matrix is integral because k is unfrozen
-    c = [pos_part(row[k]) for row in seed.eps.data]
-    basis = []
-    for row in seed.basis.data:
-        b = row[k]
-        if b:
-            row = [x + ci * b for x, ci in zip(row, c)]
-            row[k] = -b
-            row = tuple(row)
-        basis.append(row)
-    return Seed._trusted(
-        seed.fixed, Matrix._trusted(tuple(basis)), (k, seed._link),
-        Matrix._trusted(rows),
-    )
+    gives them so at an unfrozen k (see mutate_epsilon).  The result holds
+    its parent until its basis is read."""
+    return Seed._trusted(seed.fixed, None, (k, seed._link), Matrix._trusted(rows), seed)
+
+
+def _seed_along(fixed, basis, eps, path):
+    """The seed with the given data whose path is the given labels."""
+    link = None
+    for k in path:
+        link = (k, link)
+    return Seed._trusted(fixed, basis, link, eps)
 
 
 def mutate_along(seed, path):
+    """The seed after the mutations along the path.  Each basis is read as
+    it is made, so no chain of unbuilt seeds stays alive."""
     for k in path:
         seed = mutate_seed(seed, k)
+        seed.basis
     return seed
 
 

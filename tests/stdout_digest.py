@@ -12,7 +12,9 @@ two hash seeds, that print the same digest printed the same bytes:
     PYTHONHASHSEED=4242 python tests/stdout_digest.py
 
 The digest goes to stdout and the job count to stderr.  pytest does not
-collect this file.
+collect this file.  tests/stdout_digest.sha256 holds the digest of the
+current stdout, and CI checks both hash seeds against it, so a change
+that alters stdout also updates that file.
 """
 
 import contextlib

@@ -1,7 +1,9 @@
 import copy
 import importlib
 import inspect
+import pickle
 import random
+from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
 
@@ -10,6 +12,7 @@ from test_acceptance import random_symmetrizable_seed
 
 from cluster_geom.errors import (
     ClusterGeomError,
+    LaurentViolation,
     PreconditionError,
     ResourceLimitExceeded,
     ValidationError,
@@ -36,13 +39,17 @@ from cluster_geom.laurent import (
     pullback_A,
 )
 from cluster_geom.rank2 import Rank2Data, build_seed
-from cluster_geom.seeds import epsilon_from_basis, mutate_seed, seed_from_epsilon
+from cluster_geom.seeds import (
+    epsilon_from_basis,
+    mutate_along,
+    mutate_seed,
+    seed_from_epsilon,
+)
 from golden_cases import NINE_RAY
 
 LP = LaurentPolynomial
 # the module, which the package's `explore` function shadows as an attribute
 explore_module = importlib.import_module("cluster_geom.explore")
-seeds_module = importlib.import_module("cluster_geom.seeds")
 
 A2 = [[0, 1], [-1, 0]]
 MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
@@ -109,6 +116,31 @@ class TestStep:
                 n = step(n, 0, max_terms=5)
                 n = step(n, 1, max_terms=5)
                 n = step(n, 2, max_terms=5)
+
+    # n, -1 and -n - 1 on A2, and a frozen index
+    @pytest.mark.parametrize("frozen, k, message", [
+        ((), 2, "mutation index 2 out of range"),
+        ((), -1, "mutation index -1 out of range"),
+        ((), -3, "mutation index -3 out of range"),
+        ((1,), 1, "cannot mutate at frozen index 1"),
+    ])
+    def test_a_bad_index_is_rejected_before_any_work(
+            self, frozen, k, message, monkeypatch):
+        divisions = []
+        monkeypatch.setattr(explore_module, "exact_divide",
+                            lambda *args: divisions.append(args))
+        node = root_node(seed_from_epsilon(A2, frozen=frozen))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            step(node, k)
+        assert divisions == []
+
+    def test_a_violation_names_the_path_to_the_child(self, monkeypatch):
+        node = step(a2_root(), 0)
+        monkeypatch.setattr(explore_module, "exact_divide", lambda *args: None)
+        with pytest.raises(LaurentViolation) as caught:
+            step(node, 1)
+        assert caught.value.path == (0, 1)
+        assert caught.value.expression.den == node.cluster_vars[1]
 
 
 class TestLimits:
@@ -461,9 +493,17 @@ def _assert_nodes_replay(root, nodes):
             replay = step(replay, k)
         assert replay.seed.basis == node.seed.basis
         assert replay.seed.eps == node.seed.eps
-        assert node.rows == node.seed.eps.data
         assert epsilon_from_basis(node.seed) == node.seed.eps
         assert replay.cluster_vars == node.cluster_vars
+
+
+def _unbuilt_chain(seed):
+    """The seed and its ancestors, up to the first that holds a basis."""
+    chain = []
+    while seed._basis is None:
+        chain.append(seed)
+        seed = seed._parent
+    return chain
 
 
 class TestSolvedRelations:
@@ -479,85 +519,75 @@ class TestSolvedRelations:
         for dedup in ("labeled", "unlabeled"):
             _assert_nodes_replay(root, explore(root, depth, dedup=dedup).nodes)
 
-    # (steps, seeds built during explore) for A5 at depth 6, either dedup
-    @pytest.mark.parametrize("frozen, counts", [((), (38, 55)), ((4,), (35, 45))],
+    # steps during explore for A5 at depth 6, either dedup
+    @pytest.mark.parametrize("frozen, steps", [((), 38), ((4,), 35)],
                              ids=["A5", "A5-frozen"])
     def test_a_seed_is_built_only_by_a_step_or_a_read(
-            self, frozen, counts, monkeypatch):
-        # a repeat edge computes the child's exchange matrix and no seed.
-        # During explore the seeds that are built are the steps', through
-        # the checked mutate_seed, and those of the unbuilt ancestors of the
-        # nodes that a step starts from; a kept repeat-edge child builds its
-        # seed, once, when it is read
+            self, frozen, steps, monkeypatch):
+        # explore reads no basis: a step mutates through the checked
+        # mutate_seed, a kept repeat-edge child gets an unbuilt seed, and
+        # afterwards no seed but the root's holds a basis.  The first read
+        # of a basis builds it and those of its unbuilt ancestors, once
         root = root_node(seed_from_epsilon(A5, frozen=frozen))
         public_step, public_mutate = explore_module.step, explore_module.mutate_seed
-        built_seed = seeds_module._mutated_seed
         for dedup in ("labeled", "unlabeled"):
-            steps, mutations, builds = [], [], []
+            stepped, mutations = [], []
 
             def record_step(node, k, max_terms=None):
-                steps.append(k)
+                stepped.append(k)
                 return public_step(node, k, max_terms)
 
             def record_mutation(seed, k):
                 mutations.append(k)
                 return public_mutate(seed, k)
 
-            def record_build(seed, k, rows):
-                builds.append(k)
-                return built_seed(seed, k, rows)
-
             monkeypatch.setattr(explore_module, "step", record_step)
             monkeypatch.setattr(explore_module, "mutate_seed", record_mutation)
-            monkeypatch.setattr(explore_module, "_mutated_seed", record_build)
-            monkeypatch.setattr(seeds_module, "_mutated_seed", record_build)
             graph = explore(root, 6, dedup=dedup)
-            assert len(mutations) == len(steps)
-            assert (len(steps), len(builds)) == counts
+            monkeypatch.undo()
+            assert len(mutations) == len(stepped) == steps
             if (dedup, frozen) == ("labeled", ()):
                 assert (len(graph.nodes), len(graph.edges)) == (811, 1830)
-            # the last node found is a repeat-edge child: its first read
-            # builds its seed and those of its unbuilt ancestors
+            assert graph.nodes[0].seed is root.seed
+            assert all(node.seed._basis is None for node in graph.nodes[1:])
             last = graph.nodes[-1]
-            del builds[:]
-            seed = last.seed
-            assert 1 <= len(builds) <= last.depth
-            built = len(builds)
-            assert last.seed is seed
-            assert len(builds) == built
-            monkeypatch.undo()
+            chain = _unbuilt_chain(last.seed)
+            assert 1 <= len(chain) <= last.depth
+            basis = last.seed.basis
+            assert all(s._basis is not None and s._parent is None for s in chain)
+            assert last.seed.basis is basis
             # read deepest first, so that each read builds a chain
             _assert_nodes_replay(root, reversed(graph.nodes))
 
     def test_a_long_unbuilt_chain_is_built_without_recursion(self, monkeypatch):
-        # each Kronecker relation has one image under the root's symmetry,
-        # which swaps the indices and negates eps; so one side of the line
-        # of seeds is reached by repeat edges alone, and holds no seed
+        # the Kronecker line of seeds: explore builds no basis, so each
+        # node at depth 24 ends a chain of 24 unbuilt seeds, and reading
+        # its basis builds them all at one stack depth
         root = root_node(seed_from_epsilon([[0, 2], [-2, 0]]))
-        graph = explore(root, 24)
-        built_seed = seeds_module._mutated_seed
+        deepest = [node for node in explore(root, 24).nodes if node.depth == 24]
+        assert len(deepest) == 2
+        assert [len(_unbuilt_chain(node.seed)) for node in deepest] == [24, 24]
+        trusted = Matrix._trusted
         stack_depths = []
 
-        def record_build(seed, k, rows):
+        def record_matrix(rows):
             stack_depths.append(len(inspect.stack(0)))
-            return built_seed(seed, k, rows)
+            return trusted(rows)
 
-        monkeypatch.setattr(explore_module, "_mutated_seed", record_build)
-        deepest = [node for node in graph.nodes if node.depth == 24]
-        assert len(deepest) == 2
+        monkeypatch.setattr(Matrix, "_trusted", record_matrix)
         for node in deepest:
-            node.seed
-        assert len(stack_depths) == 24
-        assert len(set(stack_depths)) == 1
+            node.seed.basis
         monkeypatch.undo()
+        assert len(stack_depths) == 48
+        assert len(set(stack_depths)) == 1
         _assert_nodes_replay(root, deepest)
 
     def test_a_copy_of_an_unbuilt_node_is_the_same_node(self):
         root = root_node(seed_from_epsilon([[0, 2], [-2, 0]]))
         node = explore(root, 4).nodes[-1]
-        assert node._seed is None
         twin = copy.copy(node)
         assert twin.seed is node.seed
+        assert node.seed._basis is None
         assert (twin.rows, twin.cluster_vars, twin.depth) == (
             node.rows, node.cluster_vars, node.depth)
         assert repr(twin) == repr(node) == "SeedNode(depth=4, rows=((0, 2), (-2, 0)))"
@@ -622,6 +652,44 @@ class TestSolvedRelations:
         assert len(relations) == len(solved)
         variables = [v for node in graph.nodes for v in node.cluster_vars]
         assert len({id(v) for v in variables}) == len({v.terms() for v in variables})
+
+
+def _round_trips(obj):
+    return [copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+
+
+class TestCopyAndPickle:
+    def test_values(self):
+        seed = seed_from_epsilon(B3, (1, 1, 2), frozen={2})
+        x = LP(3, {(1, -2, 0): 3, (0, 0, 1): -1})
+        for value in (Matrix([[1, Fraction(1, 2)], [0, -3]]), seed.fixed, x):
+            for twin in _round_trips(value):
+                assert twin == value
+        for twin in _round_trips(RationalExpression(x, x + LP.one(3))):
+            assert (twin.num, twin.den) == (x, x + LP.one(3))
+        with pytest.raises(AttributeError):
+            copy.copy(seed.fixed).n = 0
+
+    def test_an_explored_node_at_depth_three(self):
+        root = root_node(seed_from_epsilon(MARKOV))
+        node = next(n for n in explore(root, 3).nodes if n.depth == 3)
+        path = node.seed.path
+        assert len(path) == 3
+        for twin in _round_trips(node):
+            assert (twin.depth, twin.rows, twin.cluster_vars) == (
+                node.depth, node.rows, node.cluster_vars)
+            assert twin.seed == node.seed
+            assert (twin.seed.eps, twin.seed.path) == (node.seed.eps, path)
+
+    def test_a_seed_along_a_long_path(self):
+        # the seed keeps its path through the flat tuple of labels, not
+        # through its 2 * 10**4 nested links
+        path = tuple(i % 2 for i in range(2 * 10**4))
+        seed = mutate_along(seed_from_epsilon(A2), path)
+        for twin in _round_trips(seed):
+            assert twin == seed
+            assert (twin.eps, twin.path) == (seed.eps, path)
+            assert mutate_seed(twin, 0).path == path + (0,)
 
 
 def _signed_symmetries(eps, frozen):

@@ -15,7 +15,6 @@ from cluster_geom.rank2 import (
     _ccw_sorted,
     _gram_for_vectors,
     _kernel_classes,
-    _surface_for,
     blowup_surface,
     build_seed,
     classify_definiteness,
@@ -485,12 +484,6 @@ class TestSymmetricForm:
         form = symmetric_form(Rank2Data(((1, 0), (0, 1))))
         assert form.basis == ()
         assert form.gram.rows == 0
-
-    def test_completion_independent(self):
-        data = Rank2Data(**NINE_RAY)
-        default = symmetric_form(data)
-        other = _surface_for(data.w, Fan2D(((1, 0), (1, 1), (0, 1), (-1, -1))))
-        assert _gram_for_vectors(other, default.basis) == default.gram
 
     def test_weighted_rejected(self):
         with pytest.raises(UnsupportedError):

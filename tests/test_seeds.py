@@ -210,6 +210,38 @@ class TestMutateSeed:
         assert mutate_seed(child, 1).path == base + (0, 1)
         assert s.path == base
 
+    def test_a_mutated_seed_builds_its_basis_on_first_read(self):
+        s = mutate_seed(markov_seed(), 1)
+        m = mutate_seed(s, 0)
+        assert (s._basis, m._basis) == (None, None)
+        basis = m.basis
+        # the read builds the unbuilt parent too, and each drops its parent
+        assert s._basis is not None
+        assert (s._parent, m._parent) == (None, None)
+        assert m.basis is basis
+        assert Seed(m.fixed, basis).eps == m.eps
+
+    def test_a_long_unbuilt_chain_is_read_without_recursion(self):
+        path = tuple(i % 2 for i in range(2 * 10**4))
+        s = a2_seed()
+        for k in path:
+            s = mutate_seed(s, k)
+        assert s._basis is None
+        assert s.basis == mutate_along(a2_seed(), path).basis
+
+    def test_mutate_along_keeps_no_unbuilt_chain(self):
+        # each basis is read as it is made: unread, the 2 * 10**4 exchange
+        # matrices of the chain peak near 10 MB
+        path = tuple(i % 2 for i in range(2 * 10**4))
+        tracemalloc.start()
+        try:
+            s = mutate_along(a2_seed(), path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
+        assert s._parent is None
+
 
 class TestMutateEpsilon:
     def test_a2(self):

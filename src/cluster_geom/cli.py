@@ -5,7 +5,8 @@ canonical (sorted keys, stable ordering) so repeated runs are byte-identical.
 
 Exit codes: 0 success; 2 invalid input or violated precondition; 3 a resource
 cap was hit (explore still reports its truncated graph); 4 Laurent-phenomenon
-violation (which would indicate a bug, not new mathematics).
+violation (which would indicate a bug, not new mathematics), with nothing on
+stdout and the path on stderr.
 """
 
 from __future__ import annotations
@@ -197,9 +198,8 @@ def cmd_laurent_check(args):
             f"exponent vector has length {len(q)}, expected {seed.n}"
         )
     verify = verify_laurent_A if args.side == "A" else verify_laurent_X
-    report = verify(seed, tuple(q), args.depth, max_terms=args.max_terms)
-    _emit(report)
-    return EXIT_OK if report["laurent_ok"] else EXIT_LAURENT
+    _emit(verify(seed, tuple(q), args.depth, max_terms=args.max_terms))
+    return EXIT_OK
 
 
 def cmd_picard(args):
@@ -321,7 +321,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except LaurentViolation as exc:
-        print(f"laurent violation: {exc}", file=sys.stderr)
+        print(f"laurent violation: {exc} on path {list(exc.path)}", file=sys.stderr)
         return EXIT_LAURENT
     except ResourceLimitExceeded as exc:  # before its base, ClusterGeomError
         print(f"error: {exc}", file=sys.stderr)

@@ -358,11 +358,11 @@ class ExchangeGraph:
     truncated: bool
 
     def report(self):
-        """The graph's summary, as `explore` prints it.  "laurent_ok" is
-        always True and "witnesses" always []: a failed exact division
-        raises LaurentViolation out of explore, and the CLI then exits 4
-        with nothing on stdout, so no graph that broke Laurentness is
-        reported.  Both keys stay, so the output keeps its shape."""
+        """The graph's summary, as `explore` prints it.  A failed exact
+        division raises LaurentViolation out of explore, so no graph that
+        broke Laurentness is reported.  "laurent_ok" is always True and
+        "witnesses" always [], yet both keys stay: perfbench/oracles.py
+        reads both, and ROADMAP item 7 decides their future."""
         variables = {
             id(v): v for node in self.nodes for v in node.cluster_vars
         }.values()
@@ -484,20 +484,23 @@ def explore(root, depth, dedup="labeled", max_terms=None):
 # -- depth-bounded Laurent verification ---------------------------------------
 
 def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
-    """Walk every non-backtracking label path, carrying the expression of the
-    monomial z^q on the current seed torus; report Laurent-ness.
+    """Walk every non-backtracking label path, carrying the Laurent
+    polynomial of the monomial z^q on the current seed torus.
 
     Immediate label repeats are skipped: a double mutation changes the
     expression by an exact linear change of monomial basis, so Laurent-ness
     and term counts are unaffected.  Paths of full length are checked but
-    not extended, so their seeds are never mutated.  A path is extended with
-    the reduced Laurent polynomial when the step's result is Laurent (the
-    Laurent form is unique, so the reports do not change) and with the
-    unreduced fraction otherwise.  The pullbacks twist a Laurent polynomial
-    line by line and return it reduced, so a Laurent step divides no
-    fraction; after a witness its fraction takes monomial_twist's general
-    route.  A path is carried as its seed, whose path mutate_seed extends by
-    a parent link, and spelled out only for a witness.
+    not extended, so their seeds are never mutated.  The pullbacks twist a
+    Laurent polynomial line by line and return it over the denominator 1,
+    so each step's one as_laurent divides no fraction.  By the Laurent
+    phenomenon only a bug makes a step's result non-Laurent; that raises
+    LaurentViolation with the path from the walk's seed, as step does.  A
+    path is carried as its seed, whose path mutate_seed extends by a parent
+    link.
+
+    "laurent_ok" is always True and "witnesses" always [], yet both keys
+    stay: perfbench/oracles.py reads both, and ROADMAP item 7 decides their
+    future.
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
@@ -506,35 +509,33 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     paths = 0
     max_terms_seen = 1
     max_degree = 0
-    witnesses = []
-    stack = [(seed, RationalExpression.from_monomial(q), 0, None)] if depth > 0 else []
+    stack = [(seed, LaurentPolynomial.monomial(q), 0, None)] if depth > 0 else []
     while stack:
-        cur_seed, expr, length, last = stack.pop()
+        cur_seed, poly, length, last = stack.pop()
         extend = length + 1 < depth
         for k in labels:
             if k == last:
                 continue
-            nxt = apply_step(cur_seed, k, expr)
-            as_poly = nxt.as_laurent(limit)
+            nxt = apply_step(cur_seed, k, poly)
+            reduced = nxt.as_laurent(limit)
             paths += 1
-            if as_poly is None:
-                witnesses.append({
-                    "path": [*cur_seed.path[len(seed.path):], k],
-                    "expression": nxt.to_str(),
-                })
-            else:
-                max_terms_seen = max(max_terms_seen, as_poly.n_terms())
-                max_degree = max(max_degree, as_poly.max_abs_exponent())
+            if reduced is None:
+                raise LaurentViolation(
+                    f"side {side} pullback at index {k} is not Laurent",
+                    path=cur_seed.path[len(seed.path):] + (k,),
+                    expression=nxt,
+                )
+            max_terms_seen = max(max_terms_seen, reduced.n_terms())
+            max_degree = max(max_degree, reduced.max_abs_exponent())
             if extend:
-                carried = nxt if as_poly is None else as_poly
-                stack.append((mutate_seed(cur_seed, k), carried, length + 1, k))
+                stack.append((mutate_seed(cur_seed, k), reduced, length + 1, k))
     return {
         "side": side,
         "q": list(q),
         "depth": depth,
         "paths_checked": paths,
-        "laurent_ok": not witnesses,
-        "witnesses": witnesses,
+        "laurent_ok": True,
+        "witnesses": [],
         "max_terms": max_terms_seen,
         "max_degree": max_degree,
     }

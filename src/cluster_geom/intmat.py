@@ -64,10 +64,6 @@ class Matrix:
     def identity(n):
         return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zeros(r, c):
-        return Matrix([[0] * c for _ in range(r)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]

@@ -444,8 +444,8 @@ def exact_divide(p, q, max_terms=None):
     passes the cap exactly when r has more terms than the cap, in any term
     order.  A division that is not exact may stop with None in one order
     and at the cap in another.  In the command-line tools only a fraction
-    that is not Laurent divides inexactly: that is a witness, which only a
-    bug produces.
+    that is not Laurent divides inexactly: that is a Laurent violation,
+    which only a bug produces.
 
     Only the quotient is unpacked, straight to its exponents: its frame is
     exact (min p - min q, max p - max q), and its keys lie at

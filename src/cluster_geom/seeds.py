@@ -248,16 +248,6 @@ class Seed:
         """Basis vector e_i in initial coordinates."""
         return self.basis.column(i)
 
-    def f_vector(self, i):
-        """Dual basis vector f_i = e_i^*/d_i in initial dual coordinates."""
-        d = self.fixed.d
-        inv = self.basis.inverse()
-        out = []
-        for a in range(self.n):
-            x = Fraction(d[a], d[i]) * inv[i, a]
-            out.append(_as_int(x, "dual basis coordinate"))
-        return tuple(out)
-
     def v_vector(self, i):
         """v_i = {e_i, .} in initial dual coordinates (integral for unfrozen i)."""
         d = self.fixed.d
@@ -383,8 +373,6 @@ def mutate_seed(seed, k):
     """
     if k in seed.fixed.frozen:
         raise ValidationError(f"cannot mutate at frozen index {k}")
-    if not 0 <= k < seed.n:
-        raise ValidationError(f"mutation index {k} out of range")
     return _mutated_seed(seed, k, mutate_epsilon(seed.eps, seed.fixed.d, k).data)
 
 

@@ -163,7 +163,9 @@ class TestExplore:
         assert cli.main(["explore", a2_file, "--depth", "2"]) == 4
         out = capsys.readouterr()
         assert out.out == ""
+        # one line, naming the path of the first step's child
         assert out.err.startswith("laurent violation:")
+        assert out.err.endswith(" on path [0]\n") and out.err.count("\n") == 1
 
     def test_markov_determinism(self, markov_file):
         a = run_cli("explore", markov_file, "--depth", "4")
@@ -396,14 +398,13 @@ class TestLaurentCheck:
         code = cli.main(
             ["laurent-check", a2_file, "--side", "A", "--q", "1,0", "--depth", "3"]
         )
+        # as in explore: no report, and one line that names the first path
+        # whose step is not Laurent
         assert code == 4
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["laurent_ok"] is False
-        # the non-Laurent fraction is carried on unreduced and twisted again
-        assert doc["witnesses"] == [
-            {"path": [0, 1], "expression": "(1) / (x1 + 1)"},
-            {"path": [0, 1, 0], "expression": "(1 + x2^-1) / (x1 + 1 + x2^-1)"},
-        ]
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("laurent violation:")
+        assert out.err.endswith(" on path [0, 1]\n") and out.err.count("\n") == 1
 
     def test_x_side(self, a2_file):
         out = run_cli(

@@ -46,6 +46,7 @@ from cluster_geom.seeds import (
     seed_from_epsilon,
 )
 from golden_cases import NINE_RAY
+from test_seeds import f_vector
 
 LP = LaurentPolynomial
 # the module, which the package's `explore` function shadows as an attribute
@@ -917,54 +918,87 @@ class TestVerifyLaurent:
         assert (rep["paths_checked"], rep["max_terms"], rep["max_degree"]) == expected
 
 
-class TestWitnesses:
-    def test_witness_paths_follow_the_seed_paths(self):
-        # every step is a witness, and its path starts at the walk's seed,
-        # which has the path (0,) already
+def _relabeled_root(eps, d, order):
+    """The root seed of eps and d with index i renamed from order[i]."""
+    d = d or (1,) * len(eps)
+    return seed_from_epsilon(
+        [[eps[a][b] for b in order] for a in order], [d[a] for a in order]
+    )
+
+
+class TestRelabeling:
+    # a relabeling of the unfrozen indices maps label paths to label paths
+    # and nodes to nodes, so no report may change
+    @pytest.mark.parametrize("eps, d, q_a, q_x", [
+        (A3, None, (1, 0, 2), (1, 0, -1)),
+        (B3, (1, 1, 2), (0, 1, 1), (1, 0, 1)),
+        (MARKOV, None, (1, 0, 0), (1, 1, 1)),
+    ], ids=["A3", "B3", "Markov"])
+    def test_reports_are_invariant(self, eps, d, q_a, q_x):
+        seed = seed_from_epsilon(eps, d)
+        checks = [(verify_laurent_A, q_a, 4), (verify_laurent_X, q_x, 3)]
+        laurent = [verify(seed, q, depth) for verify, q, depth in checks]
+        graphs = [explore(seed, 4, dedup).report() for dedup in ("labeled", "unlabeled")]
+        for order in permutations(range(3)):
+            image = _relabeled_root(eps, d, order)
+            for (verify, q, depth), rep in zip(checks, laurent):
+                moved = tuple(q[a] for a in order)
+                assert verify(image, moved, depth) == {**rep, "q": list(moved)}
+            for dedup, rep in zip(("labeled", "unlabeled"), graphs):
+                assert explore(image, 4, dedup).report() == rep, (order, dedup)
+
+    @pytest.mark.parametrize("eps, d", [(A3, None), (B3, (1, 1, 2)), (MARKOV, None)],
+                             ids=["A3", "B3", "Markov"])
+    def test_unlabeled_nodes_are_the_relabeling_classes(self, eps, d):
+        # the unlabeled graph holds one node per class of labeled nodes under
+        # relabeling: mutating a relabeled node at k relabels the child of
+        # the node at the label that k came from
+        seed = seed_from_epsilon(eps, d)
+        labeled = explore(seed, 4).nodes
+        classes = {
+            _brute_force_key(node.rows, seed.fixed, [v.terms() for v in node.cluster_vars])
+            for node in labeled
+        }
+        assert len(explore(seed, 4, "unlabeled").nodes) == len(classes)
+
+
+class TestViolations:
+    def test_an_always_bad_step_raises_at_the_first_path(self):
+        # the path starts at the walk's seed, which has the path (0,) already
         seed = mutate_seed(seed_from_epsilon(D4), 0)
         bad = RationalExpression(LP.one(4), LP(4, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1}))
         visited = []
 
-        def apply_step(cur_seed, k, expr):
-            assert cur_seed.path[0] == 0
-            visited.append(list(cur_seed.path[1:] + (k,)))
+        def apply_step(cur_seed, k, poly):
+            visited.append(cur_seed.path + (k,))
             return bad
 
-        rep = _verify_along_paths(seed, "A", (1, 0, 0, 0), apply_step, 4, None)
-        assert rep["paths_checked"] == len(visited) == 4 + 12 + 36 + 108
-        assert [w["path"] for w in rep["witnesses"]] == visited
-        assert all(a != b for path in visited for a, b in zip(path, path[1:]))
+        with pytest.raises(LaurentViolation) as caught:
+            _verify_along_paths(seed, "A", (1, 0, 0, 0), apply_step, 4, None)
+        assert visited == [(0, 3)]
+        assert caught.value.path == (3,)
+        assert caught.value.expression is bad
 
-    def test_non_laurent_child_is_reported_and_carried_unreduced(self):
+    def test_steps_carry_laurent_polynomials_up_to_the_bad_one(self):
         seed = seed_from_epsilon(A2)
         bad = RationalExpression(LP.one(2), LP(2, {(0, 0): 1, (1, 0): 1}))
         seen, results = [], {}
 
-        def apply_step(cur_seed, k, expr):
-            seen.append((cur_seed.path, expr))
-            if cur_seed.path == () and k == 1:
-                out = bad
-            else:
-                out = inverse_pullback_A(cur_seed, k, expr)
-            results[cur_seed.path + (k,)] = out
-            return out
+        def apply_step(cur_seed, k, poly):
+            path = cur_seed.path + (k,)
+            seen.append((path, poly))
+            results[path] = bad if path == (1, 0) else inverse_pullback_A(cur_seed, k, poly)
+            return results[path]
 
-        rep = _verify_along_paths(seed, "A", (1, 0), apply_step, 3, None)
-        assert rep["laurent_ok"] is False
-        assert rep["paths_checked"] == 6
-        assert rep["witnesses"][0] == {"path": [1], "expression": bad.to_str()}
-        assert all(w["path"][0] == 1 for w in rep["witnesses"])
-        assert {path for path, _ in seen} == {(), (0,), (1,), (0, 1), (1, 0)}
-        for path, expr in seen:
-            if not path:
-                continue
-            reduced = results[path].as_laurent()
-            if reduced is None:  # a witness: its fraction goes on unreduced
-                assert expr is results[path]
-                assert list(path) in [w["path"] for w in rep["witnesses"]]
-            else:
-                assert isinstance(expr, LaurentPolynomial) and expr == reduced
-        assert dict(seen)[(1,)] is bad
+        with pytest.raises(LaurentViolation) as caught:
+            _verify_along_paths(seed, "A", (1, 0), apply_step, 3, None)
+        assert caught.value.path == (1, 0)
+        assert caught.value.expression is bad
+        # depth first from the last label pushed; the bad step ends the walk
+        assert [path for path, _ in seen] == [(1,), (0,), (0, 1), (0, 1, 0), (1, 0)]
+        for path, poly in seen:
+            carried = results[path[:-1]].as_laurent() if path[:-1] else LP.monomial((1, 0))
+            assert type(poly) is LaurentPolynomial and poly == carried
 
 
 class TestPullbackOracle:
@@ -989,7 +1023,7 @@ class TestPullbackOracle:
                 seeds.append(mutate_seed(seeds[-1], k))
                 nid = edges[(nid, k)]
             for i, variable in enumerate(graph.nodes[nid].cluster_vars):
-                expr = RationalExpression.from_monomial(seeds[-1].f_vector(i))
+                expr = RationalExpression.from_monomial(f_vector(seeds[-1], i))
                 for source, k in reversed(list(zip(seeds, path))):
                     expr = pullback_A(source, k, expr).as_laurent()
                 assert expr == variable, (path, i)

@@ -46,11 +46,11 @@ no division takes place for it.  This holds for every permutation, so a
 symmetry that the search misses only shares less, and a permutation that
 is not a symmetry changes no answer.  A symmetry maps label paths from the
 root to label paths of the same length, so every image is a relation that
-the search meets at the same depth anyway; explore keeps only the
-generators whose s* maps the root's variables as s maps its indices, which
-holds for initial variables.  s* keeps term counts, so a relation that
-passes the term cap is never solved, and each of its images passes it too
-when it is met.
+the search meets at the same depth anyway from a root made by root_node,
+whose variables s* maps as s maps its indices.  From any other root an
+image is still a true relation, so explore uses every generator found.
+s* keeps term counts, so a relation that passes the term cap is never
+solved, and each of its images passes it too when it is met.
 
 Everything runs serially in one thread: the work is pure Python and holds
 the GIL, so threads cannot speed it up.
@@ -68,8 +68,6 @@ from .errors import (
     ValidationError,
 )
 from .laurent import (
-    EXPONENT_LIMIT,
-    ExponentOverflow,
     LaurentPolynomial,
     RationalExpression,
     exact_divide,
@@ -117,41 +115,21 @@ def root_node(seed):
 
 
 def exchange_polynomial(node, k):
-    """prod_j vars_j^[eps_kj]_+  +  prod_j vars_j^[-eps_kj]_+ .
-
-    In each product the single-term factors are folded into one exponent
-    vector and one coefficient, applied by one shift (or one monomial when
-    no other factor is left), so powers and products run only on factors
-    with more than one term.  A factor whose exponents alone reach the bound
-    raises ExponentOverflow, as its power would."""
-    n = len(node.rows)
-    products = [None, None]  # the factors with more than one term
-    shifts = [[0] * n, [0] * n]
-    coeffs = [1, 1]
+    """prod_j vars_j^[eps_kj]_+  +  prod_j vars_j^[-eps_kj]_+ : each side is
+    the product of v ** |e| over the entries e of row k with that sign, or 1
+    if there are none.  __pow__ returns a factor itself at exponent 1 and
+    __mul__ shifts by a single-term factor, so those need no route of their
+    own.  A factor that reaches the exponent bound raises ExponentOverflow
+    from the frame test of the product that forms it."""
+    sides = [None, None]  # the products of the positive and negative parts
     for v, e in zip(node.cluster_vars, node.rows[k]):
-        if not e:
-            continue
-        side = e < 0
-        e = abs(e)
-        if v.n_terms() == 1:
-            ((m, c),) = v.items()
-            top = e * max(map(abs, m), default=0)
-            if top >= EXPONENT_LIMIT:
-                raise ExponentOverflow(f"exponent {top} exceeds the supported range")
-            shifts[side] = [x + e * y for x, y in zip(shifts[side], m)]
-            coeffs[side] *= c ** e
-        else:
-            f = v ** e
-            p = products[side]
-            products[side] = f if p is None else p * f
-    halves = []
-    for p, exps, c in zip(products, shifts, coeffs):
-        if p is None:
-            halves.append(LaurentPolynomial.monomial(exps, c))
-        else:
-            p = p.shift(exps)
-            halves.append(p if c == 1 else p * c)
-    return halves[0] + halves[1]
+        if e:
+            f = v ** abs(e)
+            p = sides[e < 0]
+            sides[e < 0] = f if p is None else p * f
+    one = LaurentPolynomial.one(len(node.rows))
+    plus, minus = (one if p is None else p for p in sides)
+    return plus + minus
 
 
 def step(node, k, max_terms=None):
@@ -435,13 +413,7 @@ def explore(root, depth, dedup="labeled", max_terms=None):
             return image
         return move
 
-    # the symmetries that map the root's variables as they map its indices,
-    # so that they map the explored ball to itself
-    movers = []
-    for g in _symmetry_generators(root.rows, fixed.frozen):
-        move = mover(g)
-        if all(move(r) == root_ranks[j] for r, j in zip(root_ranks, g)):
-            movers.append(move)
+    movers = [mover(g) for g in _symmetry_generators(root.rows, fixed.frozen)]
     for _ in range(depth):
         if not frontier:  # the graph is complete; deeper levels add nothing
             break

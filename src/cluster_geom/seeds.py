@@ -102,22 +102,6 @@ class FixedData:
         return hash((self.n, self.skew, self.d, self.frozen))
 
 
-def _epsilon_from_basis(fixed, basis):
-    """Definitional exchange matrix: (B^T skew B) D, column j of B^T skew B
-    scaled by d_j.
-
-    It is integral off the frozen block for every basis that Seed accepts,
-    so nothing is checked here.  Write S for the skew form and take i or j
-    unfrozen; then eps_ij = sum_{a,b} B_ai (S_ab d_b) (B_bj d_j / d_b).
-    When a and b are not both frozen, the term is integral: FixedData
-    checks that S_ab d_b is, and Seed that d_b divides d_j B_bj.  When a
-    and b are both frozen, the term vanishes: B_ai = 0 if i is unfrozen and
-    B_bj = 0 if j is, since unfrozen columns of B have no frozen
-    coordinates."""
-    gram = basis.transpose() @ fixed.skew @ basis
-    return Matrix([[x * dj for x, dj in zip(row, fixed.d)] for row in gram.data])
-
-
 class Seed:
     """A basis of the fixed lattice, expressed in initial coordinates.
 
@@ -182,7 +166,7 @@ class Seed:
         d = fx.d
         if any(d[i] * b[j, i] % d[j] for i in range(n) for j in range(n)):
             raise ValidationError("scaled columns d_i e_i do not span the expected sublattice")
-        object.__setattr__(self, "eps", _epsilon_from_basis(fx, b))
+        object.__setattr__(self, "eps", epsilon_from_basis(self))
 
     @property
     def basis(self):
@@ -264,16 +248,6 @@ class Seed:
         d = self.fixed.d
         return sum(Fraction(n_vec[a] * m_vec[a], d[a]) for a in range(self.n))
 
-    def skew_pair(self, n1, n2):
-        """{n1, n2} for vectors in initial coordinates."""
-        skew = self.fixed.skew
-        return sum(
-            n1[a] * skew[a, b] * n2[b]
-            for a in range(self.n)
-            for b in range(self.n)
-            if n1[a] and skew[a, b]
-        )
-
 
 def root_seed(fixed):
     return Seed(fixed, Matrix.identity(fixed.n))
@@ -294,12 +268,22 @@ def seed_from_epsilon(eps_rows, d=None, frozen=()):
 
 
 def epsilon_from_basis(seed):
-    """Recompute the exchange matrix from the basis and skew form.
+    """The exchange matrix by its definition, (B^T skew B) D: column j of
+    B^T skew B scaled by d_j.  Seed computes its eps this way, and the tests
+    use it as the definitional route to cross-check the matrix-mutation
+    rule of mutate_seed.
 
-    Always equal to seed.eps; kept as the definitional route so tests can
-    cross-check it against the matrix-mutation rule used by mutate_seed.
-    """
-    return _epsilon_from_basis(seed.fixed, seed.basis)
+    It is integral off the frozen block for every basis that Seed accepts,
+    so nothing is checked here.  Write S for the skew form and take i or j
+    unfrozen; then eps_ij = sum_{a,b} B_ai (S_ab d_b) (B_bj d_j / d_b).
+    When a and b are not both frozen, the term is integral: FixedData
+    checks that S_ab d_b is, and Seed that d_b divides d_j B_bj.  When a
+    and b are both frozen, the term vanishes: B_ai = 0 if i is unfrozen and
+    B_bj = 0 if j is, since unfrozen columns of B have no frozen
+    coordinates."""
+    fixed, basis = seed.fixed, seed.basis
+    gram = basis.transpose() @ fixed.skew @ basis
+    return Matrix([[x * dj for x, dj in zip(row, fixed.d)] for row in gram.data])
 
 
 def check_symmetrizable(eps, d):
@@ -402,11 +386,12 @@ def mutate_along(seed, path):
 
 
 def tropical_mutation_A(seed, k, n_vec):
-    """Piecewise-linear mutation on N: n -> n + [{n, d_k e_k}]_+ e_k."""
+    """Piecewise-linear mutation on N: n -> n + [{n, d_k e_k}]_+ e_k, where
+    {n, d_k e_k} = -d_k {e_k, n} = -d_k <n, v_k>."""
     if k in seed.fixed.frozen:
         raise ValidationError(f"index {k} is frozen")
     ek = seed.e_vector(k)
-    br = seed.skew_pair(n_vec, tuple(seed.fixed.d[k] * x for x in ek))
+    br = -seed.fixed.d[k] * seed.pair_with_dual(n_vec, seed.v_vector(k))
     br = _as_int(br, "tropical pairing")
     c = pos_part(br)
     return tuple(x + c * y for x, y in zip(n_vec, ek))

@@ -298,11 +298,15 @@ def test_criterion_9_cli_determinism(cli_files):
     across 1 vs 4 worker threads."""
     started = time.time()
 
-    def run(*args):
-        return subprocess.run(
+    def report(*args):
+        """stdout of a run that must exit 0 with a JSON object on stdout."""
+        result = subprocess.run(
             [sys.executable, "-m", "cluster_geom", *args],
             capture_output=True, text=True,
         )
+        assert result.returncode == 0, (args, result.stderr)
+        assert isinstance(json.loads(result.stdout), dict), args
+        return result.stdout
 
     commands = [
         ("mutate", cli_files["a2"], "--path", "0,1,0"),
@@ -315,11 +319,7 @@ def test_criterion_9_cli_determinism(cli_files):
         ("rank2", cli_files["nine"], "--mutations", "0,4"),
     ]
     for args in commands:
-        first = run(*args)
-        second = run(*args)
-        assert first.stdout == second.stdout, args
-        assert first.returncode == second.returncode == 0, (args, first.stderr)
-    serial = run("explore", cli_files["markov"], "--depth", "4", "--workers", "1")
-    parallel = run("explore", cli_files["markov"], "--depth", "4", "--workers", "4")
-    assert serial.stdout == parallel.stdout
+        assert report(*args) == report(*args), args
+    markov = ("explore", cli_files["markov"], "--depth", "4", "--workers")
+    assert report(*markov, "1") == report(*markov, "4")
     _pass("criterion 9: CLI byte-determinism incl. 1 vs 4 workers", started)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_geom import cli
-from golden_cases import CASES, EXIT_CODES, GOLDEN, TRIANGLE
+from golden_cases import CASES, EXIT_CODES, GOLDEN, NINE_RAY, TRIANGLE
+from test_rank2 import random_mixed_area_data
 
 CLI = [sys.executable, "-m", "cluster_geom"]
 A2_SKEW = [[0, 1], [-1, 0]]
@@ -516,6 +517,39 @@ class TestRank2:
         assert "out of range" in out.err
 
 
+# (w, mutation path): nine-ray, the cubic and 40 random weight-one
+# configurations, some with steep rays
+QUARTER_TURN_CASES = [(NINE_RAY["w"], "0,4,8"), (TRIANGLE["w"], "0,1,2")] + [
+    ([list(w) for w in data.w], "0,1") for data in random_mixed_area_data()
+]
+
+
+class TestQuarterTurns:
+    @pytest.mark.parametrize(
+        "w, path", QUARTER_TURN_CASES,
+        ids=["nine-ray", "cubic"] + [f"random{i}" for i in range(len(QUARTER_TURN_CASES) - 2)],
+    )
+    def test_reports_are_invariant(self, tmp_path, capsys, w, path):
+        # a quarter turn keeps every determinant det(w_i, w_j), so the
+        # exchange matrix, the kernel and its pairing; the fan turns with
+        # the plane, so only the start of its ray cycle moves
+        def report(w):
+            file = tmp_path / "w.json"
+            file.write_text(json.dumps({"w": w}))
+            assert cli.main(["rank2", str(file), "--mutations", path]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        base = report(w)
+        cycle = base.pop("boundary_self_intersections")
+        for _ in range(3):
+            w = [[-y, x] for x, y in w]
+            turned = report(w)
+            shifted = turned.pop("boundary_self_intersections")
+            assert turned == base
+            assert len(shifted) == len(cycle)
+            assert any(shifted == cycle[s:] + cycle[:s] for s in range(len(cycle)))
+
+
 def _golden_stdout(tmp_path, capsys, name, doc, command, extra):
     path = tmp_path / "seed.json"
     path.write_text(json.dumps(doc))
@@ -538,6 +572,14 @@ class TestSeedGolden:
         assert len(RANK2_GOLDEN) + len(LAURENT_GOLDEN) + len(SEED_GOLDEN) == len(CASES)
 
 
+def _report(result):
+    """The JSON report of a run that must succeed: exit 0 and a JSON object
+    on stdout, so two runs that fail alike compare as a failure."""
+    assert result.returncode == 0, result.stderr
+    assert isinstance(json.loads(result.stdout), dict)
+    return result.stdout
+
+
 class TestDeterminism:
     def test_all_commands_byte_identical(self, a2_file, nine_ray_file):
         pairs = [
@@ -548,11 +590,9 @@ class TestDeterminism:
             ("rank2", nine_ray_file),
         ]
         for args in pairs:
-            a = run_cli(*args)
-            b = run_cli(*args)
-            assert a.stdout == b.stdout and a.returncode == b.returncode
+            assert _report(run_cli(*args)) == _report(run_cli(*args)), args
 
     def test_workers_identical(self, markov_file):
         a = run_cli("explore", markov_file, "--depth", "4", "--workers", "1")
         b = run_cli("explore", markov_file, "--depth", "4", "--workers", "4")
-        assert a.stdout == b.stdout
+        assert _report(a) == _report(b)

@@ -394,18 +394,19 @@ class TestKeys:
 
 
 def _product_of_powers(node, k):
-    """The exchange polynomial by its first route: every factor raised to
-    its power by __pow__ and multiplied in, one product per sign."""
-    plus = minus = None
-    for v, e in zip(node.cluster_vars, node.seed.eps.row(k)):
-        if e > 0:
-            f = v ** e
-            plus = f if plus is None else plus * f
-        elif e < 0:
-            f = v ** -e
-            minus = f if minus is None else minus * f
+    """The exchange polynomial by repeated multiplication, apart from
+    exchange_polynomial's route: one product per sign, starting from 1, with
+    each factor multiplied in |e| times.  No __pow__ is taken, and no
+    product has one object on both sides, so no square is formed."""
     one = LP.one(node.seed.n)
-    return (one if plus is None else plus) + (one if minus is None else minus)
+    plus = minus = one
+    for v, e in zip(node.cluster_vars, node.seed.eps.row(k)):
+        for _ in range(abs(e)):
+            if e > 0:
+                plus = plus * v
+            else:
+                minus = minus * v
+    return plus + minus
 
 
 def _random_variable(rng, n, terms):
@@ -477,7 +478,7 @@ class TestExchangePolynomial:
                 for route in (exchange_polynomial, _product_of_powers):
                     with pytest.raises(ExponentOverflow):
                         route(node, k)
-        # one below the bound, the single-term route agrees
+        # one below the bound, both routes agree
         node = SeedNode(seed, (LP.variable(3, 0), LP.monomial((0, 0, 1 - h), 5),
                                LP.monomial((0, 0, h - 1), -1)))
         assert exchange_polynomial(node, 0) == _product_of_powers(node, 0)
@@ -960,6 +961,27 @@ class TestRelabeling:
             for node in labeled
         }
         assert len(explore(seed, 4, "unlabeled").nodes) == len(classes)
+
+
+class TestNegation:
+    # eps and -eps have the same exchange polynomials with their two
+    # monomials swapped, so the same cluster variables and the same graph
+    @pytest.mark.parametrize("eps, d, q", [
+        (A3, None, (1, 0, 2)),
+        (B3, (1, 1, 2), (0, 1, 1)),
+        (MARKOV, None, (1, 0, 0)),
+        (CYCLE4, None, (0, 0, 0, 1)),
+        (D4, None, (1, 0, 0, 0)),
+    ], ids=["A3", "B3", "Markov", "cycle4", "D4"])
+    def test_reports_are_invariant(self, eps, d, q):
+        seed = seed_from_epsilon(eps, d)
+        negated = seed_from_epsilon([[-x for x in row] for row in eps], d)
+        for dedup in ("labeled", "unlabeled"):
+            assert explore(negated, 4, dedup).report() == explore(seed, 4, dedup).report()
+        # on side A the path count and the term counts agree, but not the
+        # degrees: D4 with q = (1, 0, 0, 0) reaches 1 against 2 at depth 3
+        a, b = verify_laurent_A(seed, q, 4), verify_laurent_A(negated, q, 4)
+        assert (a["paths_checked"], a["max_terms"]) == (b["paths_checked"], b["max_terms"])
 
 
 class TestViolations:

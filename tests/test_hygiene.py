@@ -1,8 +1,11 @@
 """Checks on the repository's own files, standard library only: every name a
 src module imports is used in it, README's library quick start runs and
-prints what its comments say, and every layer the benchmark traces exists."""
+prints what its comments say, its CLI synopsis names every option, and
+every layer the benchmark traces exists."""
 
+import argparse
 import ast
+import re
 import importlib
 import importlib.util
 import io
@@ -62,6 +65,35 @@ def test_readme_quick_start():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert checked == 4
+
+
+def _synopsis_options():
+    """subcommand -> the options that README's CLI synopsis shows for it."""
+    text = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    out = {}
+    for line in block.splitlines():
+        _, command, *rest = line.split()
+        out[command] = set(re.findall(r"--[a-z][a-z-]*", " ".join(rest)))
+    return out
+
+
+def _parser_options():
+    """subcommand -> the options that build_parser() gives it, but --help."""
+    from cluster_geom.cli import build_parser
+
+    (subparsers,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        command: {s for a in p._actions for s in a.option_strings
+                  if s.startswith("--") and s != "--help"}
+        for command, p in subparsers.choices.items()
+    }
+
+
+def test_readme_cli_synopsis_names_every_option():
+    assert _synopsis_options() == _parser_options()
 
 
 def _traced_layers():

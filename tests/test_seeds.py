@@ -145,7 +145,7 @@ def _rational_fixed(rng, n):
 class TestEpsilonIntegrality:
     def test_integral_off_the_frozen_block_for_every_accepted_basis(self):
         # Seed checks no entry of eps: integrality off the frozen block
-        # follows from its column conditions (see _epsilon_from_basis).
+        # follows from its column conditions (see epsilon_from_basis).
         # Bases come from random elementary column operations, each kept
         # only when Seed accepts the result.
         rng = random.Random(47)

@@ -29,7 +29,6 @@ from .laurent import (
     RationalExpression,
     binomial_power,
     exact_divide,
-    pullback_A,
 )
 from .rank2 import (
     BlowupSurface,

@@ -522,8 +522,9 @@ def exact_divide(p, q, max_terms=None):
 
 
 class RationalExpression:
-    """A fraction of Laurent polynomials.  No automatic gcd reduction is
-    performed; Laurent-ness is decided by a single exact division on demand."""
+    """A fraction of Laurent polynomials, as monomial_twist returns it.  No
+    automatic gcd reduction is performed; Laurent-ness is decided by a single
+    exact division on demand."""
 
     __slots__ = ("num", "den")
 
@@ -543,27 +544,10 @@ class RationalExpression:
     def __reduce__(self):
         return RationalExpression, (self.num, self.den)
 
-    @classmethod
-    def from_monomial(cls, exps, coeff=1):
-        return cls(LaurentPolynomial.monomial(exps, coeff))
-
-    @property
-    def nvars(self):
-        return self.num.nvars
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            other = RationalExpression(other)
-        return RationalExpression(self.num * other.num, self.den * other.den)
-
     def as_laurent(self, max_terms=None):
         """The equal Laurent polynomial, or None when the fraction is not one;
         the term cap is exact_divide's."""
         return exact_divide(self.num, self.den, max_terms)
-
-    def equals(self, other):
-        """Exact equality as rational functions (cross multiplication)."""
-        return self.num * other.den == other.num * self.den
 
     def to_str(self, names=None):
         if self.den.is_one():
@@ -581,27 +565,20 @@ class RationalExpression:
 #   A-side (dual-lattice characters):  z^m -> z^m (1 + z^{v_k})^{-<d_k e_k, m>}
 #   X-side (lattice characters):       z^n -> z^n (1 + z^{e_k})^{-[n, e_k]}
 #
-# The inverse maps are the same twists with the opposite exponent sign, in the
-# data of the same source seed.  Both exponents vanish on the twist vector,
-# so they are constant on each line m + Zv, and the pullback of a regular
-# function is regular exactly when, line by line, it keeps its order along
-# {1 + z^v = 0} (GHK); monomial_twist checks that with one exact division
-# per line.
+# laurent-check walks the inverse maps, the same twists with the opposite
+# exponent sign in the data of the same source seed.  Both exponents are
+# linear forms that vanish on the twist vector, so they are constant on each
+# line m + Zv, and the pullback of a regular function is regular exactly
+# when, line by line, it keeps its order along {1 + z^v = 0} (GHK);
+# monomial_twist checks that with one exact division per line.
 # ---------------------------------------------------------------------------
-
-def _as_expression(expr):
-    if isinstance(expr, LaurentPolynomial):
-        return RationalExpression(expr)
-    if isinstance(expr, RationalExpression):
-        return expr
-    raise TypeError("expected a LaurentPolynomial or RationalExpression")
-
 
 class LinearForm:
     """m -> sum_a ints[a] * m[a] / den, with integer weights `ints` over one
     common denominator `den`; a value that is not an integer raises
-    ValueError(message).  The pullbacks pass their twist exponent as a
-    LinearForm, which tells monomial_twist that it is linear."""
+    ValueError(message).  monomial_twist takes its exponent as a
+    LinearForm, which is constant on the lines m + Zv of a twist vector v
+    that it vanishes on."""
 
     __slots__ = ("ints", "den", "message")
 
@@ -615,9 +592,6 @@ class LinearForm:
         if num % self.den:
             raise ValueError(self.message)
         return num // self.den
-
-    def __neg__(self):
-        return LinearForm(map(neg, self.ints), self.den, self.message)
 
     def kills(self, v):
         """Whether the form vanishes at v."""
@@ -674,15 +648,15 @@ def _over_binomial(coeffs, b):
 def _twist_lines(p, v, g):
     """sum_m c_m z^m (1 + z^v)^{g(m)} for p = sum_m c_m z^m, v != 0 and a
     linear form g with g(v) = 0, as a Laurent polynomial; or None when it
-    is not one, or when the general route's exponent test would fire, so
-    that the general route gives its fraction or raises ExponentOverflow.
+    is not one, or when the sparse route's exponent test would fire, so
+    that the sparse route gives its fraction or raises ExponentOverflow.
 
     g is constant on each line m + Zv, and in t = z^v the line's terms form
     a polynomial P(t), twisted to P(t) (1 + t)^a.  Distinct lines share no
     monomial, so the twist is a Laurent polynomial exactly when
     (1 + t)^{-a} divides P(t) on every line with a < 0.  A single term with
     a >= 0 is a shifted binomial power.  Otherwise every line is twisted on
-    dense coefficients (lines with wide gaps take the general route), and
+    dense coefficients (lines with wide gaps take the sparse route), and
     the results are written on packed keys in p's frame widened by
     max(0, max a) v, which holds every output term; packing is linear, so
     the line's j-th term lies j key(v) above its lowest, and all keys are
@@ -695,7 +669,7 @@ def _twist_lines(p, v, g):
         a = g(m)
         if a < 0:
             return None
-        # raises ExponentOverflow exactly when the general route does
+        # raises ExponentOverflow exactly when the sparse route does
         return binomial_power(v, a).shift(m) * c
     i0 = next(i for i, x in enumerate(v) if x)
     vi = v[i0]
@@ -712,12 +686,12 @@ def _twist_lines(p, v, g):
     low = min(a for _, _, a, _, _ in powers)
     high = max(a for _, _, a, _, _ in powers)
     floor = max(0, -low)
-    # the general route's exponent test, covering its denominator too
+    # the sparse route's exponent test, covering its denominator too
     vmax = max(map(abs, v))
     if max(p.max_abs_exponent() + high * vmax, 0) + floor * vmax >= EXPONENT_LIMIT:
         return None
     # the dense lines may hold at most twice as many coefficients as the
-    # general route's twisted numerator; lines with wide gaps go there, and
+    # sparse route's twisted numerator; lines with wide gaps go there, and
     # a huge quotient stops at the term cap of its division
     dense = sum(top - bottom + 1 + max(a, 0) for _, _, a, bottom, top in powers)
     if dense > 2 * sum(len(line) * (a + floor + 1) for _, line, a, _, _ in powers):
@@ -749,59 +723,52 @@ def _twist_lines(p, v, g):
     return LaurentPolynomial._raw(p.nvars, _unpack(out, lo, size, code))
 
 
-def monomial_twist(expr, v, g):
-    """Apply z^m -> z^m (1 + z^v)^{g(m)} to a rational expression.
+def monomial_twist(p, v, g):
+    """Apply z^m -> z^m (1 + z^v)^{g(m)} to a Laurent polynomial p, for a
+    LinearForm g with g(v) = 0; a form with g(v) != 0 raises ValueError.
 
-    When g is a LinearForm with g(v) = 0, v != 0 and expr is a Laurent
-    polynomial, the twist is taken line by line (see _twist_lines), and a
-    Laurent result comes back reduced, over the denominator 1.  Everything
-    else, and every result that is not Laurent, takes the general route:
-    negative powers of the binomial are routed into the denominator and no
-    reduction is attempted.  Each side is accumulated in one dict: a term
-    c z^m with twist exponent a adds c * comb(a, j) at m + j v for j = 0..a,
-    with the expansion of (1 + z^v)^a built once per distinct a.
+    For v != 0 the twist is taken line by line (see _twist_lines), and a
+    Laurent result comes back reduced, over the denominator 1.  Every other
+    case (v = 0, a twist that is not Laurent, a line with wide gaps, a
+    result near the exponent bound) takes the sparse route and comes back
+    unreduced: with floor = max(0, -min g(m)), each term c z^m adds
+    c * comb(a, j) at m + j v for j = 0..a, a = g(m) + floor, the expansion
+    of (1 + z^v)^a built once per distinct a, over the denominator
+    (1 + z^v)^floor.
     """
-    expr = _as_expression(expr)
     v = tuple(v)
-    if isinstance(g, LinearForm) and expr.den.is_one() and any(v) and g.kills(v):
-        twisted = _twist_lines(expr.num, v, g)
+    if not g.kills(v):
+        raise ValueError("the twist exponent does not vanish on the twist vector")
+    if any(v):
+        twisted = _twist_lines(p, v, g)
         if twisted is not None:
             return RationalExpression(twisted)
+    powers = [(m, c, g(m)) for m, c in p.items()]
+    if not powers:
+        return RationalExpression(p)
+    floor = max(0, -min(a for _, _, a in powers))
+    top = max(a for _, _, a in powers) + floor
+    # |exponent| of an output term is at most max|m| + top * max|v|
     vmax = max(map(abs, v), default=0)
-
-    def twist_poly(p):
-        if p.is_zero():
-            return p, 0
-        powers = [(m, c, g(m)) for m, c in p.items()]
-        floor = max(0, -min(a for _, _, a in powers))
-        top = max(a for _, _, a in powers) + floor
-        # |exponent| of an output term is at most max|m| + top * max|v|
-        check = p.max_abs_exponent() + top * vmax >= EXPONENT_LIMIT
-        expansions = {}
-        out = {}
-        for m, c, a in powers:
-            a += floor
-            expansion = expansions.get(a)
-            if expansion is None:
-                expansion = expansions[a] = binomial_power(v, a).items()
-            for jv, b in expansion:
-                e = tuple(map(add, m, jv))
-                if check:
-                    _check_exponents(e)
-                s = out.get(e, 0) + c * b
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPolynomial._raw(p.nvars, out), floor
-
-    num, fn = twist_poly(expr.num)
-    den, fd = twist_poly(expr.den)
-    if fn >= fd:
-        den = den * binomial_power(v, fn - fd)
-    else:
-        num = num * binomial_power(v, fd - fn)
-    return RationalExpression(num, den)
+    check = p.max_abs_exponent() + top * vmax >= EXPONENT_LIMIT
+    expansions = {}
+    out = {}
+    for m, c, a in powers:
+        a += floor
+        expansion = expansions.get(a)
+        if expansion is None:
+            expansion = expansions[a] = binomial_power(v, a).items()
+        for jv, b in expansion:
+            e = tuple(map(add, m, jv))
+            if check:
+                _check_exponents(e)
+            s = out.get(e, 0) + c * b
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    num = LaurentPolynomial._raw(p.nvars, out)
+    return RationalExpression(num, binomial_power(v, floor))
 
 
 def _pairing_form(seed, k, vec, message):
@@ -816,25 +783,15 @@ def _a_side_exponent(seed, k):
     return _pairing_form(seed, k, seed.e_vector(k), "pairing <d_k e_k, m> is not integral")
 
 
-def pullback_A(seed, k, expr):
-    """Pullback of a dual-side function along the mutation at k (source seed
-    data): z^m -> z^m (1 + z^{v_k})^{-<d_k e_k, m>}.  The exponent vanishes
-    at v_k (<d_k e_k, v_k> = d_k {e_k, e_k} = 0), so a Laurent polynomial
-    is twisted line by line (see monomial_twist)."""
+def inverse_pullback_A(seed, k, p):
+    """z^m -> z^m (1 + z^{v_k})^{<d_k e_k, m>}, the inverse of the A-side
+    pullback along the mutation at k, in the same seed's data.  It expresses
+    a function on this seed's torus in the coordinates of the mutated
+    neighbour (up to the harmless linear double-mutation change of monomial
+    basis)."""
     if k in seed.fixed.frozen:
         raise ValueError(f"index {k} is frozen")
-    return monomial_twist(expr, seed.v_vector(k), -_a_side_exponent(seed, k))
-
-
-def inverse_pullback_A(seed, k, expr):
-    """Inverse of pullback_A in the same seed's data: the opposite twist.
-
-    This expresses a function on this seed's torus in the coordinates of the
-    mutated neighbour (up to the harmless linear double-mutation change of
-    monomial basis)."""
-    if k in seed.fixed.frozen:
-        raise ValueError(f"index {k} is frozen")
-    return monomial_twist(expr, seed.v_vector(k), _a_side_exponent(seed, k))
+    return monomial_twist(p, seed.v_vector(k), _a_side_exponent(seed, k))
 
 
 def _x_side_exponent(seed, k):
@@ -844,11 +801,11 @@ def _x_side_exponent(seed, k):
     return _pairing_form(seed, k, v, "bracket [n, e_k] is not integral")
 
 
-def inverse_pullback_X(seed, k, expr):
+def inverse_pullback_X(seed, k, p):
     """Inverse of the pullback of a lattice-side function along the mutation
     at k: z^n -> z^n (1 + z^{e_k})^{d_k [n, e_k]}.  The exponent vanishes at
     e_k ([e_k, e_k] = 0), so a Laurent polynomial is twisted line by line
     (see monomial_twist)."""
     if k in seed.fixed.frozen:
         raise ValueError(f"index {k} is frozen")
-    return monomial_twist(expr, seed.e_vector(k), _x_side_exponent(seed, k))
+    return monomial_twist(p, seed.e_vector(k), _x_side_exponent(seed, k))

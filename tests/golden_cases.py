@@ -32,6 +32,10 @@ G2 = {"rank": 2, "skew": [[0, 1], [-1, 0]], "d": [1, 3]}
 # type B3 (d = (1, 1, 2)), 20 clusters; and A3 with one frozen index, 14
 B3 = {"rank": 3, "skew": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "d": [1, 1, 2]}
 A3_FROZEN = {**A4, "frozen": [3]}
+# index 2 is isolated (v_2 = 0): the A side twists by the zero vector there,
+# which takes monomial_twist's sparse route; on the X side v = e_2 and the
+# twist exponent is zero
+ISOLATED = {"rank": 3, "skew": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}
 # plane data: three rays each through (1, 0), (0, 1) and (-1, -1)
 NINE_RAY = {"w": [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3}
 TRIANGLE = {"w": [[1, 0], [0, 1], [-1, -1]]}
@@ -95,6 +99,12 @@ CASES = {
     # the X side with d != 1 (189 paths)
     "laurent_check_b3_X_d6": (
         B3, ["laurent-check", "--side", "X", "--q=0,0,-1", "--depth", "6"]
+    ),
+    "laurent_check_isolated_A103_d5": (
+        ISOLATED, ["laurent-check", "--side", "A", "--q=1,0,3", "--depth", "5"]
+    ),
+    "laurent_check_isolated_X_d5": (
+        ISOLATED, ["laurent-check", "--side", "X", "--q=0,-1,-3", "--depth", "5"]
     ),
     # labeled graphs whose exchange relations repeat under other labels
     # (384 and 427 nodes)

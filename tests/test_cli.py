@@ -1,14 +1,31 @@
 import json
+import random
 import subprocess
 import sys
 import time
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_geom import cli
-from golden_cases import CASES, EXIT_CODES, GOLDEN, NINE_RAY, TRIANGLE
+from cluster_geom.intmat import Matrix, smith_diagonal
+from golden_cases import (
+    A3_FROZEN,
+    A4,
+    B3,
+    CASES,
+    CYCLE4,
+    D4,
+    EXIT_CODES,
+    G2,
+    GOLDEN,
+    MARKOV,
+    NINE_RAY,
+    RANK4_FROZEN,
+    TRIANGLE,
+)
 from test_rank2 import random_mixed_area_data
 
 CLI = [sys.executable, "-m", "cluster_geom"]
@@ -548,6 +565,103 @@ class TestQuarterTurns:
             assert turned == base
             assert len(shifted) == len(cycle)
             assert any(shifted == cycle[s:] + cycle[:s] for s in range(len(cycle)))
+
+
+def _permuted(rows, order):
+    """The square matrix with entry (i, j) taken from (order[i], order[j])."""
+    return [[rows[a][b] for b in order] for a in order]
+
+
+def _relabeled(doc, order):
+    """The seed document with index i renamed from order[i]; absent keys
+    stay absent."""
+    out = {"rank": doc["rank"], "skew": _permuted(doc["skew"], order)}
+    if "d" in doc:
+        out["d"] = [doc["d"][a] for a in order]
+    if "frozen" in doc:
+        out["frozen"] = sorted(order.index(f) for f in doc["frozen"])
+    if "basis" in doc:
+        out["basis"] = _permuted(doc["basis"], order)
+    return out
+
+
+def _command_report(tmp_path, capsys, command, doc, *extra):
+    file = tmp_path / "seed.json"
+    file.write_text(json.dumps(doc))
+    assert cli.main([command, str(file), *extra]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+# (seed document, mutation path): every path label is unfrozen
+RELABELING_CASES = {
+    "Markov": (MARKOV, [0, 1, 0, 2]),
+    "A4": (A4, [1, 3, 0, 2]),
+    "D4": (D4, [1, 0, 3]),
+    "cycle4": (CYCLE4, [3, 1, 2]),
+    "B3": (B3, [2, 1, 0, 2]),
+    "G2": (G2, [1, 0, 1]),
+    "A3-frozen": (A3_FROZEN, [2, 0, 1]),
+    "rank4-frozen": (RANK4_FROZEN, [0, 1, 0]),
+}
+
+
+class TestRelabeling:
+    # renaming the indices of a seed file renames the indices of every seed
+    # mutated from it: picard's Smith invariants stay, and mutate along the
+    # renamed path gives the renamed seed and exchange matrix
+    # picard takes seeds without frozen indices
+    @pytest.mark.parametrize("doc", [
+        doc for doc, _ in RELABELING_CASES.values() if not doc.get("frozen")
+    ], ids=[name for name, (doc, _) in RELABELING_CASES.items() if not doc.get("frozen")])
+    def test_picard_is_invariant(self, tmp_path, capsys, doc):
+        base = _command_report(tmp_path, capsys, "picard", doc)
+        for order in permutations(range(doc["rank"])):
+            assert _command_report(tmp_path, capsys, "picard", _relabeled(doc, order)) == base
+
+    @pytest.mark.parametrize("doc, path", RELABELING_CASES.values(), ids=RELABELING_CASES)
+    def test_mutate_commutes_with_relabeling(self, tmp_path, capsys, doc, path):
+        base = _command_report(tmp_path, capsys, "mutate", doc, "--path", ",".join(map(str, path)))
+        for order in permutations(range(doc["rank"])):
+            moved = [order.index(k) for k in path]
+            out = _command_report(
+                tmp_path, capsys, "mutate", _relabeled(doc, order),
+                "--path", ",".join(map(str, moved)),
+            )
+            assert out == {
+                "seed": _relabeled(base["seed"], order),
+                "path": moved,
+                "epsilon": _permuted(base["epsilon"], order),
+            }, order
+
+
+class TestRayPermutations:
+    @pytest.mark.parametrize(
+        "w, path", QUARTER_TURN_CASES,
+        ids=["nine-ray", "cubic"] + [f"random{i}" for i in range(len(QUARTER_TURN_CASES) - 2)],
+    )
+    def test_reports_are_invariant(self, tmp_path, capsys, w, path):
+        # permuting the rays permutes the indices of the seed: the fan, its
+        # blowup and the kernel K are the same, but K's basis is another one,
+        # so the Gram matrix changes by a unimodular congruence and keeps
+        # its Smith diagonal
+        def report(w, path):
+            out = _command_report(tmp_path, capsys, "rank2", {"w": w}, "--mutations", path)
+            gram = out.pop("gram")
+            out.pop("K_basis")
+            return out, gram and smith_diagonal(Matrix(gram))
+
+        base, diagonal = report(w, path)
+        labels = [int(k) for k in path.split(",")]
+        rng = random.Random(len(w) * 31 + sum(labels))
+        for order in (tuple(reversed(range(len(w)))), tuple(rng.sample(range(len(w)), len(w)))):
+            moved = [order.index(k) for k in labels]
+            out, gram_diagonal = report([w[a] for a in order], ",".join(map(str, moved)))
+            assert out == {
+                **base,
+                "epsilon": _permuted(base["epsilon"], order),
+                "invariance_checked_paths": [moved],
+            }, order
+            assert gram_diagonal == diagonal
 
 
 def _golden_stdout(tmp_path, capsys, name, doc, command, extra):

@@ -36,7 +36,6 @@ from cluster_geom.laurent import (
     RationalExpression,
     inverse_pullback_A,
     max_terms_limit,
-    pullback_A,
 )
 from cluster_geom.rank2 import Rank2Data, build_seed
 from cluster_geom.seeds import (
@@ -47,6 +46,7 @@ from cluster_geom.seeds import (
 )
 from golden_cases import NINE_RAY
 from test_seeds import f_vector
+from twist_oracle import monomial, pullback_A
 
 LP = LaurentPolynomial
 # the module, which the package's `explore` function shadows as an attribute
@@ -1033,7 +1033,9 @@ class TestPullbackOracle:
     def test_explore_variables_are_composite_pullbacks(self, seed):
         # GHK: A-side mutation is the pullback along the birational map, so
         # the variable z^{f_i} of the seed at the end of a path, pulled back
-        # step by step to the root torus, is the variable explore reaches
+        # step by step to the root torus, is the variable explore reaches.
+        # pullback_A is the test-local oracle, which shares no twist code
+        # with src
         graph = explore(seed, 4)
         edges = {(source, k): target for source, k, target in graph.edges}
         labels = sorted(seed.fixed.unfrozen)
@@ -1045,7 +1047,7 @@ class TestPullbackOracle:
                 seeds.append(mutate_seed(seeds[-1], k))
                 nid = edges[(nid, k)]
             for i, variable in enumerate(graph.nodes[nid].cluster_vars):
-                expr = RationalExpression.from_monomial(f_vector(seeds[-1], i))
+                expr = monomial(f_vector(seeds[-1], i))
                 for source, k in reversed(list(zip(seeds, path))):
                     expr = pullback_A(source, k, expr).as_laurent()
                 assert expr == variable, (path, i)

@@ -1,7 +1,8 @@
 """Checks on the repository's own files, standard library only: every name a
 src module imports is used in it, README's library quick start runs and
-prints what its comments say, its CLI synopsis names every option, and
-every layer the benchmark traces exists."""
+prints what its comments say, its CLI synopsis names every option, every
+Python name its Layout table cites exists, and every layer the benchmark
+traces exists."""
 
 import argparse
 import ast
@@ -94,6 +95,33 @@ def _parser_options():
 
 def test_readme_cli_synopsis_names_every_option():
     assert _synopsis_options() == _parser_options()
+
+
+def _layout_names():
+    """(module, name) for every backticked Python name, with or without an
+    argument list, in the contents column of README's Layout table; a
+    backticked text that is not a name, such as `cluster-geom`, is not one."""
+    text = (ROOT / "README.md").read_text().split("## Layout", 1)[1].split("\n## ", 1)[0]
+    out = []
+    for row in re.findall(r"^\| `(cluster_geom\.\w+)` \| (.*) \|$", text, re.MULTILINE):
+        module, contents = row
+        for code in re.findall(r"`([^`]*)`", contents):
+            name = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", code)
+            if name:
+                out.append((module, name.group(1)))
+    return out
+
+
+def test_layout_table_cites_names():
+    names = {name for _, name in _layout_names()}
+    assert {"smith_normal_form", "inverse_pullback_A", "LinearForm", "KGram"} <= names
+
+
+@pytest.mark.parametrize("module, name", _layout_names(), ids=lambda x: x)
+def test_readme_layout_name_resolves(module, name):
+    owner = importlib.import_module(module)
+    for part in name.split("."):
+        owner = getattr(owner, part)
 
 
 def _traced_layers():

@@ -32,7 +32,6 @@ from .laurent import (
 )
 from .rank2 import (
     BlowupSurface,
-    DivisorClass,
     Fan2D,
     KGram,
     Rank2Data,

@@ -243,19 +243,8 @@ def cmd_rank2(args):
         )
     else:
         form = symmetric_form(data)
-        nfg = non_fg_flag(form)
-        fg = fg_failure_flag(form)
-        out.update({
-            "supported": nfg["supported"],
-            "boundary_self_intersections": nfg["boundary_self_intersections"],
-            "all_minus_two": nfg["all_minus_two"],
-            "non_noetherian_principal": nfg["non_noetherian_principal"],
-            "K_basis": [list(v) for v in form.basis],
-            "gram": _encode_matrix(form.gram),
-            "classification": fg["form_classification"],
-            "inertia": fg["inertia"],
-            "fg_conjecture_possible": fg["fg_conjecture_possible"],
-        })
+        out.update(**non_fg_flag(form), **fg_failure_flag(form))
+        out.update(K_basis=[list(v) for v in form.basis], gram=_encode_matrix(form.gram))
         if path is not None:
             out["invariance_checked_paths"] = [path]
             out["invariance_ok"] = invariance_check(form, tuple(path))

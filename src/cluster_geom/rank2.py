@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd, lcm
+from operator import mul
 
 from .errors import PreconditionError, UnsupportedError, ValidationError
-from .intmat import Matrix, kernel_basis, smith_diagonal, solve_integer
+from .intmat import Matrix, kernel_basis, solve_integer
 from .seeds import FixedData, mutate_along, root_seed
 
 
@@ -47,14 +48,14 @@ class Rank2Data:
         if len(w) != len(nu):
             raise ValidationError("w and nu must have the same length")
         for v in w:
-            if len(v) != 2 or not all(isinstance(x, int) for x in v):
+            if len(v) != 2 or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
                 raise ValidationError("each w must be an integer pair")
             if gcd(*v) != 1:
                 raise ValidationError(f"vector {v} is not primitive")
-        if any(not isinstance(x, int) or x <= 0 for x in nu):
+        if any(not isinstance(x, int) or isinstance(x, bool) or x <= 0 for x in nu):
             raise ValidationError("weights nu must be positive integers")
-        cols = Matrix([[v[0] for v in w], [v[1] for v in w]])
-        if smith_diagonal(cols) != (1, 1):
+        # w generates Z^2 exactly when its 2 x 2 minors have gcd 1
+        if gcd(*(wedge(u, v) for u in w for v in w)) != 1:
             raise ValidationError("the vectors w do not generate Z^2")
 
     @property
@@ -185,24 +186,17 @@ def self_intersections(fan):
 # -- blown-up surfaces --------------------------------------------------------
 
 @dataclass(frozen=True)
-class DivisorClass:
-    """A class on the blown-up surface: integer multiples of the pulled-back
-    toric boundary divisors plus multiples of the exceptional curves."""
-
-    toric: tuple
-    exceptional: tuple
-
-
-@dataclass(frozen=True)
 class BlowupSurface:
     """A smooth toric surface blown up at distinct very general points of its
     boundary divisors, with its integral intersection form.
 
-    centers[i] is the ray index carrying the i-th blown-up point.  The
-    toric block Q of the form is read off the fan's walls: the toric
-    self-intersections a_i on the diagonal, ones between cyclically adjacent
-    rays.  Exceptional curves are mutually orthogonal with square -1 and
-    meet no pulled-back divisor."""
+    centers[i] is the ray index carrying the i-th blown-up point.  A class
+    is x - sum e_i E_i: a combination x of the pulled-back toric boundary
+    divisors minus multiples of the exceptional curves E_i.  The toric block
+    Q of the form is read off the fan's walls: the toric self-intersections
+    a_i on the diagonal, ones between cyclically adjacent rays.  Exceptional
+    curves are mutually orthogonal with square -1 and meet no pulled-back
+    divisor, so two classes meet in x Q y - e . e'."""
 
     fan: Fan2D
     centers: tuple
@@ -218,11 +212,6 @@ class BlowupSurface:
             rows[i][i] = a
             rows[i][i - 1] = rows[i][(i + 1) % r] = 1
         return Matrix(rows)
-
-    def intersect(self, c1, c2):
-        x, y, a = c1.toric, c2.toric, self.toric_self_intersections
-        toric = sum(x[i] * (a[i] * y[i] + y[i - 1]) + x[i - 1] * y[i] for i in range(len(a)))
-        return toric - sum(x * y for x, y in zip(c1.exceptional, c2.exceptional))
 
 
 def blowup_surface(fan, centers):
@@ -268,29 +257,26 @@ class KGram:
     gram: Matrix
 
 
-def _kernel_classes(surface, kernel_vectors):
-    """The class of each kernel element a on the surface: the toric class x
-    with Q x = c, where c_j is the total of a over the centers on ray j,
-    minus a_i times the i-th exceptional curve.  The class is orthogonal to
-    every boundary component.  All kernel elements are solved from one
-    Smith reduction of Q."""
-    rhs = []
+def _gram_for_vectors(surface, kernel_vectors):
+    """Gram matrix of the classes of the kernel elements on the surface.
+    The class of a is x_a - sum a_i E_i, where E_i is the exceptional curve
+    of the i-th center and Q x_a = c_a, with c_a[j] the total of a over the
+    centers on ray j: it is orthogonal to every boundary component.  Two
+    classes meet in x_a Q x_b - a . b = x_a . c_b - a . b, so the Gram is
+    read off one Smith reduction of Q that solves every x_a."""
+    totals = []
     for a in kernel_vectors:
         c = [0] * surface.fan.size
         for ai, j in zip(a, surface.centers):
             c[j] += ai
-        rhs.append(tuple(c))
-    out = []
-    for a, x in zip(kernel_vectors, solve_integer(surface.q, rhs)):
-        if x is None:
-            raise ValidationError("no integral toric class matches a kernel element")
-        out.append(DivisorClass(x, tuple(-ai for ai in a)))
-    return out
-
-
-def _gram_for_vectors(surface, kernel_vectors):
-    classes = _kernel_classes(surface, kernel_vectors)
-    gram = Matrix([[surface.intersect(x, y) for y in classes] for x in classes])
+        totals.append(c)
+    xs = solve_integer(surface.q, totals)
+    if None in xs:
+        raise ValidationError("no integral toric class matches a kernel element")
+    gram = Matrix([
+        [sum(map(mul, x, c)) - sum(map(mul, a, b)) for b, c in zip(kernel_vectors, totals)]
+        for a, x in zip(kernel_vectors, xs)
+    ])
     if gram.transpose() != gram:
         raise ValidationError("kernel pairing failed to be symmetric")
     return gram
@@ -396,34 +382,33 @@ def _definiteness(signature):
 
 def fg_failure_flag(form):
     """Can the dual-basis conjecture possibly hold for the data of this
-    kernel pairing (a KGram from symmetric_form)?
+    kernel pairing (a KGram from symmetric_form)?  Returns the report fields
+    classification, inertia and fg_conjecture_possible.
 
-    It requires the generic fibre of the dual-side family to be affine,
-    which happens exactly when the kernel pairing is negative definite (or
-    the kernel is trivial)."""
+    The conjecture needs an affine generic fibre of the dual-side family,
+    which holds exactly when the kernel pairing is negative definite (or the
+    kernel is trivial)."""
     signature = inertia(form.gram)
     cls = _definiteness(signature)
-    possible = cls in ("negative_definite", "zero_rank")
     return {
-        "form_classification": cls,
+        "classification": cls,
         "inertia": list(signature),
-        "fg_conjecture_possible": possible,
-        "rationale": (
-            "the dual-basis conjecture needs an affine generic fibre, which "
-            "holds exactly when the kernel pairing is negative definite"
-        ),
+        "fg_conjecture_possible": cls in ("negative_definite", "zero_rank"),
     }
 
 
 def non_fg_flag(form):
     """Detector for non-finitely-generated upper cluster algebras with
     principal (or general) coefficients, read off the blown-up surface of a
-    kernel pairing (a KGram from symmetric_form): if every component of the
-    boundary anticanonical cycle has self-intersection -2, the algebra is
-    non-Noetherian.
+    kernel pairing (a KGram from symmetric_form).  Returns the report fields
+    supported, boundary_self_intersections, all_minus_two and
+    non_noetherian_principal.
 
-    Weight nu_i = 3 style inputs are known cases in the literature but fall
-    outside this checker (singular surfaces); symmetric_form rejects them."""
+    The criterion: every component of the boundary anticanonical cycle of
+    self-intersection -2 forces a non-Noetherian ring of global functions
+    with principal coefficients.  Weight nu_i = 3 style inputs are known
+    cases in the literature but fall outside this checker (singular
+    surfaces); symmetric_form rejects them."""
     boundary = form.surface.boundary_self_intersections
     all_minus_two = all(b == -2 for b in boundary)
     return {
@@ -431,8 +416,4 @@ def non_fg_flag(form):
         "boundary_self_intersections": list(boundary),
         "all_minus_two": all_minus_two,
         "non_noetherian_principal": all_minus_two,
-        "criterion": (
-            "every boundary component of self-intersection -2 forces a "
-            "non-Noetherian ring of global functions with principal coefficients"
-        ),
     }

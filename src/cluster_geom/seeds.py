@@ -51,11 +51,12 @@ class FixedData:
     __slots__ = ("n", "skew", "d", "frozen")
 
     def __init__(self, n, skew, d=None, frozen=()):
+        frozen = tuple(frozen)  # checked as given: a set would merge False into 0
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "skew", skew)
         object.__setattr__(self, "d", tuple(d) if d is not None else (1,) * n)
         object.__setattr__(self, "frozen", frozenset(frozen))
-        self._validate()
+        self._validate(frozen)
 
     def __setattr__(self, name, value):
         raise AttributeError("FixedData is immutable")
@@ -63,17 +64,21 @@ class FixedData:
     def __reduce__(self):
         return FixedData, (self.n, self.skew, self.d, self.frozen)
 
-    def _validate(self):
+    def _validate(self, frozen):
         if self.skew.rows != self.n or self.skew.cols != self.n:
             raise ValidationError("skew form has the wrong shape")
         rows = self.skew.data
         if any(rows[i][j] != -rows[j][i] for i in range(self.n) for j in range(i, self.n)):
             raise ValidationError("skew form is not skew-symmetric")
-        if len(self.d) != self.n or any(not isinstance(x, int) or x <= 0 for x in self.d):
+        if len(self.d) != self.n or any(
+            not isinstance(x, int) or isinstance(x, bool) or x <= 0 for x in self.d
+        ):
             raise ValidationError("symmetrizers d must be positive integers")
         if self.n and gcd(*self.d) != 1:
             raise ValidationError("symmetrizers d must have gcd 1")
-        if not all(isinstance(i, int) and 0 <= i < self.n for i in self.frozen):
+        if not all(
+            isinstance(i, int) and not isinstance(i, bool) and 0 <= i < self.n for i in frozen
+        ):
             raise ValidationError("frozen indices out of range")
         for i in range(self.n):
             for j in range(self.n):

@@ -3,6 +3,8 @@ import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from itertools import permutations
 
 import pytest
@@ -21,10 +23,12 @@ from golden_cases import (
     EXIT_CODES,
     G2,
     GOLDEN,
+    ISOLATED,
     MARKOV,
     NINE_RAY,
     RANK4_FROZEN,
     TRIANGLE,
+    WEIGHTED_TRIANGLE,
 )
 from test_rank2 import random_mixed_area_data
 
@@ -365,6 +369,86 @@ class TestFuzzSeedDocuments:
         for argv in (["picard", str(path)],
                      ["explore", str(path), "--depth", "1"]):
             assert cli.main(argv) in (0, 2, 3, 4)
+
+
+# generated argv: every subcommand on skew-form and plane files, with list
+# options drawn from -3..10, empty items, non-integers and 20-digit numbers.
+# explore and laurent-check run at depth <= 3, where the exchange-polynomial
+# product, which has no cap yet, stays small on these seeds.
+_ARGV_FILES = {
+    "a2": {"rank": 2, "skew": A2_SKEW}, "markov": MARKOV, "g2": G2, "b3": B3,
+    "isolated": ISOLATED, "rank4_frozen": RANK4_FROZEN, "nine_ray": NINE_RAY,
+    "triangle": TRIANGLE, "weighted_triangle": WEIGHTED_TRIANGLE,
+}
+_integer = st.integers(-3, 10).map(str)
+_junk_item = st.one_of(
+    st.sampled_from(["", "a", "1.5", "0x3"]), st.integers(10**19, 10**20 - 1).map(str)
+)
+
+
+def _list_option(min_size=0, max_size=5):
+    """Integers in -3..10; half the time also empty items, non-integers and
+    20-digit numbers."""
+    return st.one_of(
+        st.lists(_integer, min_size=min_size, max_size=max_size),
+        st.lists(_integer | _junk_item, min_size=min_size, max_size=max_size),
+    ).map(",".join)
+
+
+_depth = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
+_max_terms = st.sampled_from(["0", "1", "4", "40", "many"])
+_OPTIONS = {
+    "mutate": {"--path": _list_option()},
+    "explore": {
+        "--depth": _depth, "--dedup": st.sampled_from(["labeled", "unlabeled"]),
+        "--workers": st.sampled_from(["0", "1", "2"]), "--max-terms": _max_terms,
+    },
+    "laurent-check": {
+        "--side": st.sampled_from(["A", "X"]), "--q": _list_option(),
+        "--depth": _depth, "--max-terms": _max_terms,
+    },
+    "picard": {},
+    "rank2": {"--mutations": _list_option()},
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand on one of the files.  Half the time one option, required
+    or not, is left out, and half the time --q has the seed's rank as its
+    length."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    name = draw(st.sampled_from(sorted(_ARGV_FILES)))
+    options = dict(_OPTIONS[command])
+    if command == "laurent-check" and draw(st.booleans()):
+        doc = _ARGV_FILES[name]
+        n = len(doc["w"]) if "w" in doc else doc["rank"]
+        options["--q"] = _list_option(n, n)
+    omit = draw(st.sampled_from(sorted(options))) if options and draw(st.booleans()) else None
+    return [command, name] + [
+        f"{option}={draw(values)}" for option, values in options.items() if option != omit
+    ]
+
+
+class TestGeneratedArgv:
+    @settings(max_examples=500, deadline=None)
+    @given(argv=_argv())
+    def test_documented_exit_codes(self, tmp_path_factory, argv):
+        path = tmp_path_factory.getbasetemp() / f"argv_{argv[1]}.json"
+        path.write_text(json.dumps(_ARGV_FILES[argv[1]]))
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main([argv[0], str(path), *argv[2:]])
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+        if code == 3:
+            assert out or err.startswith("error:")
 
 
 class TestLaurentCheck:

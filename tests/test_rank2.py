@@ -1,20 +1,21 @@
 import json
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
 from cluster_geom.errors import UnsupportedError, ValidationError
-from cluster_geom.intmat import Matrix, kernel_basis
+from cluster_geom.intmat import Matrix, kernel_basis, smith_diagonal, solve_integer
 from cluster_geom.rank2 import (
-    DivisorClass,
     Fan2D,
     Rank2Data,
     _ccw_sorted,
     _gram_for_vectors,
-    _kernel_classes,
+    _surface_for,
     blowup_surface,
     build_seed,
     classify_definiteness,
@@ -263,6 +264,34 @@ class TestRank2Data:
         with pytest.raises(ValidationError):
             Rank2Data(((1, 0), (0, 1)), (1, 0))
 
+    def test_rejects_a_boolean_coordinate(self):
+        with pytest.raises(ValidationError, match="each w must be an integer pair"):
+            Rank2Data(((True, 0), (0, 1), (-1, -1)))
+
+    def test_rejects_a_boolean_weight(self):
+        with pytest.raises(ValidationError, match="weights nu must be positive integers"):
+            Rank2Data(((1, 0), (0, 1), (-1, -1)), nu=[True, 1, 1])
+
+    def test_minor_gcd_agrees_with_smith(self):
+        # w generates Z^2 exactly when the 2 x n column matrix has Smith
+        # diagonal (1, 1); the first cases are primitive vectors whose minors
+        # share a factor, and n = 0 and 1
+        rng = random.Random(1009)
+        cases = [((1, 0), (1, 2), (-1, 0)), ((1, 0), (3, 2), (1, 2)), (), ((0, 1),)]
+        cases += [random_primitive_rays(rng, rng.randint(0, 5), 6) for _ in range(400)]
+        verdicts = Counter()
+        for w in cases:
+            cols = Matrix([[v[0] for v in w], [v[1] for v in w]])
+            try:
+                Rank2Data(w)
+                generates = True
+            except ValidationError as exc:
+                assert str(exc) == "the vectors w do not generate Z^2"
+                generates = False
+            assert generates == (smith_diagonal(cols) == (1, 1)), w
+            verdicts[generates] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 50
+
 
 class TestBuildSeed:
     def test_weighted_triangle_epsilon(self):
@@ -364,31 +393,43 @@ class TestBlowupSurface:
         surf = blowup_surface(fan, [])
         assert surf.boundary_self_intersections == (1, 1, 1)
 
-    def test_intersect_matches_the_dense_form(self):
-        # the O(r) wall-data pairing equals x Q y - sum of exceptional products
-        rng = random.Random(77)
-        for _ in range(200):
-            fan = complete_smooth_fan(random_primitive_rays(rng, rng.randint(1, 4), 5))
-            centers = [rng.randrange(fan.size) for _ in range(rng.randint(0, 4))]
-            surface = blowup_surface(fan, centers)
-            q = surface.q
-            for _ in range(5):
-                x, y = (
-                    DivisorClass(
-                        tuple(rng.randint(-4, 4) for _ in range(fan.size)),
-                        tuple(rng.randint(-4, 4) for _ in centers),
-                    )
-                    for _ in range(2)
-                )
-                dense = sum(a * b for a, b in zip(q.matvec(x.toric), y.toric))
-                exceptional = sum(a * b for a, b in zip(x.exceptional, y.exceptional))
-                assert surface.intersect(x, y) == dense - exceptional
+
+# ---------------------------------------------------------------------------
+# Test-local class model on a blown-up surface: a class is its toric part
+# (coefficients of the pulled-back boundary divisors) and its exceptional
+# part, and two classes pair by the dense form x Q y - e . e'.  The class of
+# a kernel element a has the toric part x with Q x = c_a, c_a[j] being the
+# total of a over the centers on ray j, and the exceptional part -a.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SurfaceClass:
+    toric: tuple
+    exceptional: tuple
+
+
+def pair(q, c1, c2):
+    """The dense pairing on a surface whose toric block is q."""
+    toric = sum(map(mul, q.matvec(c1.toric), c2.toric))
+    return toric - sum(map(mul, c1.exceptional, c2.exceptional))
+
+
+def kernel_classes(surface, kernel_vectors):
+    totals = []
+    for a in kernel_vectors:
+        c = [0] * surface.fan.size
+        for ai, j in zip(a, surface.centers):
+            c[j] += ai
+        totals.append(tuple(c))
+    xs = solve_integer(surface.q, totals)
+    assert None not in xs
+    return [SurfaceClass(x, tuple(-ai for ai in a)) for a, x in zip(kernel_vectors, xs)]
 
 
 def class_of(data, a):
     """The class of one kernel element on the surface of the data's pairing."""
     surface = symmetric_form(data).surface
-    (cls,) = _kernel_classes(surface, [a])
+    (cls,) = kernel_classes(surface, [a])
     return cls, surface
 
 
@@ -396,7 +437,14 @@ def boundary_component(surface, j):
     """Proper transform of the j-th toric boundary divisor."""
     toric = tuple(int(i == j) for i in range(surface.fan.size))
     exceptional = tuple(-int(c == j) for c in surface.centers)
-    return DivisorClass(toric, exceptional)
+    return SurfaceClass(toric, exceptional)
+
+
+def star_subdivision(fan):
+    """A second smooth completion: the first cone of the fan split by the
+    sum of its rays."""
+    u, v = fan.rays[:2]
+    return Fan2D(fan.rays[:1] + ((u[0] + v[0], u[1] + v[1]),) + fan.rays[1:])
 
 
 def random_mixed_area_data():
@@ -419,24 +467,24 @@ class TestKToDPerp:
         data = Rank2Data(**NINE_RAY)
         a = (1, -1, 0, 0, 0, 0, 0, 0, 0)
         cls, surface = class_of(data, a)
+        q = surface.q
         # C = 0: the class is E_1 - E_0 with square -2
-        assert all(x == 0 for x in surface.q.matvec(cls.toric))
-        assert surface.intersect(cls, cls) == -2
+        assert all(x == 0 for x in q.matvec(cls.toric))
+        assert pair(q, cls, cls) == -2
 
     def test_cubic_anticanonical_vector(self):
         data = Rank2Data(**TRIANGLE)
         cls, surface = class_of(data, (1, 1, 1))
+        q = surface.q
         # C is a line class: C^2 = 1, and the full class has square -2
-        toric_sq = sum(
-            x * y for x, y in zip(surface.q.matvec(cls.toric), cls.toric)
-        )
+        toric_sq = sum(x * y for x, y in zip(q.matvec(cls.toric), cls.toric))
         assert toric_sq == 1
-        assert surface.intersect(cls, cls) == -2
+        assert pair(q, cls, cls) == -2
 
     def test_zero_class(self):
         data = Rank2Data(**TRIANGLE)
         cls, surface = class_of(data, (0, 0, 0))
-        assert surface.intersect(cls, cls) == 0
+        assert pair(surface.q, cls, cls) == 0
 
     def test_gram_stable_under_relation_shift(self):
         # shifting the toric solution by a character relation does not move
@@ -446,17 +494,28 @@ class TestKToDPerp:
         cls, surface = class_of(data, a)
         rel = tuple(u[0] for u in surface.fan.rays)  # <(1,0), u_i>
         shifted = tuple(x + r for x, r in zip(cls.toric, rel))
-        cls2 = DivisorClass(shifted, cls.exceptional)
-        assert surface.intersect(cls2, cls2) == surface.intersect(cls, cls)
+        cls2 = SurfaceClass(shifted, cls.exceptional)
+        assert pair(surface.q, cls2, cls2) == pair(surface.q, cls, cls)
 
     def test_basis_classes_orthogonal_to_boundary(self):
         for data in [Rank2Data(**NINE_RAY), Rank2Data(**TRIANGLE)] + random_mixed_area_data():
             form = symmetric_form(data)
-            surface = form.surface
-            for cls in _kernel_classes(surface, form.basis):
+            surface, q = form.surface, form.surface.q
+            for cls in kernel_classes(surface, form.basis):
                 for j in range(surface.fan.size):
                     component = boundary_component(surface, j)
-                    assert surface.intersect(cls, component) == 0
+                    assert pair(q, cls, component) == 0
+
+    def test_gram_is_the_dense_pairing_of_the_classes(self):
+        # the Gram read off the solve equals the dense pairing of the model's
+        # classes, on the default fan and on a second completion
+        for data in [Rank2Data(**NINE_RAY), Rank2Data(**TRIANGLE)] + random_mixed_area_data():
+            form = symmetric_form(data)
+            for fan in (form.surface.fan, star_subdivision(form.surface.fan)):
+                surface = _surface_for(data.w, fan)
+                classes, q = kernel_classes(surface, form.basis), surface.q
+                dense = Matrix([[pair(q, x, y) for y in classes] for x in classes])
+                assert _gram_for_vectors(surface, form.basis) == dense
 
 
 class TestSymmetricForm:
@@ -645,7 +704,7 @@ class TestFlags:
     def test_fg_cubic(self):
         rep = fg_failure_flag(symmetric_form(Rank2Data(**TRIANGLE)))
         assert rep["fg_conjecture_possible"] is True
-        assert rep["form_classification"] == "negative_definite"
+        assert rep["classification"] == "negative_definite"
 
     def test_fg_nine_ray(self):
         rep = fg_failure_flag(symmetric_form(Rank2Data(**NINE_RAY)))
@@ -654,7 +713,17 @@ class TestFlags:
     def test_fg_trivial_kernel(self):
         rep = fg_failure_flag(symmetric_form(Rank2Data(((1, 0), (0, 1)))))
         assert rep["fg_conjecture_possible"] is True
-        assert rep["form_classification"] == "zero_rank"
+        assert rep["classification"] == "zero_rank"
+
+    def test_flags_return_their_report_fields(self):
+        form = symmetric_form(Rank2Data(**TRIANGLE))
+        assert set(fg_failure_flag(form)) == {
+            "classification", "inertia", "fg_conjecture_possible",
+        }
+        assert set(non_fg_flag(form)) == {
+            "supported", "boundary_self_intersections", "all_minus_two",
+            "non_noetherian_principal",
+        }
 
     def test_non_fg_nine_ray(self):
         rep = non_fg_flag(symmetric_form(Rank2Data(**NINE_RAY)))
@@ -720,7 +789,7 @@ class TestWorkCounts:
         assert counts["Seed"] <= 2
 
     def test_one_smith_reduction_per_surface(self, tmp_path, monkeypatch, capsys):
-        # _kernel_classes solves all kernel vectors of a surface in one call
+        # _gram_for_vectors solves all kernel vectors of a surface in one call
         from cluster_geom import cli, intmat, rank2
 
         path = tmp_path / "nine.json"

@@ -104,6 +104,16 @@ class TestFixedData:
         with pytest.raises(ValidationError, match="symmetrizers d must be positive integers"):
             seed_from_epsilon([[0, 0], [0, 0]], d=d)
 
+    def test_rejects_a_boolean_symmetrizer(self):
+        with pytest.raises(ValidationError, match="symmetrizers d must be positive integers"):
+            FixedData(2, Matrix(A2), d=(True, 1))
+
+    @pytest.mark.parametrize("frozen", [[False], [0, False], [1, True]])
+    def test_rejects_a_boolean_frozen_index(self, frozen):
+        # a set would merge False into 0 and True into 1
+        with pytest.raises(ValidationError, match="frozen indices out of range"):
+            FixedData(2, Matrix(A2), frozen=frozen)
+
 
 class TestEpsilon:
     def test_a2_root(self):

@@ -74,6 +74,7 @@ from .laurent import (
     inverse_pullback_A,
     inverse_pullback_X,
     max_terms_limit,
+    step_twist,
 )
 from .seeds import Seed, _mutated_rows, _mutated_seed, mutate_seed
 
@@ -517,24 +518,24 @@ def verify_laurent_A(seed, q, depth, max_terms=None):
     """Check that the dual-side monomial z^q stays an exact Laurent
     polynomial on every seed torus within the given mutation depth.
 
-    Precondition: q pairs nonnegatively with every unfrozen basis vector
-    (z^q is regular on the A-side toric model of this seed)."""
+    Precondition: each unfrozen step's A-side form m -> <d_i e_i, m> (see
+    step_twist) is >= 0 at q: z^q is regular on this seed's toric model."""
     q = tuple(q)
+    if len(q) != seed.n:
+        raise ValidationError(f"exponent vector has length {len(q)}, expected {seed.n}")
     for i in seed.fixed.unfrozen:
-        if seed.pair_with_dual(seed.e_vector(i), q) < 0:
-            raise PreconditionError(
-                f"monomial pairs negatively with basis vector {i}"
-            )
+        if step_twist(seed, i, "A")[1](q) < 0:
+            raise PreconditionError(f"monomial pairs negatively with basis vector {i}")
     return _verify_along_paths(seed, "A", q, inverse_pullback_A, depth, max_terms)
 
 
 def verify_laurent_X(seed, q, depth, max_terms=None):
-    """Lattice-side analogue: z^q for q in N, with q pairing nonnegatively
-    with every -v_i (z^q regular on the dual-side toric model)."""
+    """Lattice-side analogue: z^q for q in N, with each unfrozen step's
+    X-side form >= 0 at q (z^q regular on the dual-side toric model)."""
     q = tuple(q)
+    if len(q) != seed.n:
+        raise ValidationError(f"exponent vector has length {len(q)}, expected {seed.n}")
     for i in seed.fixed.unfrozen:
-        if seed.pair_with_dual(q, seed.v_vector(i)) > 0:
-            raise PreconditionError(
-                f"monomial pairs negatively with ray -v_{i}"
-            )
+        if step_twist(seed, i, "X")[1](q) < 0:
+            raise PreconditionError(f"monomial pairs negatively with ray -v_{i}")
     return _verify_along_paths(seed, "X", q, inverse_pullback_X, depth, max_terms)

@@ -43,7 +43,6 @@ import os
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import cycle, repeat
-from math import lcm
 from operator import add, gt, mul, neg, sub
 from struct import unpack
 
@@ -560,63 +559,63 @@ class RationalExpression:
 
 # ---------------------------------------------------------------------------
 # Mutation pullbacks.  A mutation at an unfrozen index k acts on functions by
-# a monomial-wise binomial twist:
+# a monomial-wise binomial twist, built by step_twist:
 #
 #   A-side (dual-lattice characters):  z^m -> z^m (1 + z^{v_k})^{-<d_k e_k, m>}
-#   X-side (lattice characters):       z^n -> z^n (1 + z^{e_k})^{-[n, e_k]}
+#   X-side (lattice characters):       z^n -> z^n (1 + z^{e_k})^{-d_k [n, e_k]}
 #
 # laurent-check walks the inverse maps, the same twists with the opposite
-# exponent sign in the data of the same source seed.  Both exponents are
-# linear forms that vanish on the twist vector, so they are constant on each
-# line m + Zv, and the pullback of a regular function is regular exactly
-# when, line by line, it keeps its order along {1 + z^v = 0} (GHK);
-# monomial_twist checks that with one exact division per line.
+# exponent sign in the data of the same source seed, and the tropical maps
+# are their tropicalizations.  Both forms vanish on their twist vector, so
+# they are constant on each line m + Zv, and the pullback of a regular
+# function is regular exactly when, line by line, it keeps its order along
+# {1 + z^v = 0} (GHK); monomial_twist checks that with one exact division
+# per line.
 # ---------------------------------------------------------------------------
 
 class LinearForm:
-    """m -> sum_a ints[a] * m[a] / den, with integer weights `ints` over one
-    common denominator `den`; a value that is not an integer raises
-    ValueError(message).  monomial_twist takes its exponent as a
-    LinearForm, which is constant on the lines m + Zv of a twist vector v
-    that it vanishes on."""
+    """m -> sum_a weights[a] * m[a], with integer weights.  monomial_twist
+    takes its exponent as a LinearForm, which is constant on the lines
+    m + Zv of a twist vector v that it vanishes on."""
 
-    __slots__ = ("ints", "den", "message")
+    __slots__ = ("weights",)
 
-    def __init__(self, ints, den, message):
-        self.ints = tuple(ints)
-        self.den = den
-        self.message = message
+    def __init__(self, weights):
+        self.weights = tuple(weights)
 
     def __call__(self, m):
-        num = sum(map(mul, self.ints, m))
-        if num % self.den:
-            raise ValueError(self.message)
-        return num // self.den
+        return sum(map(mul, self.weights, m))
 
     def kills(self, v):
         """Whether the form vanishes at v."""
-        return not sum(map(mul, self.ints, v))
+        return not self(v)
 
 
-# Pascal rows with a <= _PASCAL_CACHE_MAX are kept once built (257 rows at
-# most); a longer row is built on every call, so that a large twist
-# exponent does not stay in memory
-_PASCAL_CACHE_MAX = 256
-_pascal_rows = {}
+def step_twist(seed, k, side):
+    """The twist of the mutation at index k as (vector, LinearForm): on side
+    "A", (v_k, m -> <d_k e_k, m>); on side "X", (e_k, n -> d_k [n, e_k]).  A
+    frozen k raises ValidationError before any vector is read.
+
+    The weights d_k e_k[a] / d_a and -d_k v_k[a] / d_a (as [e_a, e_k] =
+    -v_k[a] / d_a) are integers.  Seed checks that d_a divides d_k B[a, k],
+    and with S the skew form, d_k v_k[a] / d_a = sum_b (d_k B[b, k] / d_b)
+    (S[b, a] d_b), where FixedData checks that S[b, a] d_b is an integer
+    unless a and b are both frozen, and B[b, k] = 0 for frozen b (k is not)."""
+    if k in seed.fixed.frozen:
+        raise ValidationError(f"index {k} is frozen")
+    d, e, v = seed.fixed.d, seed.e_vector(k), seed.v_vector(k)
+    if side == "A":
+        return v, LinearForm([d[k] * x // da for x, da in zip(e, d)])
+    return e, LinearForm([-d[k] * x // da for x, da in zip(v, d)])
 
 
 def _pascal_row(a):
     """(comb(a, 0), ..., comb(a, a)): the coefficients of (1 + t)^a, each
-    from the one before it, cached when a <= _PASCAL_CACHE_MAX."""
-    row = _pascal_rows.get(a)
-    if row is None:
-        row = [1]
-        for j in range(a):
-            row.append(row[-1] * (a - j) // (j + 1))
-        row = tuple(row)
-        if a <= _PASCAL_CACHE_MAX:
-            _pascal_rows[a] = row
-    return row
+    from the one before it."""
+    row = [1]
+    for j in range(a):
+        row.append(row[-1] * (a - j) // (j + 1))
+    return tuple(row)
 
 
 def _times_binomial(coeffs, a):
@@ -771,34 +770,13 @@ def monomial_twist(p, v, g):
     return RationalExpression(num, binomial_power(v, floor))
 
 
-def _pairing_form(seed, k, vec, message):
-    """m -> sum_a d_k vec[a] m[a] / d_a, kept as integer weights over lcm(d)."""
-    d = seed.fixed.d
-    den = lcm(*d)
-    return LinearForm([d[k] * x * (den // d[a]) for a, x in enumerate(vec)], den, message)
-
-
-def _a_side_exponent(seed, k):
-    """m -> <d_k e_k, m>: the weights d_k e_k[a] / d_a, over lcm(d)."""
-    return _pairing_form(seed, k, seed.e_vector(k), "pairing <d_k e_k, m> is not integral")
-
-
 def inverse_pullback_A(seed, k, p):
     """z^m -> z^m (1 + z^{v_k})^{<d_k e_k, m>}, the inverse of the A-side
     pullback along the mutation at k, in the same seed's data.  It expresses
     a function on this seed's torus in the coordinates of the mutated
     neighbour (up to the harmless linear double-mutation change of monomial
     basis)."""
-    if k in seed.fixed.frozen:
-        raise ValueError(f"index {k} is frozen")
-    return monomial_twist(p, seed.v_vector(k), _a_side_exponent(seed, k))
-
-
-def _x_side_exponent(seed, k):
-    """n -> d_k [n, e_k]: the weights -d_k v_k[a] / d_a, over lcm(d), since
-    [e_a, e_k] = -{e_k, e_a} = -v_k[a] / d_a."""
-    v = [-x for x in seed.v_vector(k)]
-    return _pairing_form(seed, k, v, "bracket [n, e_k] is not integral")
+    return monomial_twist(p, *step_twist(seed, k, "A"))
 
 
 def inverse_pullback_X(seed, k, p):
@@ -806,6 +784,4 @@ def inverse_pullback_X(seed, k, p):
     at k: z^n -> z^n (1 + z^{e_k})^{d_k [n, e_k]}.  The exponent vanishes at
     e_k ([e_k, e_k] = 0), so a Laurent polynomial is twisted line by line
     (see monomial_twist)."""
-    if k in seed.fixed.frozen:
-        raise ValueError(f"index {k} is frozen")
-    return monomial_twist(p, seed.e_vector(k), _x_side_exponent(seed, k))
+    return monomial_twist(p, *step_twist(seed, k, "X"))

@@ -22,7 +22,7 @@ from operator import mul
 
 from .errors import PreconditionError, UnsupportedError, ValidationError
 from .intmat import Matrix, kernel_basis, solve_integer
-from .seeds import FixedData, mutate_along, root_seed
+from .seeds import FixedData, _as_tuple, mutate_along, root_seed
 
 
 def wedge(u, v):
@@ -41,8 +41,10 @@ class Rank2Data:
     nu: tuple
 
     def __init__(self, w, nu=None):
-        w = tuple(tuple(v) for v in w)
-        nu = tuple(nu) if nu is not None else (1,) * len(w)
+        w = _as_tuple(w, "each w must be an integer pair")
+        w = tuple(_as_tuple(v, "each w must be an integer pair") for v in w)
+        nu = _as_tuple((1,) * len(w) if nu is None else nu,
+                       "weights nu must be positive integers")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "nu", nu)
         if len(w) != len(nu):

@@ -27,6 +27,7 @@ from math import gcd
 
 from .errors import UnsupportedError, ValidationError
 from .intmat import Matrix, cokernel_invariants
+from .laurent import step_twist
 
 
 def _as_int(x, what):
@@ -35,6 +36,14 @@ def _as_int(x, what):
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     raise ValidationError(f"{what} must be an integer, got {x!r}")
+
+
+def _as_tuple(x, message):
+    """tuple(x), or ValidationError(message) when x is not iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ValidationError(message) from None
 
 
 def pos_part(x):
@@ -51,10 +60,11 @@ class FixedData:
     __slots__ = ("n", "skew", "d", "frozen")
 
     def __init__(self, n, skew, d=None, frozen=()):
-        frozen = tuple(frozen)  # checked as given: a set would merge False into 0
+        frozen = _as_tuple(frozen, "frozen indices out of range")  # a set merges False into 0
+        d = (1,) * n if d is None else _as_tuple(d, "symmetrizers d must be positive integers")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "skew", skew)
-        object.__setattr__(self, "d", tuple(d) if d is not None else (1,) * n)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "frozen", frozenset(frozen))
         self._validate(frozen)
 
@@ -248,11 +258,6 @@ class Seed:
             out.append(_as_int(x, "v-vector coordinate"))
         return tuple(out)
 
-    def pair_with_dual(self, n_vec, m_vec):
-        """Canonical pairing of n (initial coords) with m (dual coords)."""
-        d = self.fixed.d
-        return sum(Fraction(n_vec[a] * m_vec[a], d[a]) for a in range(self.n))
-
 
 def root_seed(fixed):
     return Seed(fixed, Matrix.identity(fixed.n))
@@ -391,26 +396,18 @@ def mutate_along(seed, path):
 
 
 def tropical_mutation_A(seed, k, n_vec):
-    """Piecewise-linear mutation on N: n -> n + [{n, d_k e_k}]_+ e_k, where
-    {n, d_k e_k} = -d_k {e_k, n} = -d_k <n, v_k>."""
-    if k in seed.fixed.frozen:
-        raise ValidationError(f"index {k} is frozen")
-    ek = seed.e_vector(k)
-    br = -seed.fixed.d[k] * seed.pair_with_dual(n_vec, seed.v_vector(k))
-    br = _as_int(br, "tropical pairing")
-    c = pos_part(br)
+    """Piecewise-linear mutation on N, the tropicalized X-side twist (e_k, g)
+    of step_twist: n -> n + [g(n)]_+ e_k, g(n) = d_k [n, e_k] = {n, d_k e_k}."""
+    ek, g = step_twist(seed, k, "X")
+    c = pos_part(g(n_vec))
     return tuple(x + c * y for x, y in zip(n_vec, ek))
 
 
 def tropical_mutation_X(seed, k, m_vec):
-    """Piecewise-linear mutation on the dual: m -> m + [<d_k e_k, m>]_- v_k."""
-    if k in seed.fixed.frozen:
-        raise ValidationError(f"index {k} is frozen")
-    ek = seed.e_vector(k)
-    br = seed.pair_with_dual(tuple(seed.fixed.d[k] * x for x in ek), m_vec)
-    br = _as_int(br, "tropical pairing")
-    c = neg_part(br)
-    vk = seed.v_vector(k)
+    """Piecewise-linear mutation on the dual, the tropicalized A-side twist
+    (v_k, g) of step_twist: m -> m + [g(m)]_- v_k, g(m) = <d_k e_k, m>."""
+    vk, g = step_twist(seed, k, "A")
+    c = neg_part(g(m_vec))
     return tuple(x + c * y for x, y in zip(m_vec, vk))
 
 

@@ -36,6 +36,7 @@ A3_FROZEN = {**A4, "frozen": [3]}
 # which takes monomial_twist's sparse route; on the X side v = e_2 and the
 # twist exponent is zero
 ISOLATED = {"rank": 3, "skew": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}
+WIDE_GAP = {"rank": 3, "skew": [[0, 3, 1], [-3, 0, 0], [-1, 0, 0]], "d": [6, 6, 1]}
 # plane data: three rays each through (1, 0), (0, 1) and (-1, -1)
 NINE_RAY = {"w": [[1, 0]] * 3 + [[0, 1]] * 3 + [[-1, -1]] * 3}
 TRIANGLE = {"w": [[1, 0], [0, 1], [-1, -1]]}
@@ -114,6 +115,12 @@ CASES = {
     "mutate_rank4_frozen_0_1_0": (RANK4_FROZEN, ["mutate", "--path", "0,1,0"]),
     "picard_markov": (MARKOV, ["picard"]),
     "picard_weighted_triangle": (WEIGHTED_TRIANGLE, ["picard"]),
+    # on path [1, 2] the twist along v = (-6, 0, 0) meets the six terms of
+    # (1 + z^(-18, 0, 0))^5 z^q, three steps apart on one line: a line with
+    # wide gaps, which takes monomial_twist's sparse route though v != 0
+    "laurent_check_wide_gap_A050_d2": (
+        WIDE_GAP, ["laurent-check", "--side", "A", "--q", "0,5,0", "--depth", "2"]
+    ),
 }
 EXIT_CODES = {"explore_markov_d8_max_terms_60": 3}
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from itertools import permutations
@@ -517,16 +518,20 @@ class TestLaurentCheck:
     def test_a_long_pascal_row_is_not_kept(self, a2_file, capsys):
         # the twist reads the row of (1 + t)^30000, about 80 MB of ints,
         # which must not outlive the job
-        from cluster_geom import laurent
-
-        code = cli.main(["laurent-check", a2_file, "--side", "A", "--q=30000,0", "--depth", "1"])
+        tracemalloc.start()
+        try:
+            code = cli.main(
+                ["laurent-check", a2_file, "--side", "A", "--q=30000,0", "--depth", "1"]
+            )
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
         assert code == 0
         assert json.loads(capsys.readouterr().out) == {
             "depth": 1, "laurent_ok": True, "max_degree": 30000, "max_terms": 30001,
             "paths_checked": 2, "q": [30000, 0], "side": "A", "witnesses": [],
         }
-        rows = laurent._pascal_rows.values()
-        assert max(map(len, rows), default=0) <= laurent._PASCAL_CACHE_MAX + 1
+        assert kept < 1 << 20, kept
 
 
 class TestPicard:

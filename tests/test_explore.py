@@ -894,6 +894,13 @@ class TestVerifyLaurent:
         rep = verify_laurent_X(seed, (0, 0), 3)
         assert rep["laurent_ok"]
 
+    @pytest.mark.parametrize("verify", [verify_laurent_A, verify_laurent_X])
+    @pytest.mark.parametrize("q", [(1,), (1, 0, 0)])
+    def test_an_exponent_vector_of_another_length_is_rejected(self, verify, q):
+        # the check behind laurent-check's exit 2 for such a --q
+        with pytest.raises(ValidationError, match=f"^exponent vector has length {len(q)}, "):
+            verify(seed_from_epsilon(A2), q, 2)
+
     def test_x_side_precondition(self):
         seed = seed_from_epsilon(A2)
         with pytest.raises(PreconditionError):

@@ -13,6 +13,7 @@ from twist_oracle import fraction_twist, monomial, pullback_A, same_fraction, ti
 
 from cluster_geom import cli, laurent
 from cluster_geom.errors import ResourceLimitExceeded
+from cluster_geom.explore import verify_laurent_A
 from cluster_geom.laurent import (
     EXPONENT_LIMIT,
     MAX_TERMS_ENV,
@@ -20,14 +21,13 @@ from cluster_geom.laurent import (
     LaurentPolynomial,
     LinearForm,
     RationalExpression,
-    _a_side_exponent,
     _field_size,
     _grlex_key,
     _pascal_row,
-    _x_side_exponent,
     binomial_power,
     exact_divide,
     monomial_twist,
+    step_twist,
 )
 from cluster_geom.seeds import mutate_seed, seed_from_epsilon
 
@@ -616,11 +616,11 @@ def _edge_operands(draw):
 
 
 # m -> m_0 + m_1, which vanishes on (1, -1)
-_LINE_FORM = LinearForm((1, 1), 1, "unused")
+_LINE_FORM = LinearForm((1, 1))
 
 
 def _negated(form):
-    return LinearForm([-x for x in form.ints], form.den, form.message)
+    return LinearForm(map(neg, form.weights))
 
 
 class TestFieldSizes:
@@ -689,30 +689,30 @@ class TestMonomialTwist:
 
     def test_a_form_that_does_not_vanish_on_v_is_refused(self):
         with pytest.raises(ValueError, match="does not vanish"):
-            monomial_twist(LP.one(2), (1, -1), LinearForm((1, 0), 1, "unused"))
+            monomial_twist(LP.one(2), (1, -1), LinearForm((1, 0)))
 
     def test_exponent_overflow(self):
         h = 1 << 61
         # (1 + z^v)^2 reaches 2h = 2**62
         with pytest.raises(ExponentOverflow):
-            monomial_twist(LP.monomial((0, 2)), (h, 0), LinearForm((0, 1), 1, "unused"))
+            monomial_twist(LP.monomial((0, 2)), (h, 0), LinearForm((0, 1)))
         # (1 + z^v)^1 stays in range, but its shift by m = (h, 1) does not
         with pytest.raises(ExponentOverflow):
-            monomial_twist(LP.monomial((h, 1)), (h, 0), LinearForm((0, 1), 1, "unused"))
+            monomial_twist(LP.monomial((h, 1)), (h, 0), LinearForm((0, 1)))
         # the sparse route's denominator (1 + z^v)^2 is guarded too
         with pytest.raises(ExponentOverflow):
-            monomial_twist(LP.monomial((0, -2)), (h, 0), LinearForm((0, 1), 1, "unused"))
+            monomial_twist(LP.monomial((0, -2)), (h, 0), LinearForm((0, 1)))
 
     def test_exponents_just_below_the_bound_pass(self):
         h = 1 << 61
-        out = monomial_twist(LP.monomial((h, 1)), (h - 1, 0), LinearForm((0, 1), 1, "unused"))
+        out = monomial_twist(LP.monomial((h, 1)), (h - 1, 0), LinearForm((0, 1)))
         assert out.num == lp(2, {(h, 1): 1, (EXPONENT_LIMIT - 1, 1): 1})
         assert out.den.is_one()
 
     def test_matches_the_term_by_term_expansion(self):
         rng = random.Random(11)
         v = (2, -1, 0)
-        g = LinearForm((1, 2, -1), 1, "unused")  # g(v) = 0
+        g = LinearForm((1, 2, -1))  # g(v) = 0
         for _ in range(20):
             terms = {
                 tuple(rng.randint(-3, 3) for _ in range(3)): rng.randint(-5, 5)
@@ -727,14 +727,13 @@ class TestMonomialTwist:
 
     def test_zero_exponent_fixed(self):
         p = LP.monomial((2, 0))
-        out = monomial_twist(p, (0, 1), LinearForm((0, 0), 1, "unused"))
+        out = monomial_twist(p, (0, 1), LinearForm((0, 0)))
         assert out.as_laurent() == p
 
 
 def pullback_forms(seed, k):
     """(v, g) of the A- and X-side twists at k, in both directions."""
-    a, x = _a_side_exponent(seed, k), _x_side_exponent(seed, k)
-    v, e = seed.v_vector(k), seed.e_vector(k)
+    (v, a), (e, x) = step_twist(seed, k, "A"), step_twist(seed, k, "X")
     return [(v, _negated(a)), (v, a), (e, _negated(x)), (e, x)]
 
 
@@ -777,25 +776,26 @@ class TestLineTwist:
         s = seed_from_epsilon([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
         # a = -m_0 >= -1 on every line, so (1 + z^v) makes the twist Laurent
         p = lp(3, {(1, 0, 0): 1, (1, 2, 0): 1, (0, 1, 1): 3}) * binomial_power(s.v_vector(0), 1)
-        out = monomial_twist(p, s.v_vector(0), _negated(_a_side_exponent(s, 0)))
+        v, g = step_twist(s, 0, "A")
+        out = monomial_twist(p, v, _negated(g))
         assert out.den.is_one()
         assert out.num == pullback_A(s, 0, p).as_laurent()
 
     def test_single_term_with_a_negative_exponent_keeps_the_fraction(self):
-        g = LinearForm((1, 1), 1, "unused")
+        g = LinearForm((1, 1))
         out = monomial_twist(LP.monomial((-2, 0)), (1, -1), g)
         assert out.num == LP.monomial((-2, 0))
         assert out.den == binomial_power((1, -1), 2)
 
     def test_zero_polynomial(self):
-        out = monomial_twist(LP.zero(2), (1, -1), LinearForm((1, 1), 1, "unused"))
+        out = monomial_twist(LP.zero(2), (1, -1), LinearForm((1, 1)))
         assert out.num.is_zero() and out.den.is_one()
 
     def test_zero_ray_vector_takes_the_sparse_route(self):
         # index 2 is isolated, so v_2 = 0 lies in the kernel on the A side
         s = seed_from_epsilon([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
         assert s.v_vector(2) == (0, 0, 0)
-        g = _a_side_exponent(s, 2)
+        g = step_twist(s, 2, "A")[1]
         p = lp(3, {(1, 0, -1): 3, (0, 2, 2): 1})
         for form in (g, _negated(g)):
             out = monomial_twist(p, (0, 0, 0), form)
@@ -805,16 +805,9 @@ class TestLineTwist:
         expected = RationalExpression(lp(3, {(1, 0, -1): 3, (0, 2, 2): 8}), LP.constant(3, 2))
         assert same_fraction(monomial_twist(p, (0, 0, 0), g), expected)
 
-    def test_non_integral_form_raises_the_same_error(self):
-        g = LinearForm((1, 1), 2, "not integral")
-        p = lp(2, {(1, 1): 1, (2, 0): 1, (0, 1): 1})
-        for twist in (monomial_twist, fraction_twist):
-            with pytest.raises(ValueError, match="not integral"):
-                twist(p, (1, -1), g)
-
     def test_exponent_overflow_in_the_widened_frame(self):
         h = EXPONENT_LIMIT
-        g = LinearForm((1, 1), 1, "unused")  # g(m) = m0 + m1, g(v) = 0
+        g = LinearForm((1, 1))  # g(m) = m0 + m1, g(v) = 0
         v = (1, -1)
         # two terms on one line, twisted by (1 + z^v)^2, the top one to h
         p = lp(2, {(h - 3, -(h - 5)): 1, (h - 2, -(h - 4)): 1})
@@ -830,7 +823,7 @@ class TestLineTwist:
         # (1 + z^v)^2 itself reaches the bound, though its shift by m would not
         q = h >> 1
         with pytest.raises(ExponentOverflow):
-            monomial_twist(LP.monomial((-q, 2)), (q, 0), LinearForm((0, 1), 1, "unused"))
+            monomial_twist(LP.monomial((-q, 2)), (q, 0), LinearForm((0, 1)))
         # one step below the bound the line route runs
         p = lp(2, {(h - 4, -(h - 6)): 1, (h - 3, -(h - 5)): 1})
         out = monomial_twist(p, v, g)
@@ -842,19 +835,37 @@ class TestLineTwist:
         # a dense line of 2**40 coefficients is never built
         n = 1 << 40
         p = lp(1, {(0,): 1, (n,): 1})
-        out = monomial_twist(p, (1,), LinearForm((0,), 1, "unused"))
+        out = monomial_twist(p, (1,), LinearForm((0,)))
         assert (out.num, out.den) == (p, LP.one(1))
         # (1 + t^(n+1)) / (1 + t) is Laurent, with n + 1 terms: its
         # division stops at the term cap
         p = lp(2, {(0, -1): 1, (n + 1, -1): 1})
-        out = monomial_twist(p, (1, 0), LinearForm((0, 1), 1, "unused"))
+        out = monomial_twist(p, (1, 0), LinearForm((0, 1)))
         assert (out.num, out.den) == (p, binomial_power((1, 0), 1))
         with pytest.raises(ResourceLimitExceeded):
             out.as_laurent(20)
 
+    def test_a_valid_run_reaches_the_wide_gap_route(self):
+        # the golden case laurent_check_wide_gap_A050_d2: one of its nine
+        # twists is Laurent, has v != 0, and still takes the sparse route,
+        # so _twist_lines returning None does not mean "not Laurent"
+        s = seed_from_epsilon([[0, 18, 1], [-18, 0, 0], [-6, 0, 0]], (6, 6, 1))
+        real, wide = laurent._twist_lines, []
+
+        def spy(p, v, g):
+            out = real(p, v, g)
+            if out is None:
+                wide.append(v)
+            return out
+
+        with mock.patch.object(laurent, "_twist_lines", spy):
+            report = verify_laurent_A(s, (0, 5, 0), 2)
+        assert (report["paths_checked"], report["max_terms"]) == (9, 276)
+        assert wide == [(-6, 0, 0)]
+
     def test_term_cap_at_the_result_size(self):
         s = seed_from_epsilon([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
-        v, g = s.v_vector(1), _a_side_exponent(s, 1)
+        v, g = step_twist(s, 1, "A")
         p = lp(3, {(1, 0, 0): 2, (0, 1, 1): 1, (2, 1, 0): -1}) * binomial_power(v, 3)
         out = monomial_twist(p, v, g)
         reference = fraction_twist(p, v, g)
@@ -866,8 +877,6 @@ class TestLineTwist:
                 fraction.as_laurent(size - 1)
 
     def test_linear_form(self):
-        g = LinearForm((3, -1, 0), 2, "odd")
-        assert g((1, 1, 5)) == 1
+        g = LinearForm((3, -1, 0))
+        assert g((1, 1, 5)) == 2
         assert g.kills((1, 3, 7)) and not g.kills((1, 0, 0))
-        with pytest.raises(ValueError, match="odd"):
-            g((1, 0, 0))

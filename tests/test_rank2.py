@@ -268,6 +268,17 @@ class TestRank2Data:
         with pytest.raises(ValidationError, match="each w must be an integer pair"):
             Rank2Data(((True, 0), (0, 1), (-1, -1)))
 
+    @pytest.mark.parametrize("w", [[1, 2], 5, [(1, 0), 3]])
+    def test_rejects_a_non_iterable_vector_field(self, w):
+        with pytest.raises(ValidationError, match="each w must be an integer pair"):
+            Rank2Data(w)
+
+    def test_rejects_a_non_iterable_weight_field(self):
+        w = ((1, 0), (0, 1), (-1, -1))
+        with pytest.raises(ValidationError, match="weights nu must be positive integers"):
+            Rank2Data(w, nu=5)
+        assert Rank2Data(w, nu=None).nu == (1, 1, 1)
+
     def test_rejects_a_boolean_weight(self):
         with pytest.raises(ValidationError, match="weights nu must be positive integers"):
             Rank2Data(((1, 0), (0, 1), (-1, -1)), nu=[True, 1, 1])

@@ -1,19 +1,24 @@
+import json
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from unittest import mock
 
 import pytest
 
-from cluster_geom.errors import UnsupportedError, ValidationError
+from cluster_geom.cli import load_seed_file
+from cluster_geom.errors import PreconditionError, UnsupportedError, ValidationError
+from cluster_geom.explore import verify_laurent_A, verify_laurent_X
 from cluster_geom.intmat import Matrix, hermite_row_basis, kernel_basis
 from cluster_geom.laurent import (
     LaurentPolynomial,
     RationalExpression,
     inverse_pullback_A,
     inverse_pullback_X,
+    step_twist,
 )
 from cluster_geom.seeds import (
     FixedData,
@@ -32,8 +37,8 @@ from cluster_geom.seeds import (
     tropical_mutation_A,
     tropical_mutation_X,
 )
-from golden_cases import NINE_RAY, WEIGHTED_TRIANGLE
-from twist_oracle import monomial, pullback_A, same_fraction, times
+from golden_cases import NINE_RAY, RANK4_FROZEN, WEIGHTED_TRIANGLE
+from twist_oracle import monomial, pair_with_dual, pullback_A, same_fraction, times
 
 A2 = [[0, 1], [-1, 0]]
 MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
@@ -107,6 +112,15 @@ class TestFixedData:
     def test_rejects_a_boolean_symmetrizer(self):
         with pytest.raises(ValidationError, match="symmetrizers d must be positive integers"):
             FixedData(2, Matrix(A2), d=(True, 1))
+
+    def test_rejects_a_non_iterable_symmetrizer_field(self):
+        with pytest.raises(ValidationError, match="symmetrizers d must be positive integers"):
+            FixedData(2, Matrix(A2), d=5)
+        assert FixedData(2, Matrix(A2), d=None).d == (1, 1)
+
+    def test_rejects_a_non_iterable_frozen_field(self):
+        with pytest.raises(ValidationError, match="frozen indices out of range"):
+            FixedData(2, Matrix(A2), frozen=5)
 
     @pytest.mark.parametrize("frozen", [[False], [0, False], [1, True]])
     def test_rejects_a_boolean_frozen_index(self, frozen):
@@ -344,7 +358,7 @@ class TestMutationInvariants:
             vk = s.v_vector(k)
             for i in range(3):
                 fi = f_vector(mm, i)
-                pairing = int(s.pair_with_dual(ek, fi))
+                pairing = int(pair_with_dual(s, ek, fi))
                 image = tuple(x - pairing * y for x, y in zip(fi, vk))
                 assert image == f_vector(s, i)
 
@@ -462,6 +476,100 @@ class TestTropical:
         s = a2_seed()
         # <d_0 e_0, f_0> = 1 >= 0
         assert tropical_mutation_X(s, 0, (1, 0)) == (1, 0)
+
+
+def random_lattice_point(rng, n):
+    return tuple(rng.randint(-3, 3) for _ in range(n))
+
+
+class TestStepTwist:
+    """step_twist against the Fraction pairing of the test oracle, on random
+    seeds with general d, frozen indices and rational frozen blocks, moved
+    off the root."""
+
+    def test_weights_are_the_scaled_vectors(self):
+        rng = random.Random(51)
+        for _ in range(150):
+            s = random_frozen_seed(rng, rng.randint(2, 5))
+            d = s.fixed.d
+            for k in s.fixed.unfrozen:
+                e, v = s.e_vector(k), s.v_vector(k)
+                assert step_twist(s, k, "A")[0] == v
+                assert step_twist(s, k, "X")[0] == e
+                a, x = step_twist(s, k, "A")[1], step_twist(s, k, "X")[1]
+                assert all(type(w) is int for w in a.weights + x.weights)
+                assert [w * da for w, da in zip(a.weights, d)] == [d[k] * y for y in e]
+                assert [w * da for w, da in zip(x.weights, d)] == [-d[k] * y for y in v]
+                m = random_lattice_point(rng, s.n)
+                assert a(m) == d[k] * pair_with_dual(s, e, m)
+                assert x(m) == -d[k] * pair_with_dual(s, m, v)
+
+    def test_tropical_maps_match_the_fraction_formulas(self):
+        rng = random.Random(52)
+        moved = Counter()
+        for _ in range(150):
+            s = random_frozen_seed(rng, rng.randint(2, 5))
+            d = s.fixed.d
+            for k in s.fixed.unfrozen:
+                e, v = s.e_vector(k), s.v_vector(k)
+                n_vec, m_vec = random_lattice_point(rng, s.n), random_lattice_point(rng, s.n)
+                c = max(0, -d[k] * pair_with_dual(s, n_vec, v))
+                assert tropical_mutation_A(s, k, n_vec) == tuple(
+                    x + c * y for x, y in zip(n_vec, e)
+                )
+                c2 = min(0, d[k] * pair_with_dual(s, e, m_vec))
+                assert tropical_mutation_X(s, k, m_vec) == tuple(
+                    x + c2 * y for x, y in zip(m_vec, v)
+                )
+                moved["A"] += c != 0 and any(e)
+                moved["X"] += c2 != 0 and any(v)
+        assert min(moved["A"], moved["X"]) > 50, moved
+
+    def test_precondition_verdicts_match_the_fraction_sign_tests(self):
+        # depth 0 walks no path, so only the precondition runs
+        rng = random.Random(53)
+        verdicts = Counter()
+        for _ in range(150):
+            s = random_frozen_seed(rng, rng.randint(2, 5))
+            q = random_lattice_point(rng, s.n)
+            unf = s.fixed.unfrozen
+            sides = (
+                (verify_laurent_A, [i for i in unf if pair_with_dual(s, s.e_vector(i), q) < 0],
+                 "basis vector {}"),
+                (verify_laurent_X, [i for i in unf if pair_with_dual(s, q, s.v_vector(i)) > 0],
+                 "ray -v_{}"),
+            )
+            for verify, bad, name in sides:
+                if bad:
+                    message = f"monomial pairs negatively with {name.format(bad[0])}"
+                    with pytest.raises(PreconditionError) as err:
+                        verify(s, q, 0)
+                    assert str(err.value) == message
+                else:
+                    assert verify(s, q, 0)["paths_checked"] == 0
+                verdicts[bool(bad)] += 1
+        assert min(verdicts.values()) > 50, verdicts
+
+    def test_a_frozen_index_raises_before_any_vector_is_read(self, tmp_path):
+        path = tmp_path / "rank4_frozen.json"
+        path.write_text(json.dumps(RANK4_FROZEN))
+        s, _ = load_seed_file(path)
+        unread = mock.Mock(side_effect=AssertionError("a vector was read"))
+        steps = [
+            lambda k: step_twist(s, k, "A"),
+            lambda k: step_twist(s, k, "X"),
+            lambda k: tropical_mutation_A(s, k, (1, 0, 0, 0)),
+            lambda k: tropical_mutation_X(s, k, (1, 0, 0, 0)),
+            lambda k: inverse_pullback_A(s, k, LaurentPolynomial.one(4)),
+            lambda k: inverse_pullback_X(s, k, LaurentPolynomial.one(4)),
+        ]
+        with mock.patch.object(Seed, "e_vector", unread), mock.patch.object(
+            Seed, "v_vector", unread
+        ):
+            for run in steps:
+                with pytest.raises(ValidationError, match="^index 2 is frozen$"):
+                    run(2)
+        assert not unread.called
 
 
 class TestPrincipalDouble:
@@ -822,7 +930,7 @@ class TestPullbacks:
             m = tuple(rng.randint(-2, 2) for _ in range(3))
             composite = pullback_A(s, k, pullback_A(s2, k, monomial(m)))
             dk, ek, vk = s.fixed.d[k], s.e_vector(k), s.v_vector(k)
-            pairing = s.pair_with_dual(tuple(dk * x for x in ek), m)
+            pairing = pair_with_dual(s, tuple(dk * x for x in ek), m)
             image = tuple(x - int(pairing) * y for x, y in zip(m, vk))
             assert same_fraction(composite, monomial(image))
 

@@ -8,13 +8,16 @@ by a power of 1 + z^v.  It expands binomials with math.comb and shares no
 twist code with cluster_geom.laurent.monomial_twist, which it checks: on a
 Laurent polynomial its (num, den) is the sparse route's, term for term.
 
-pullback_A is the A-side mutation pullback
+pair_with_dual is the canonical pairing <n, m> = sum_a n[a] m[a] / d_a as a
+Fraction, the tests' route to the exponents that laurent.step_twist keeps as
+integer weights.  pullback_A is the A-side mutation pullback
 z^m -> z^m (1 + z^{v_k})^{-<d_k e_k, m>} on it, with the pairing read from
-Seed.pair_with_dual rather than from laurent's linear forms.  It takes
-fractions, so pullbacks compose.  monomial, times and same_fraction build,
-multiply and compare fractions (RationalExpression) cross-multiplied.
+pair_with_dual rather than from step_twist.  It takes fractions, so
+pullbacks compose.  monomial, times and same_fraction build, multiply and
+compare fractions (RationalExpression) cross-multiplied.
 """
 
+from fractions import Fraction
 from math import comb
 
 from cluster_geom.laurent import LaurentPolynomial, RationalExpression
@@ -67,13 +70,19 @@ def fraction_twist(expr, v, g):
     return RationalExpression(num, den)
 
 
+def pair_with_dual(seed, n_vec, m_vec):
+    """<n, m> for n in initial coordinates and m in initial dual
+    coordinates, as a Fraction."""
+    return sum(Fraction(x * y, da) for x, y, da in zip(n_vec, m_vec, seed.fixed.d))
+
+
 def pullback_A(seed, k, expr):
     """The pullback of a dual-side function along the mutation at k, in the
     source seed's data."""
     dk_ek = tuple(seed.fixed.d[k] * x for x in seed.e_vector(k))
 
     def exponent(m):
-        pairing = seed.pair_with_dual(dk_ek, m)
+        pairing = pair_with_dual(seed, dk_ek, m)
         assert pairing.denominator == 1, (m, pairing)
         return -int(pairing)
 

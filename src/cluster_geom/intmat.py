@@ -1,8 +1,13 @@
 """Exact integer and rational matrix utilities.
 
 Everything here is exact: entries are Python ints or fractions.Fraction,
-never floats.  Normal forms are deterministic (fixed pivot rules) so that
-repeated runs produce identical output.  Elimination runs over the
+never floats.  A matrix tests integrality by the set of its entry types:
+an integer matrix is taken as it is, and only one with another entry type
+is normalized entry by entry.  A product builds each row as a combination
+of the right factor's rows, one per nonzero entry of the row, or the
+transpose of B^T A^T when B has fewer nonzero entries, so the sparser
+factor sets the work.  Normal forms are deterministic (fixed pivot rules)
+so that repeated runs produce identical output.  Elimination runs over the
 integers: the determinant and the inverse by one fraction-free (Bareiss)
 Gauss-Jordan elimination, a rational matrix first scaled by the lcm of its
 denominators; ranks, kernels and integer solutions from one Smith
@@ -13,17 +18,24 @@ build L and column operations R alongside S = L @ A @ R.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
-from operator import mul
+from operator import add, itemgetter, mul
 
 from .errors import ValidationError
+
+
+def _all_int(rows):
+    """Are all entries of the rows exactly of type int?  One set of types
+    per matrix, built at C speed."""
+    return {*map(type, chain.from_iterable(rows))} <= {int}
 
 
 def _normalize_entry(x):
     if isinstance(x, bool):
         raise TypeError("boolean matrix entries are not allowed")
     if isinstance(x, int):
-        return x
+        return int(x)
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
@@ -35,10 +47,12 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        rows = tuple(
-            tuple(x if type(x) is int else _normalize_entry(x) for x in row) for row in data
-        )
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        rows = tuple(map(tuple, data))
+        if not _all_int(rows):
+            rows = tuple(
+                tuple(x if type(x) is int else _normalize_entry(x) for x in row) for row in rows
+            )
+        if len({*map(len, rows)}) > 1:
             raise ValidationError("ragged matrix")
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
@@ -53,7 +67,8 @@ class Matrix:
     @classmethod
     def _trusted(cls, rows):
         # trusted constructor: rows is a tuple of equal-length tuples whose
-        # entries are already normalized (ints, or non-integral Fractions)
+        # entries are already normalized (of type int, or non-integral
+        # Fractions), as is_integral's type test needs
         self = object.__new__(cls)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
@@ -72,10 +87,10 @@ class Matrix:
         return self.data[i]
 
     def column(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(map(itemgetter(j), self.data))
 
     def is_integral(self):
-        return all(isinstance(x, int) for row in self.data for x in row)
+        return _all_int(self.data)
 
     def is_square(self):
         return self.rows == self.cols
@@ -84,15 +99,21 @@ class Matrix:
         return Matrix._trusted(tuple(zip(*self.data)))
 
     def __matmul__(self, other):
+        """A B with each row a combination of the rows of B, one per nonzero
+        entry of the row of A; when B has fewer nonzero entries than A, the
+        transpose of B^T A^T instead.  On the identity either way costs one
+        shared row per row."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        cols = tuple(zip(*other.data))
-        return Matrix([[sum(map(mul, row, col)) for col in cols] for row in self.data])
+        a, b = self.data, other.data
+        if other.cols and _nonzeros(other) < _nonzeros(self):
+            return Matrix(zip(*_row_combinations(tuple(zip(*b)), tuple(zip(*a)), self.rows)))
+        return Matrix(_row_combinations(a, b, other.cols))
 
     def matvec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        return tuple(sum(map(mul, row, v)) for row in self.data)
 
     def to_lists(self):
         return [list(row) for row in self.data]
@@ -141,6 +162,27 @@ class Matrix:
             tuple(x // p if x % p == 0 else Fraction(x, p) for x in row[n:])
             for row in m
         ))
+
+
+def _nonzeros(m):
+    return m.rows * m.cols - sum(row.count(0) for row in m.data)
+
+
+def _row_combinations(a, b, width):
+    """The rows of the product of the rows a and b, each the sum of x times
+    row j of b over the nonzero entries x = a[i][j] of its row; a row with
+    one nonzero entry 1 is row j of b itself, shared."""
+    zero = (0,) * width
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                if x != 1:
+                    brow = map(mul, repeat(x), brow)
+                acc = brow if acc is None else tuple(map(add, acc, brow))
+        out.append(zero if acc is None else acc)
+    return out
 
 
 def _gauss_jordan(m, n):

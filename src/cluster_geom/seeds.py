@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import mod, mul, neg
 
 from .errors import UnsupportedError, ValidationError
 from .intmat import Matrix, cokernel_invariants
@@ -65,8 +67,7 @@ class FixedData:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "skew", skew)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "frozen", frozenset(frozen))
-        self._validate(frozen)
+        object.__setattr__(self, "frozen", self._validate(frozen))
 
     def __setattr__(self, name, value):
         raise AttributeError("FixedData is immutable")
@@ -75,10 +76,11 @@ class FixedData:
         return FixedData, (self.n, self.skew, self.d, self.frozen)
 
     def _validate(self, frozen):
+        """Checks the data, frozen indices as given; returns them as a set."""
         if self.skew.rows != self.n or self.skew.cols != self.n:
             raise ValidationError("skew form has the wrong shape")
         rows = self.skew.data
-        if any(rows[i][j] != -rows[j][i] for i in range(self.n) for j in range(i, self.n)):
+        if rows != tuple(tuple(map(neg, col)) for col in zip(*rows)):
             raise ValidationError("skew form is not skew-symmetric")
         if len(self.d) != self.n or any(
             not isinstance(x, int) or isinstance(x, bool) or x <= 0 for x in self.d
@@ -90,15 +92,15 @@ class FixedData:
             isinstance(i, int) and not isinstance(i, bool) and 0 <= i < self.n for i in frozen
         ):
             raise ValidationError("frozen indices out of range")
-        for i in range(self.n):
-            for j in range(self.n):
-                if i in self.frozen and j in self.frozen:
-                    continue
-                e = self.skew[i, j] * self.d[j]
-                if isinstance(e, Fraction) and e.denominator != 1:
-                    raise ValidationError(
-                        f"entry {{e_{i}, e_{j}}} d_{j} = {e} is not integral"
-                    )
+        frozen = frozenset(frozen)
+        if not self.skew.is_integral():
+            for i, row in enumerate(rows):
+                for j, e in enumerate(map(mul, row, self.d)):
+                    if e.denominator != 1 and not (i in frozen and j in frozen):
+                        raise ValidationError(
+                            f"entry {{e_{i}, e_{j}}} d_{j} = {e} is not integral"
+                        )
+        return frozen
 
     @property
     def unfrozen(self):
@@ -175,11 +177,11 @@ class Seed:
         # with det B = +-1, the unfrozen columns span the unfrozen
         # sublattice iff they have no frozen coordinates, and the d_i e_i
         # span D Z^n iff each lies in it (the two lattices have equal index)
-        unf = fx.unfrozen
-        if any(b[f, i] for f in fx.frozen for i in unf):
+        rows, unf, d = b.data, fx.unfrozen, fx.d
+        if any(rows[f][i] for f in fx.frozen for i in unf):
             raise ValidationError("unfrozen columns do not span the unfrozen sublattice")
-        d = fx.d
-        if any(d[i] * b[j, i] % d[j] for i in range(n) for j in range(n)):
+        # row j holds the coordinates B[j, i], which d_j = 1 always divides
+        if any(any(map(mod, map(mul, d, row), repeat(dj))) for row, dj in zip(rows, d) if dj != 1):
             raise ValidationError("scaled columns d_i e_i do not span the expected sublattice")
         object.__setattr__(self, "eps", epsilon_from_basis(self))
 
@@ -249,14 +251,11 @@ class Seed:
 
     def v_vector(self, i):
         """v_i = {e_i, .} in initial dual coordinates (integral for unfrozen i)."""
-        d = self.fixed.d
         col = self.basis.column(i)
-        skew = self.fixed.skew
-        out = []
-        for a in range(self.n):
-            x = sum(col[b] * skew[b, a] for b in range(self.n)) * d[a]
-            out.append(_as_int(x, "v-vector coordinate"))
-        return tuple(out)
+        return tuple(
+            _as_int(sum(map(mul, col, skew_col)) * da, "v-vector coordinate")
+            for skew_col, da in zip(zip(*self.fixed.skew.data), self.fixed.d)
+        )
 
 
 def root_seed(fixed):
@@ -293,7 +292,7 @@ def epsilon_from_basis(seed):
     coordinates."""
     fixed, basis = seed.fixed, seed.basis
     gram = basis.transpose() @ fixed.skew @ basis
-    return Matrix([[x * dj for x, dj in zip(row, fixed.d)] for row in gram.data])
+    return Matrix(map(mul, row, fixed.d) for row in gram.data)
 
 
 def check_symmetrizable(eps, d):

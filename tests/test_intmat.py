@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 import pytest
 
 from cluster_geom import intmat
+from cluster_geom.errors import ValidationError
 from cluster_geom.intmat import (
     Matrix,
     cokernel_invariants,
@@ -428,6 +430,154 @@ class TestMatrix:
                 expected = [[sum(x[i, t] * y[t, j] for t in range(k)) for j in range(c)]
                             for i in range(r)]
                 assert (x @ y).to_lists() == expected
+
+
+# ---------------------------------------------------------------------------
+# Matrix.__matmul__ against the dot-product route it replaced.
+# ---------------------------------------------------------------------------
+
+def dot_product(a, b):
+    """A B by the dot product of each row of A with each column of B."""
+    cols = tuple(zip(*b.data))
+    return Matrix([[sum(map(mul, row, col)) for col in cols] for row in a.data])
+
+
+def _nonzeros(m):
+    return sum(x != 0 for row in m.data for x in row)
+
+
+def _factor_pairs(rng, entry):
+    """(A, B) pairs of every kind the product meets, the entries of the
+    random ones drawn by entry(rng)."""
+    def rand(r, c):
+        return Matrix([[entry(rng) for _ in range(c)] for _ in range(r)])
+
+    def perm(n):
+        p = list(range(n))
+        rng.shuffle(p)
+        return Matrix([[int(j == p[i]) for j in range(n)] for i in range(n)])
+
+    for n in (1, 2, 5):
+        dense = rand(n, n)
+        yield Matrix.identity(n), dense
+        yield perm(n), dense
+        yield _zeros(n, n), dense
+        yield dense, rand(n, n)
+        # a scaled permutation: rows with a nonzero entry other than 1
+        yield Matrix([[(i + 2) * x for x in row] for i, row in enumerate(perm(n).data)]), dense
+        yield rand(1, n), rand(n, n)
+        yield rand(n, 1), rand(1, n)
+        yield rand(1, n), rand(n, 1)
+    for r, k, c in [(2, 3, 4), (4, 1, 3), (3, 5, 2), (6, 2, 6)]:
+        yield rand(r, k), rand(k, c)
+        yield rand(r, k), _zeros(k, c)
+    # an r x k factor times a k x 0 factor: an r x 0 product
+    yield rand(3, 2), Matrix([[], []])
+
+
+def _sparse_int(rng):
+    return rng.choice([0, 0, 0, 1, -1, rng.randint(-9, 9)])
+
+
+def _sparse_fraction(rng):
+    return rng.choice([0, 0, 1, Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
+
+
+class TestProduct:
+    @pytest.mark.parametrize("entry", [_sparse_int, _sparse_fraction])
+    def test_matches_the_dot_product_route(self, entry):
+        rng = random.Random(41)
+        pairs = 0
+        for a, b in _factor_pairs(rng, entry):
+            # both orientations: A B, and the transposes' product B^T A^T
+            for x, y in ((a, b), (b.transpose(), a.transpose())):
+                if x.cols != y.rows:
+                    continue
+                got, want = x @ y, dot_product(x, y)
+                assert got == want, (x, y)
+                assert (got.rows, got.cols) == (want.rows, want.cols) == (x.rows, y.cols)
+                assert all(type(v) is int or v.denominator != 1 for row in got.data for v in row)
+                pairs += 1
+        assert pairs >= 60
+
+    def test_the_sparser_factor_sets_the_work(self, monkeypatch):
+        """The rows whose nonzero entries pick the combined rows are those of
+        the factor with fewer nonzero entries, A's on a tie."""
+        calls = []
+        combine = intmat._row_combinations
+
+        def spy(a, b, width):
+            calls.append(Matrix(a))
+            return combine(a, b, width)
+
+        monkeypatch.setattr(intmat, "_row_combinations", spy)
+        rng = random.Random(43)
+        for a, b in _factor_pairs(rng, _sparse_int):
+            if not (a.rows and a.cols and b.cols):
+                continue
+            calls.clear()
+            a @ b
+            (picked,) = calls
+            assert _nonzeros(picked) == min(_nonzeros(a), _nonzeros(b))
+            assert (picked.rows, picked.cols) == (
+                (a.rows, a.cols) if _nonzeros(a) <= _nonzeros(b) else (b.cols, b.rows)
+            )
+
+    def test_identity_rows_are_shared(self):
+        rng = random.Random(44)
+        dense = random_matrix(rng, 4, 4, 1, 9)
+        product = Matrix.identity(4) @ dense
+        assert all(x is y for x, y in zip(product.data, dense.data))
+        assert dense @ Matrix.identity(4) == dense
+
+
+class TestEntryTypes:
+    """One set of entry types per matrix decides integrality; only a matrix
+    with another type is normalized entry by entry."""
+
+    @pytest.mark.parametrize("rows", [[[True]], [[1, False]], [[0], [True]]])
+    def test_booleans_are_refused(self, rows):
+        with pytest.raises(TypeError, match="boolean matrix entries are not allowed"):
+            Matrix(rows)
+
+    @pytest.mark.parametrize("rows", [[[1.0]], [[1, 2.0]], [[0], [0.5]]])
+    def test_floats_are_refused(self, rows):
+        with pytest.raises(TypeError, match="matrix entries must be int or Fraction, got float"):
+            Matrix(rows)
+
+    def test_integral_fractions_and_int_subclasses_become_ints(self):
+        class Tagged(int):
+            pass
+
+        m = Matrix([[Fraction(4, 2), Tagged(3)], [0, Fraction(-6, 3)]])
+        assert m.data == ((2, 3), (0, -2))
+        assert {type(x) for row in m.data for x in row} == {int}
+        assert m.is_integral()
+
+    def test_is_integral(self):
+        assert Matrix([[1, 2], [3, 4]]).is_integral()
+        assert not Matrix([[1, Fraction(1, 2)], [3, 4]]).is_integral()
+        assert not Matrix([[Fraction(-7, 3)]]).is_integral()
+        assert Matrix([]).is_integral()
+        assert Matrix([[], []]).is_integral()
+
+    def test_ragged_rows(self):
+        for rows in ([[1, 2], [3]], [[1], [Fraction(4, 2), 3]], [[], [0]], [[1, 2], [3], [4, 5]]):
+            with pytest.raises(ValidationError, match="ragged matrix"):
+                Matrix(rows)
+        # entries are checked before the shape, as ever
+        with pytest.raises(TypeError):
+            Matrix([[1, 2], [True]])
+
+    def test_empty(self):
+        for m in (Matrix([]), Matrix(()), Matrix(iter([]))):
+            assert (m.rows, m.cols, m.data) == (0, 0, ())
+        m = Matrix([[], [], []])
+        assert (m.rows, m.cols, m.data) == (3, 0, ((), (), ()))
+
+    def test_rows_from_iterators(self):
+        m = Matrix(iter([iter([1, Fraction(2, 1)]), (3, 4)]))
+        assert m.data == ((1, 2), (3, 4)) and m.is_integral()
 
 
 # ---------------------------------------------------------------------------

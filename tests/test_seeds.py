@@ -128,6 +128,32 @@ class TestFixedData:
         with pytest.raises(ValidationError, match="frozen indices out of range"):
             FixedData(2, Matrix(A2), frozen=frozen)
 
+    @pytest.mark.parametrize("frozen", [[[1]], [0, [1]], [{0}], [(1,)]])
+    def test_rejects_an_unhashable_or_tuple_frozen_index(self, frozen):
+        # checked before the indices are put in a set
+        with pytest.raises(ValidationError, match="frozen indices out of range"):
+            FixedData(2, Matrix(A2), frozen=frozen)
+
+    # the first entry {e_i, e_j} d_j off the frozen block that is not an
+    # integer, in row-major order; each message as the entrywise loop over
+    # skew[i, j] gave it
+    @pytest.mark.parametrize("d, frozen, message", [
+        (None, (), "entry {e_0, e_1} d_1 = 1/2 is not integral"),
+        (None, (0, 1), "entry {e_0, e_2} d_2 = -1/3 is not integral"),
+        ((1, 1, 1), (1, 2), "entry {e_0, e_1} d_1 = 1/2 is not integral"),
+        ((2, 2, 1), (), "entry {e_0, e_2} d_2 = -1/3 is not integral"),
+        ((1, 2, 3), (), "entry {e_1, e_0} d_0 = -1/2 is not integral"),
+        ((2, 2, 3), (), "entry {e_2, e_0} d_0 = 2/3 is not integral"),
+        ((6, 3, 2), (), "entry {e_0, e_1} d_1 = 3/2 is not integral"),
+        ((3, 2, 1), (0,), "entry {e_0, e_2} d_2 = -1/3 is not integral"),
+    ])
+    def test_names_the_first_non_integral_entry(self, d, frozen, message):
+        h, t = Fraction(1, 2), Fraction(1, 3)
+        skew = Matrix([[0, h, -t], [-h, 0, t], [t, -t, 0]])
+        with pytest.raises(ValidationError) as exc:
+            FixedData(3, skew, d, frozen)
+        assert str(exc.value) == message
+
 
 class TestEpsilon:
     def test_a2_root(self):
@@ -570,6 +596,18 @@ class TestStepTwist:
                 with pytest.raises(ValidationError, match="^index 2 is frozen$"):
                     run(2)
         assert not unread.called
+
+    def test_a_frozen_v_vector_names_its_first_fraction(self, tmp_path):
+        # the rational frozen block of RANK4_FROZEN makes v_2 and v_3
+        # rational; the message names the first coordinate that is not an int
+        path = tmp_path / "rank4_frozen.json"
+        path.write_text(json.dumps(RANK4_FROZEN))
+        s, _ = load_seed_file(path)
+        assert (s.v_vector(0), s.v_vector(1)) == ((0, 2, 1, 0), (-1, 2, 2, 2))
+        for i, got in ((2, "Fraction(9, 2)"), (3, "Fraction(-1, 2)")):
+            with pytest.raises(ValidationError) as exc:
+                s.v_vector(i)
+            assert str(exc.value) == f"v-vector coordinate must be an integer, got {got}"
 
 
 class TestPrincipalDouble:

@@ -70,14 +70,6 @@ def _parse_matrix(rows, what):
     return Matrix([[_parse_entry(x) for x in row] for row in rows])
 
 
-def _int_list(value, what):
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise ValidationError(f"'{what}' must be a list of integers")
-    return tuple(value)
-
-
 def _encode_entry(x):
     if isinstance(x, int):
         return x
@@ -95,7 +87,8 @@ _PLANE_KEYS = ("w", "nu")
 def load_seed_file(path):
     """Parse a seed file, which holds either a skew form (rank, skew, d,
     frozen, basis) or plane data (w, nu), never fields of both; returns
-    (Seed, Rank2Data or None)."""
+    (Seed, Rank2Data or None).  Only the JSON rules are checked here: the
+    values go as they are to FixedData or Rank2Data, which check them."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -114,26 +107,20 @@ def load_seed_file(path):
                 f"seed file mixes plane data ({', '.join(plane)}) with "
                 f"skew-form fields ({', '.join(mixed)})"
             )
-        if not isinstance(doc.get("w"), list):
-            raise ValidationError("'w' must be a list of integer pairs")
-        w = tuple(_int_list(v, "w") for v in doc["w"])
-        data = Rank2Data(w, _int_list(doc["nu"], "nu") if "nu" in doc else None)
-        return build_seed(data), data
-    for key in ("rank", "skew"):
+    for key in ("w",) if plane else ("rank", "skew"):
         if key not in doc:
             raise ValidationError(f"seed file is missing '{key}'")
-    n = doc["rank"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValidationError("'rank' must be an integer")
+    null = [key for key, value in doc.items() if value is None]
+    if null:
+        raise ValidationError(f"seed file has null field(s): {', '.join(map(repr, null))}")
+    if plane:
+        data = Rank2Data(doc["w"], doc.get("nu"))
+        return build_seed(data), data
     skew = _parse_matrix(doc["skew"], "skew")
-    if skew.rows != n:
-        raise ValidationError(f"'skew' has {skew.rows} rows, expected rank {n}")
-    d = _int_list(doc["d"], "d") if "d" in doc else None
-    frozen = _int_list(doc.get("frozen", []), "frozen")
-    fixed = FixedData(n, skew, d, frozen)
+    fixed = FixedData(doc["rank"], skew, doc.get("d"), doc.get("frozen", ()))
     basis = (
         _parse_matrix(doc["basis"], "basis") if "basis" in doc
-        else Matrix.identity(n)
+        else Matrix.identity(fixed.n)
     )
     return Seed(fixed, basis), None
 
@@ -218,8 +205,7 @@ def cmd_rank2(args):
         )
     path = None if args.mutations is None else _parse_int_list(args.mutations)
     for k in path or ():
-        if not 0 <= k < seed.n:
-            raise ValidationError(f"mutation index {k} out of range")
+        seed.fixed.check_mutable(k)
     out = dict.fromkeys((
         "boundary_self_intersections", "all_minus_two", "non_noetherian_principal",
         "K_basis", "gram", "classification", "inertia", "fg_conjecture_possible",

@@ -76,7 +76,7 @@ from .laurent import (
     max_terms_limit,
     step_twist,
 )
-from .seeds import Seed, _mutated_rows, _mutated_seed, mutate_seed
+from .seeds import Seed, _as_tuple, _mutated_rows, _mutated_seed, mutate_seed
 
 
 class SeedNode:
@@ -369,8 +369,8 @@ def explore(root, depth, dedup="labeled", max_terms=None):
     deterministic.  Hitting a resource cap marks the graph truncated instead
     of failing.
     """
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        raise ValidationError(f"depth must be a nonnegative integer, got {depth!r}")
     if isinstance(root, Seed):
         root = root_node(root)
     limit = max_terms_limit(max_terms)
@@ -475,8 +475,8 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     stay: perfbench/oracles.py reads both, and ROADMAP item 7 decides their
     future.
     """
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        raise ValidationError(f"depth must be a nonnegative integer, got {depth!r}")
     limit = max_terms_limit(max_terms)
     labels = sorted(seed.fixed.unfrozen, reverse=True)
     paths = 0
@@ -514,28 +514,32 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     }
 
 
+def _regular_monomial(seed, q, side, paired):
+    """q as a tuple of seed.n ints at which each unfrozen step's form on the
+    side (see step_twist) is >= 0; paired names the step's vector."""
+    q = _as_tuple(q, f"exponent vector entries must be integers, got {q!r}")
+    if len(q) != seed.n:
+        raise ValidationError(f"exponent vector has length {len(q)}, expected {seed.n}")
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in q):
+        raise ValidationError(f"exponent vector entries must be integers, got {q!r}")
+    for i in seed.fixed.unfrozen:
+        if step_twist(seed, i, side)[1](q) < 0:
+            raise PreconditionError(f"monomial pairs negatively with {paired}{i}")
+    return q
+
+
 def verify_laurent_A(seed, q, depth, max_terms=None):
     """Check that the dual-side monomial z^q stays an exact Laurent
     polynomial on every seed torus within the given mutation depth.
 
     Precondition: each unfrozen step's A-side form m -> <d_i e_i, m> (see
     step_twist) is >= 0 at q: z^q is regular on this seed's toric model."""
-    q = tuple(q)
-    if len(q) != seed.n:
-        raise ValidationError(f"exponent vector has length {len(q)}, expected {seed.n}")
-    for i in seed.fixed.unfrozen:
-        if step_twist(seed, i, "A")[1](q) < 0:
-            raise PreconditionError(f"monomial pairs negatively with basis vector {i}")
+    q = _regular_monomial(seed, q, "A", "basis vector ")
     return _verify_along_paths(seed, "A", q, inverse_pullback_A, depth, max_terms)
 
 
 def verify_laurent_X(seed, q, depth, max_terms=None):
     """Lattice-side analogue: z^q for q in N, with each unfrozen step's
     X-side form >= 0 at q (z^q regular on the dual-side toric model)."""
-    q = tuple(q)
-    if len(q) != seed.n:
-        raise ValidationError(f"exponent vector has length {len(q)}, expected {seed.n}")
-    for i in seed.fixed.unfrozen:
-        if step_twist(seed, i, "X")[1](q) < 0:
-            raise PreconditionError(f"monomial pairs negatively with ray -v_{i}")
+    q = _regular_monomial(seed, q, "X", "ray -v_")
     return _verify_along_paths(seed, "X", q, inverse_pullback_X, depth, max_terms)

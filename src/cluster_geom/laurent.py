@@ -593,16 +593,18 @@ class LinearForm:
 
 def step_twist(seed, k, side):
     """The twist of the mutation at index k as (vector, LinearForm): on side
-    "A", (v_k, m -> <d_k e_k, m>); on side "X", (e_k, n -> d_k [n, e_k]).  A
-    frozen k raises ValidationError before any vector is read.
+    "A", (v_k, m -> <d_k e_k, m>); on side "X", (e_k, n -> d_k [n, e_k]).  An
+    index that FixedData.check_mutable refuses, or another side, raises
+    ValidationError before any vector is read.
 
     The weights d_k e_k[a] / d_a and -d_k v_k[a] / d_a (as [e_a, e_k] =
     -v_k[a] / d_a) are integers.  Seed checks that d_a divides d_k B[a, k],
     and with S the skew form, d_k v_k[a] / d_a = sum_b (d_k B[b, k] / d_b)
     (S[b, a] d_b), where FixedData checks that S[b, a] d_b is an integer
     unless a and b are both frozen, and B[b, k] = 0 for frozen b (k is not)."""
-    if k in seed.fixed.frozen:
-        raise ValidationError(f"index {k} is frozen")
+    seed.fixed.check_mutable(k)
+    if side not in ("A", "X"):
+        raise ValidationError(f"side must be 'A' or 'X', got {side!r}")
     d, e, v = seed.fixed.d, seed.e_vector(k), seed.v_vector(k)
     if side == "A":
         return v, LinearForm([d[k] * x // da for x, da in zip(e, d)])

@@ -56,18 +56,52 @@ def neg_part(x):
     return x if x < 0 else 0
 
 
+def _symmetrizers(d, n):
+    """The symmetrizers d of a rank-n seed (all ones when d is None) as a
+    tuple of n positive integers with gcd 1, or ValidationError."""
+    d = (1,) * n if d is None else _as_tuple(d, "symmetrizers d must be positive integers")
+    if any(not isinstance(x, int) or isinstance(x, bool) or x <= 0 for x in d):
+        raise ValidationError("symmetrizers d must be positive integers")
+    if len(d) != n:
+        raise ValidationError(f"symmetrizers d have length {len(d)}, expected rank {n}")
+    if n and gcd(*d) != 1:
+        raise ValidationError("symmetrizers d must have gcd 1")
+    return d
+
+
 class FixedData:
-    """Mutation-independent data: rank, skew form, symmetrizers, frozen set."""
+    """Mutation-independent data: rank, skew form, symmetrizers, frozen set.
+    The constructor checks all four, the rank first, so that no default is
+    built from a rank that is not one."""
 
     __slots__ = ("n", "skew", "d", "frozen")
 
     def __init__(self, n, skew, d=None, frozen=()):
-        frozen = _as_tuple(frozen, "frozen indices out of range")  # a set merges False into 0
-        d = (1,) * n if d is None else _as_tuple(d, "symmetrizers d must be positive integers")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "skew", skew)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "frozen", self._validate(frozen))
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValidationError(f"rank must be an integer, got {n!r}")
+        if not isinstance(skew, Matrix):
+            raise ValidationError("skew form must be a Matrix")
+        if skew.rows != n or skew.cols != n:
+            raise ValidationError(f"skew form is {skew.rows} x {skew.cols}, expected rank {n}")
+        rows = skew.data
+        if rows != tuple(tuple(map(neg, col)) for col in zip(*rows)):
+            raise ValidationError("skew form is not skew-symmetric")
+        d = _symmetrizers(d, n)
+        # the indices as given: a set would merge False into 0
+        message = f"frozen indices must be integers in range({n})"
+        frozen = _as_tuple(frozen, message)
+        if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n for i in frozen):
+            raise ValidationError(message)
+        frozen = frozenset(frozen)
+        if not skew.is_integral():
+            for i, row in enumerate(rows):
+                for j, e in enumerate(map(mul, row, d)):
+                    if e.denominator != 1 and not (i in frozen and j in frozen):
+                        raise ValidationError(
+                            f"entry {{e_{i}, e_{j}}} d_{j} = {e} is not integral"
+                        )
+        for name, value in zip(self.__slots__, (n, skew, d, frozen)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FixedData is immutable")
@@ -75,48 +109,23 @@ class FixedData:
     def __reduce__(self):
         return FixedData, (self.n, self.skew, self.d, self.frozen)
 
-    def _validate(self, frozen):
-        """Checks the data, frozen indices as given; returns them as a set."""
-        if self.skew.rows != self.n or self.skew.cols != self.n:
-            raise ValidationError("skew form has the wrong shape")
-        rows = self.skew.data
-        if rows != tuple(tuple(map(neg, col)) for col in zip(*rows)):
-            raise ValidationError("skew form is not skew-symmetric")
-        if len(self.d) != self.n or any(
-            not isinstance(x, int) or isinstance(x, bool) or x <= 0 for x in self.d
-        ):
-            raise ValidationError("symmetrizers d must be positive integers")
-        if self.n and gcd(*self.d) != 1:
-            raise ValidationError("symmetrizers d must have gcd 1")
-        if not all(
-            isinstance(i, int) and not isinstance(i, bool) and 0 <= i < self.n for i in frozen
-        ):
-            raise ValidationError("frozen indices out of range")
-        frozen = frozenset(frozen)
-        if not self.skew.is_integral():
-            for i, row in enumerate(rows):
-                for j, e in enumerate(map(mul, row, self.d)):
-                    if e.denominator != 1 and not (i in frozen and j in frozen):
-                        raise ValidationError(
-                            f"entry {{e_{i}, e_{j}}} d_{j} = {e} is not integral"
-                        )
-        return frozen
+    def check_mutable(self, k):
+        """Raises ValidationError unless k is an index that mutation may
+        use: an int (not a bool) in range(n) that is not frozen."""
+        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < self.n:
+            raise ValidationError(f"mutation index {k!r} out of range")
+        if k in self.frozen:
+            raise ValidationError(f"cannot mutate at frozen index {k}")
 
     @property
     def unfrozen(self):
         return tuple(i for i in range(self.n) if i not in self.frozen)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FixedData)
-            and self.n == other.n
-            and self.skew == other.skew
-            and self.d == other.d
-            and self.frozen == other.frozen
-        )
+        return isinstance(other, FixedData) and self.__reduce__() == other.__reduce__()
 
     def __hash__(self):
-        return hash((self.n, self.skew, self.d, self.frozen))
+        return hash(self.__reduce__())
 
 
 class Seed:
@@ -266,13 +275,9 @@ def seed_from_epsilon(eps_rows, d=None, frozen=()):
     """Root seed realizing a given d-skew-symmetrizable exchange matrix."""
     eps = Matrix(eps_rows)
     n = eps.rows
-    dd = tuple(d) if d is not None else (1,) * n
-    if any(not isinstance(x, int) or x <= 0 for x in dd):
-        raise ValidationError("symmetrizers d must be positive integers")
+    dd = _symmetrizers(d, n)
     check_symmetrizable(eps, dd)
-    skew = Matrix(
-        [[Fraction(eps[i, j], dd[j]) for j in range(n)] for i in range(n)]
-    )
+    skew = Matrix([[Fraction(x, dj) for x, dj in zip(row, dd)] for row in eps.data])
     return root_seed(FixedData(n, skew, dd, frozen))
 
 
@@ -364,8 +369,7 @@ def mutate_seed(seed, k):
     basis changes by the elementary column operation above, in O(n^2), when
     it is first read.
     """
-    if k in seed.fixed.frozen:
-        raise ValidationError(f"cannot mutate at frozen index {k}")
+    seed.fixed.check_mutable(k)
     return _mutated_seed(seed, k, mutate_epsilon(seed.eps, seed.fixed.d, k).data)
 
 

@@ -7,7 +7,8 @@ and its options; the seed file goes right after the command.  Every case
 exits 0 unless EXIT_CODES names another code for it.
 tests/test_cli.py runs every case in-process.  Run as a script with a
 command prefix, this module runs every case through that command and
-compares its exit code, and its stdout byte for byte, with the golden file:
+compares its exit code, and its stdout byte for byte, with the golden file;
+its stderr must be empty:
 
     PYTHONPATH=src python tests/golden_cases.py python -m cluster_geom
     python tests/golden_cases.py cluster-geom
@@ -133,7 +134,9 @@ def main(prefix):
             seed.write_text(json.dumps(doc))
             run = subprocess.run([*prefix, argv[0], str(seed), *argv[1:]], capture_output=True)
             golden = (GOLDEN / f"{name}.json").read_bytes()
-            same = run.returncode == EXIT_CODES.get(name, 0) and run.stdout == golden
+            # a warning or traceback beside the right stdout is a mismatch
+            want = (EXIT_CODES.get(name, 0), golden, b"")
+            same = (run.returncode, run.stdout, run.stderr) == want
             print(f"{'ok' if same else 'MISMATCH'} {name}")
             if not same:
                 failed.append(name)

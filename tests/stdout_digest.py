@@ -11,7 +11,9 @@ two hash seeds, that print the same digest printed the same bytes:
     PYTHONHASHSEED=0 python tests/stdout_digest.py
     PYTHONHASHSEED=4242 python tests/stdout_digest.py
 
-The digest goes to stdout and the job count to stderr.  pytest does not
+Every job must leave its stderr empty: a job that writes to it (a
+warning, a traceback) stops the script with exit 1 and no digest.  The
+digest goes to stdout and the job count to stderr.  pytest does not
 collect this file.  tests/stdout_digest.sha256 holds the digest of the
 current stdout, and CI checks both hash seeds against it, so a change
 that alters stdout also updates that file.
@@ -51,10 +53,11 @@ def digest(seeds):
                     paths[file].write_text(json.dumps(doc, sort_keys=True))
                 for job in wl.jobs:
                     argv = [str(paths.get(a, a)) for a in job["argv"]]
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out), \
-                            contextlib.redirect_stderr(io.StringIO()):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = cli.main(argv)
+                    if err.getvalue():
+                        sys.exit(f"{' '.join(job['argv'])} wrote to stderr:\n{err.getvalue()}")
                     h.update(json.dumps([code, out.getvalue()]).encode() + b"\n")
                     jobs += 1
     return h.hexdigest(), jobs

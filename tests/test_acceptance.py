@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations
 from math import gcd
 
 import pytest
@@ -40,6 +39,7 @@ from cluster_geom.seeds import (
     totally_coprime_sufficient,
 )
 from golden_cases import NINE_RAY, TRIANGLE
+from test_intmat import snf_oracle_diagonal
 
 A2 = [[0, 1], [-1, 0]]
 A3 = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]  # acyclic path quiver
@@ -141,45 +141,6 @@ def test_criterion_3_mutation_involutions():
     _pass("criterion 3: involution, coherence, tropical/fan consistency x1000", started)
 
 
-def _minor_gcd_diagonal(mat):
-    """Independent Smith-invariant oracle: gcds of k x k minors."""
-    def minor_det(rows, cols):
-        sub = [[mat[i, j] for j in cols] for i in rows]
-        size = len(sub)
-        if size == 1:
-            return sub[0][0]
-        total = 0
-        for c in range(size):
-            sign = -1 if c % 2 else 1
-            rest = [row[:c] + row[c + 1:] for row in sub[1:]]
-            total += sign * sub[0][c] * _det_list(rest)
-        return total
-
-    def _det_list(m):
-        if len(m) == 1:
-            return m[0][0]
-        total = 0
-        for c in range(len(m)):
-            sign = -1 if c % 2 else 1
-            total += sign * m[0][c] * _det_list([row[:c] + row[c + 1:] for row in m[1:]])
-        return total
-
-    limit = min(mat.rows, mat.cols)
-    prev = 1
-    out = []
-    for k in range(1, limit + 1):
-        g = 0
-        for rows in combinations(range(mat.rows), k):
-            for cols in combinations(range(mat.cols), k):
-                g = gcd(g, abs(minor_det(rows, cols)))
-        if g == 0:
-            out.extend([0] * (limit - k + 1))
-            break
-        out.append(g // prev)
-        prev = g
-    return tuple(out)
-
-
 def test_criterion_4_picard_cokernel():
     """Picard invariant factors: Markov gives Z/2 + Z/2 + Z, the rank-2
     unimodular seed gives the trivial group; cross-checked against the
@@ -187,11 +148,11 @@ def test_criterion_4_picard_cokernel():
     started = time.time()
     markov = seed_from_epsilon(MARKOV)
     p = markov.eps.transpose()
-    oracle_diag = _minor_gcd_diagonal(p)
+    oracle_diag = snf_oracle_diagonal(p)
     assert oracle_diag == (2, 2, 0)
     assert picard_invariants(markov) == (2, 2, 0)
     a2 = seed_from_epsilon(A2)
-    assert _minor_gcd_diagonal(a2.eps.transpose()) == (1, 1)
+    assert snf_oracle_diagonal(a2.eps.transpose()) == (1, 1)
     assert picard_invariants(a2) == ()
     _pass("criterion 4: Picard cokernel Markov=(2,2,0), A2=()", started)
 

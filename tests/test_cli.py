@@ -13,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_geom import cli
+from cluster_geom.errors import ValidationError
 from cluster_geom.intmat import Matrix, smith_diagonal
+from cluster_geom.rank2 import Rank2Data
+from cluster_geom.seeds import FixedData
 from golden_cases import (
     A3_FROZEN,
     A4,
@@ -311,11 +314,48 @@ class TestMalformedSeedFile:
         assert out.stdout == ""
         assert out.stderr == f"error: seed file has unknown key(s): {key!r}\n"
 
+    @pytest.mark.parametrize("key", ["rank", "skew", "d", "frozen", "basis", "w", "nu"])
+    def test_a_null_field(self, tmp_path, capsys, key):
+        # a null d or nu must not stand for the default
+        doc = TRIANGLE if key in ("w", "nu") else {"rank": 2, "skew": A2_SKEW}
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({**doc, key: None}))
+        assert cli.main(["picard", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: seed file has null field(s): {key!r}\n")
+
     def test_directory_as_seed_file(self, tmp_path):
         out = run_cli("picard", str(tmp_path))
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
         assert "Traceback" not in out.stderr
+
+
+# malformed values of the fields that FixedData and Rank2Data check
+FIELD_CASES = [
+    ("rank", "2"), ("rank", 2.5), ("rank", True), ("rank", 3), ("rank", -1),
+    ("d", 5), ("d", [1]), ("d", [1, "1"]), ("d", [True, 1]), ("d", [2, 2]), ("d", [0, 1]),
+    ("frozen", 5), ("frozen", [2]), ("frozen", ["0"]), ("frozen", [False]), ("frozen", [[0]]),
+    ("w", 5), ("w", [5]), ("w", [[1, 0, 0]]), ("w", [["1", 0]]), ("w", [[2, 0]]),
+    ("nu", 5), ("nu", [1, 1]), ("nu", [1, 1, 0]), ("nu", ["1", 1, 1]), ("nu", [1, 1, 1.0]),
+]
+
+
+class TestFieldErrors:
+    @pytest.mark.parametrize("key, value", FIELD_CASES)
+    def test_the_cli_prints_the_constructors_message(self, tmp_path, capsys, key, value):
+        if key in ("w", "nu"):
+            doc = {**TRIANGLE, "nu": [1, 1, 1], key: value}
+            build, args = Rank2Data, (doc["w"], doc["nu"])
+        else:
+            doc = {"rank": 2, "skew": A2_SKEW, key: value}
+            build = FixedData
+            args = (doc["rank"], Matrix(A2_SKEW), doc.get("d"), doc.get("frozen", ()))
+        with pytest.raises(ValidationError) as exc:
+            build(*args)
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["picard", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
 
 
 _small_or_huge = st.one_of(
@@ -603,8 +643,8 @@ class TestRank2:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["rank2", str(path), *extra]) == EXIT_CODES.get(name, 0)
-        out = capsys.readouterr().out
-        assert out == (GOLDEN / f"{name}.json").read_text()
+        out, err = capsys.readouterr()
+        assert (out, err) == ((GOLDEN / f"{name}.json").read_text(), "")
         keys = set(json.loads(out))
         assert ("note" in keys) == ("nu" in doc)
         assert "criterion" not in keys
@@ -757,7 +797,7 @@ def _golden_stdout(tmp_path, capsys, name, doc, command, extra):
     path = tmp_path / "seed.json"
     path.write_text(json.dumps(doc))
     assert cli.main([command, str(path), *extra]) == EXIT_CODES.get(name, 0)
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+    assert capsys.readouterr() == ((GOLDEN / f"{name}.json").read_text(), "")
 
 
 class TestLaurentGolden:

@@ -901,6 +901,26 @@ class TestVerifyLaurent:
         with pytest.raises(ValidationError, match=f"^exponent vector has length {len(q)}, "):
             verify(seed_from_epsilon(A2), q, 2)
 
+    @pytest.mark.parametrize("verify", [verify_laurent_A, verify_laurent_X])
+    @pytest.mark.parametrize("q", [(True, 0), (1.0, 0), ("1", 0), (None, 0), 5])
+    def test_an_exponent_that_is_not_an_int_is_rejected(self, verify, q):
+        # a bool would run and echo as true; a float or str would fail
+        # inside the twist
+        with pytest.raises(ValidationError, match="^exponent vector entries must be integers"):
+            verify(seed_from_epsilon(A2), q, 2)
+
+    @pytest.mark.parametrize("depth", [2.0, True, "2", None, -1])
+    def test_a_depth_that_is_not_a_nonnegative_int_is_rejected(self, depth):
+        # True would run at depth 1
+        seed = seed_from_epsilon(A2)
+        for run in (
+            lambda: explore(seed, depth),
+            lambda: verify_laurent_A(seed, (1, 0), depth),
+            lambda: _verify_along_paths(seed, "A", (1, 0), inverse_pullback_A, depth, None),
+        ):
+            with pytest.raises(ValidationError, match="^depth must be a nonnegative integer, "):
+                run()
+
     def test_x_side_precondition(self):
         seed = seed_from_epsilon(A2)
         with pytest.raises(PreconditionError):

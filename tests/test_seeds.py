@@ -8,6 +8,8 @@ from math import gcd
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluster_geom.cli import load_seed_file
 from cluster_geom.errors import PreconditionError, UnsupportedError, ValidationError
@@ -20,6 +22,7 @@ from cluster_geom.laurent import (
     inverse_pullback_X,
     step_twist,
 )
+from cluster_geom.rank2 import Rank2Data
 from cluster_geom.seeds import (
     FixedData,
     Seed,
@@ -86,6 +89,17 @@ class TestFixedData:
         with pytest.raises(ValidationError):
             FixedData(2, Matrix([[0, 1], [1, 0]]))
 
+    @pytest.mark.parametrize("n", ["2", 2.0, None, True])
+    def test_rejects_a_rank_that_is_not_an_int(self, n):
+        with pytest.raises(ValidationError, match=f"^rank must be an integer, got {n!r}$"):
+            FixedData(n, Matrix(A2))
+
+    @pytest.mark.parametrize("n", [3, -1, 10**20])
+    def test_rejects_a_rank_other_than_the_skew_forms(self, n):
+        # checked before a default d of length n is built
+        with pytest.raises(ValidationError, match=f"^skew form is 2 x 2, expected rank {n}$"):
+            FixedData(n, Matrix(A2))
+
     def test_rejects_non_integral_exchange(self):
         skew = Matrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
         with pytest.raises(ValidationError):
@@ -119,19 +133,19 @@ class TestFixedData:
         assert FixedData(2, Matrix(A2), d=None).d == (1, 1)
 
     def test_rejects_a_non_iterable_frozen_field(self):
-        with pytest.raises(ValidationError, match="frozen indices out of range"):
+        with pytest.raises(ValidationError, match=r"^frozen indices must be integers in range\(2\)$"):
             FixedData(2, Matrix(A2), frozen=5)
 
     @pytest.mark.parametrize("frozen", [[False], [0, False], [1, True]])
     def test_rejects_a_boolean_frozen_index(self, frozen):
         # a set would merge False into 0 and True into 1
-        with pytest.raises(ValidationError, match="frozen indices out of range"):
+        with pytest.raises(ValidationError, match=r"^frozen indices must be integers in range\(2\)$"):
             FixedData(2, Matrix(A2), frozen=frozen)
 
     @pytest.mark.parametrize("frozen", [[[1]], [0, [1]], [{0}], [(1,)]])
     def test_rejects_an_unhashable_or_tuple_frozen_index(self, frozen):
         # checked before the indices are put in a set
-        with pytest.raises(ValidationError, match="frozen indices out of range"):
+        with pytest.raises(ValidationError, match=r"^frozen indices must be integers in range\(2\)$"):
             FixedData(2, Matrix(A2), frozen=frozen)
 
     # the first entry {e_i, e_j} d_j off the frozen block that is not an
@@ -576,7 +590,16 @@ class TestStepTwist:
                 verdicts[bool(bad)] += 1
         assert min(verdicts.values()) > 50, verdicts
 
-    def test_a_frozen_index_raises_before_any_vector_is_read(self, tmp_path):
+    # RANK4_FROZEN's last index is frozen, so an index -1 read as a
+    # position would twist at a frozen index
+    @pytest.mark.parametrize("k, message", [
+        (2, "cannot mutate at frozen index 2"),
+        (-1, "mutation index -1 out of range"),
+        (4, "mutation index 4 out of range"),
+        (1.0, "mutation index 1.0 out of range"),
+        (True, "mutation index True out of range"),
+    ])
+    def test_a_bad_index_raises_before_any_vector_is_read(self, tmp_path, k, message):
         path = tmp_path / "rank4_frozen.json"
         path.write_text(json.dumps(RANK4_FROZEN))
         s, _ = load_seed_file(path)
@@ -584,17 +607,21 @@ class TestStepTwist:
         steps = [
             lambda k: step_twist(s, k, "A"),
             lambda k: step_twist(s, k, "X"),
+            lambda k: step_twist(s, k, "B"),
             lambda k: tropical_mutation_A(s, k, (1, 0, 0, 0)),
             lambda k: tropical_mutation_X(s, k, (1, 0, 0, 0)),
             lambda k: inverse_pullback_A(s, k, LaurentPolynomial.one(4)),
             lambda k: inverse_pullback_X(s, k, LaurentPolynomial.one(4)),
+            lambda k: mutate_seed(s, k),
         ]
         with mock.patch.object(Seed, "e_vector", unread), mock.patch.object(
             Seed, "v_vector", unread
         ):
             for run in steps:
-                with pytest.raises(ValidationError, match="^index 2 is frozen$"):
-                    run(2)
+                with pytest.raises(ValidationError, match=f"^{message}$"):
+                    run(k)
+            with pytest.raises(ValidationError, match="^side must be 'A' or 'X', got 'B'$"):
+                step_twist(s, 0, "B")
         assert not unread.called
 
     def test_a_frozen_v_vector_names_its_first_fraction(self, tmp_path):
@@ -980,3 +1007,82 @@ class TestPullbacks:
             m = tuple(rng.randint(-2, 2) for _ in range(3))
             roundtrip = pullback_A(s, k, inverse_pullback_A(s, k, LaurentPolynomial.monomial(m)))
             assert same_fraction(roundtrip, monomial(m))
+
+
+# -- constructors and index checks on junk ---------------------------------
+
+_junk = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.floats(), st.integers(-4, 4),
+        st.sampled_from([1 << 62, -(1 << 62)]), st.text(max_size=2),
+    ),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+_EPS = ([], [[0]], A2, [[0, 2], [-1, 0]], MARKOV)
+_SEEDS = (
+    seed_from_epsilon([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], frozen=(2,)),
+    seed_from_epsilon([[0, 2], [-1, 0]], d=(1, 2), frozen=(1,)),
+    seed_from_epsilon(MARKOV),
+)
+
+
+def _skew(size):
+    return Matrix([[(j > i) - (j < i) for j in range(size)] for i in range(size)])
+
+
+class TestConstructorFuzz:
+    """Junk (None, bools, floats, strings, nested lists, +-2^62 and indices
+    out of range) may only raise ValidationError, and a frozen index never
+    comes back as a twist."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(st.integers(-1, 4), _junk),
+        skew=st.one_of(st.integers(0, 3).map(_skew), _junk),
+        d=st.one_of(st.none(), st.lists(st.integers(0, 3), max_size=4), _junk),
+        frozen=st.one_of(st.lists(st.integers(-1, 4), max_size=2), _junk),
+    )
+    def test_fixed_data(self, n, skew, d, frozen):
+        try:
+            fixed = FixedData(n, skew, d, frozen)
+        except ValidationError:
+            return
+        assert fixed.frozen <= set(range(fixed.n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        w=st.one_of(st.lists(st.sampled_from([[1, 0], [0, 1], [-1, -1], [2, 4]])), _junk),
+        nu=st.one_of(st.none(), st.lists(st.integers(0, 2), max_size=4), _junk),
+    )
+    def test_rank2_data(self, w, nu):
+        try:
+            Rank2Data(w, nu)
+        except ValidationError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps=st.sampled_from(_EPS),
+        d=st.one_of(st.none(), st.lists(st.integers(0, 3), max_size=4), _junk),
+        frozen=st.one_of(st.lists(st.integers(-1, 4), max_size=2), _junk),
+    )
+    def test_seed_from_epsilon(self, eps, d, frozen):
+        try:
+            seed_from_epsilon(eps, d, frozen)
+        except ValidationError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.sampled_from(_SEEDS),
+        k=st.one_of(st.integers(-4, 4), _junk),
+        side=st.one_of(st.sampled_from(["A", "X", "B"]), _junk),
+    )
+    def test_mutation_indices(self, seed, k, side):
+        for run in (lambda: mutate_seed(seed, k), lambda: step_twist(seed, k, side)):
+            try:
+                run()
+            except ValidationError:
+                continue
+            assert k.__class__ is int and k in seed.fixed.unfrozen

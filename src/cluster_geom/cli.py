@@ -49,8 +49,7 @@ EXIT_LAURENT = 4
 
 
 def _parse_entry(x):
-    if isinstance(x, bool):
-        raise ValidationError("boolean matrix entries are not allowed")
+    # a bool passes as an int, and Matrix refuses it
     if isinstance(x, int):
         return x
     if isinstance(x, str):

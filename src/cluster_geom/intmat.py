@@ -33,12 +33,12 @@ def _all_int(rows):
 
 def _normalize_entry(x):
     if isinstance(x, bool):
-        raise TypeError("boolean matrix entries are not allowed")
+        raise ValidationError("boolean matrix entries are not allowed")
     if isinstance(x, int):
         return int(x)
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+    raise ValidationError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
 class Matrix:
@@ -47,7 +47,10 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        rows = tuple(map(tuple, data))
+        try:
+            rows = tuple(map(tuple, data))
+        except TypeError:
+            raise ValidationError("matrix data must be an iterable of rows") from None
         if not _all_int(rows):
             rows = tuple(
                 tuple(x if type(x) is int else _normalize_entry(x) for x in row) for row in rows

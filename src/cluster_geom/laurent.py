@@ -59,7 +59,7 @@ class ExponentOverflow(ResourceLimitExceeded, ArithmeticError):
 
 def max_terms_limit(explicit=None):
     """The term cap: `explicit` if given, else CLUSTER_GEOM_MAX_TERMS, else
-    DEFAULT_MAX_TERMS.  A cap below 1 or an unparsable value is rejected."""
+    DEFAULT_MAX_TERMS.  A cap that is not an int or is below 1 is rejected."""
     limit = explicit
     if limit is None:
         raw = os.environ.get(MAX_TERMS_ENV)
@@ -69,9 +69,15 @@ def max_terms_limit(explicit=None):
             limit = int(raw)
         except ValueError:
             raise ValidationError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}")
+    if not _is_int(limit):
+        raise ValidationError(f"the term cap must be an integer, got {limit!r}")
     if limit < 1:
         raise ValidationError(f"the term cap must be at least 1, got {limit}")
     return limit
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _quotient_too_large(limit):
@@ -133,15 +139,14 @@ class LaurentPolynomial:
     def __init__(self, nvars, terms=None):
         cleaned = {}
         for exps, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError("exponent vector length mismatch")
-            if not all(isinstance(e, int) for e in exps) or not isinstance(coeff, int):
+            if not all(map(_is_int, exps)) or not _is_int(coeff):
                 raise TypeError("exponents and coefficients must be integers")
-            _check_exponents(exps)
-            cleaned[exps] = coeff
+            if coeff:
+                _check_exponents(exps)
+                cleaned[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_frame_cache", None)
@@ -176,8 +181,7 @@ class LaurentPolynomial:
     @classmethod
     def monomial(cls, exps, coeff=1):
         exps = tuple(exps)
-        _check_exponents(exps)
-        return cls._raw(len(exps), {exps: coeff} if coeff else {})
+        return cls(len(exps), {exps: coeff})
 
     @classmethod
     def variable(cls, nvars, i):
@@ -321,7 +325,7 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, a):
-        if not isinstance(a, int) or a < 0:
+        if not _is_int(a) or a < 0:
             raise ValueError("only nonnegative integer powers are supported")
         result = None
         base = self
@@ -389,7 +393,7 @@ def binomial_power(v, a):
     """Expansion of (1 + z^v)^a for a >= 0, from one Pascal row.  Every term
     j v lies between 0 and a v, so the bound is tested on a v alone, before
     anything is built."""
-    if not isinstance(a, int) or a < 0:
+    if not _is_int(a) or a < 0:
         raise ValueError("binomial_power needs a nonnegative integer exponent")
     v = tuple(v)
     _check_exponents([a * x for x in v])
@@ -586,10 +590,6 @@ class LinearForm:
     def __call__(self, m):
         return sum(map(mul, self.weights, m))
 
-    def kills(self, v):
-        """Whether the form vanishes at v."""
-        return not self(v)
-
 
 def step_twist(seed, k, side):
     """The twist of the mutation at index k as (vector, LinearForm): on side
@@ -647,8 +647,8 @@ def _over_binomial(coeffs, b):
 
 
 def _twist_lines(p, v, g):
-    """sum_m c_m z^m (1 + z^v)^{g(m)} for p = sum_m c_m z^m, v != 0 and a
-    linear form g with g(v) = 0, as a Laurent polynomial; or None when it
+    """sum_m c_m z^m (1 + z^v)^{g(m)} for nonzero p = sum_m c_m z^m and v,
+    and a linear form g with g(v) = 0, as a Laurent polynomial; or None when it
     is not one, or when the sparse route's exponent test would fire, so
     that the sparse route gives its fraction or raises ExponentOverflow.
 
@@ -663,8 +663,6 @@ def _twist_lines(p, v, g):
     the line's j-th term lies j key(v) above its lowest, and all keys are
     unpacked at once."""
     terms = p._terms
-    if not terms:
-        return p
     if len(terms) == 1:
         ((m, c),) = terms.items()
         a = g(m)
@@ -727,6 +725,7 @@ def _twist_lines(p, v, g):
 def monomial_twist(p, v, g):
     """Apply z^m -> z^m (1 + z^v)^{g(m)} to a Laurent polynomial p, for a
     LinearForm g with g(v) = 0; a form with g(v) != 0 raises ValueError.
+    The zero polynomial comes back as it is, over the denominator 1.
 
     For v != 0 the twist is taken line by line (see _twist_lines), and a
     Laurent result comes back reduced, over the denominator 1.  Every other
@@ -738,15 +737,15 @@ def monomial_twist(p, v, g):
     (1 + z^v)^floor.
     """
     v = tuple(v)
-    if not g.kills(v):
+    if g(v):
         raise ValueError("the twist exponent does not vanish on the twist vector")
+    if not p._terms:
+        return RationalExpression(p)
     if any(v):
         twisted = _twist_lines(p, v, g)
         if twisted is not None:
             return RationalExpression(twisted)
     powers = [(m, c, g(m)) for m, c in p.items()]
-    if not powers:
-        return RationalExpression(p)
     floor = max(0, -min(a for _, _, a in powers))
     top = max(a for _, _, a in powers) + floor
     # |exponent| of an output term is at most max|m| + top * max|v|

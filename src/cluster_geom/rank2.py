@@ -20,7 +20,7 @@ from functools import cmp_to_key
 from math import gcd, lcm
 from operator import mul
 
-from .errors import PreconditionError, UnsupportedError, ValidationError
+from .errors import UnsupportedError, ValidationError
 from .intmat import Matrix, kernel_basis, solve_integer
 from .seeds import FixedData, _as_tuple, mutate_along, root_seed
 
@@ -297,21 +297,14 @@ def symmetric_form(data):
 def invariance_check(form, path):
     """Recompute the kernel pairing from the data mutated along the path
     (new plane vectors, fresh fan completion, same kernel basis carried
-    through) and compare with the unmutated pairing."""
+    through) and compare with the unmutated pairing.  The new w are the
+    columns of W B (B the mutated basis), primitive step by step: a prime
+    dividing w_i + c w_k, c = [eps_ik]_+ = nu_k (w_i ^ w_k) > 0, divides
+    its wedge with w_k, hence c and w_i."""
     data = form.data
     mutated = mutate_along(build_seed(data), path)
-    ws = []
-    for i in range(data.n):
-        col = mutated.basis.column(i)
-        wi = (
-            sum(c * w[0] for c, w in zip(col, data.w)),
-            sum(c * w[1] for c, w in zip(col, data.w)),
-        )
-        if gcd(*wi) != 1:
-            raise PreconditionError(
-                f"mutated image of basis vector {i} is not primitive"
-            )
-        ws.append(wi)
+    images = Matrix(zip(*data.w)) @ mutated.basis
+    ws = list(zip(*images.data))
     binv = mutated.basis.inverse()
     carried = [binv.matvec(kappa) for kappa in form.basis]
     surface = _surface_for(ws, complete_smooth_fan(set(ws)))

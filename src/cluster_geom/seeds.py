@@ -56,6 +56,12 @@ def neg_part(x):
     return x if x < 0 else 0
 
 
+def _check_index(k, n):
+    """Raises ValidationError unless k is an int (not a bool) in range(n)."""
+    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < n:
+        raise ValidationError(f"mutation index {k!r} out of range")
+
+
 def _symmetrizers(d, n):
     """The symmetrizers d of a rank-n seed (all ones when d is None) as a
     tuple of n positive integers with gcd 1, or ValidationError."""
@@ -112,8 +118,7 @@ class FixedData:
     def check_mutable(self, k):
         """Raises ValidationError unless k is an index that mutation may
         use: an int (not a bool) in range(n) that is not frozen."""
-        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < self.n:
-            raise ValidationError(f"mutation index {k!r} out of range")
+        _check_index(k, self.n)
         if k in self.frozen:
             raise ValidationError(f"cannot mutate at frozen index {k}")
 
@@ -349,9 +354,7 @@ def mutate_epsilon(eps, d, k):
     Rows with a zero k-th entry are shared with the input.
     """
     check_symmetrizable(eps, d)
-    n = eps.rows
-    if not 0 <= k < n:
-        raise ValidationError(f"mutation index {k} out of range")
+    _check_index(k, eps.rows)
     rows = _mutated_rows(eps.data, k)
     if all(x.__class__ is int for x in rows[k]) and all(
         row[k].__class__ is int for row in rows

@@ -4,10 +4,12 @@ import inspect
 import pickle
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_acceptance import random_symmetrizable_seed
 
 from cluster_geom.errors import (
@@ -36,11 +38,13 @@ from cluster_geom.laurent import (
     RationalExpression,
     inverse_pullback_A,
     max_terms_limit,
+    step_twist,
 )
 from cluster_geom.rank2 import Rank2Data, build_seed
 from cluster_geom.seeds import (
     epsilon_from_basis,
     mutate_along,
+    mutate_epsilon,
     mutate_seed,
     seed_from_epsilon,
 )
@@ -946,12 +950,60 @@ class TestVerifyLaurent:
         assert (rep["paths_checked"], rep["max_terms"], rep["max_degree"]) == expected
 
 
-def _relabeled_root(eps, d, order):
-    """The root seed of eps and d with index i renamed from order[i]."""
+def _relabeled_root(eps, d, order, frozen=()):
+    """The root seed of eps, d and frozen with index i renamed from
+    order[i]."""
     d = d or (1,) * len(eps)
     return seed_from_epsilon(
-        [[eps[a][b] for b in order] for a in order], [d[a] for a in order]
+        [[eps[a][b] for b in order] for a in order],
+        [d[a] for a in order],
+        [i for i, a in enumerate(order) if a in frozen],
     )
+
+
+def _largest_exponent(eps, d, frozen, depth):
+    """The largest |entry| of the exchange matrices on the label paths
+    shorter than depth: a bound on the exponents of the products that
+    explore forms to that depth."""
+    unfrozen = [k for k in range(len(eps)) if k not in frozen]
+    level = [Matrix(eps)]
+    top = 0
+    for length in range(depth):
+        top = max([top] + [abs(x) for m in level for row in m.data for x in row])
+        if length + 1 < depth:
+            level = [mutate_epsilon(m, d, k) for m in level for k in unfrozen]
+    return top
+
+
+@st.composite
+def relabeled_roots(draw, depths=st.integers(1, 3)):
+    """(eps, d, frozen, depth, max_terms, order): rank 2 to 4, d_i in {1,
+    2, 3}, a random frozen set, eps = S D for a skew form S with entries
+    t / gcd(d_i, d_j), |t| <= 2, a depth drawn from depths (at most 3), a
+    small term cap, and a relabeling.  The term cap bounds every division
+    but not the product of an exchange polynomial (ROADMAP item 1), so only
+    seeds whose exchange polynomials take no power above 60 are drawn; on
+    such seeds each explore run takes well under a second."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=n, max_size=n)
+             .filter(lambda d: gcd(*d) == 1))
+    eps = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        t, g = draw(st.integers(-2, 2)), gcd(d[i], d[j])
+        eps[i][j], eps[j][i] = t * d[j] // g, -t * d[i] // g
+    frozen = draw(st.sets(st.integers(0, n - 1)))
+    depth = draw(depths)
+    assume(_largest_exponent(eps, d, frozen, depth) <= 60)
+    cap = draw(st.sampled_from([5, 20, 50]))
+    return eps, d, frozen, depth, cap, draw(st.permutations(range(n)))
+
+
+def _outcome(run):
+    """A report, or the type of the resource limit that stopped it."""
+    try:
+        return run()
+    except ResourceLimitExceeded as exc:
+        return type(exc)
 
 
 class TestRelabeling:
@@ -988,6 +1040,52 @@ class TestRelabeling:
             for node in labeled
         }
         assert len(explore(seed, 4, "unlabeled").nodes) == len(classes)
+
+
+class TestRandomRelabeling:
+    """The relations of TestRelabeling on random seeds (ROADMAP item 16).
+    A run that exceeds the term cap is compared by the cap's exception,
+    since the walk order decides where it stops."""
+
+    # relabeling classes of labeled nodes first merge at depth 3 (on an A2
+    # pair, say), so the explore relations are checked there
+    @settings(max_examples=60, deadline=5000)
+    @given(relabeled_roots(st.just(3)))
+    def test_explore_reports_and_unlabeled_classes(self, case):
+        eps, d, frozen, depth, cap, order = case
+        seed = seed_from_epsilon(eps, d, frozen)
+        image = _relabeled_root(eps, d, order, frozen)
+        for dedup in ("labeled", "unlabeled"):
+            assert explore(image, depth, dedup, cap).report() == explore(
+                seed, depth, dedup, cap
+            ).report()
+        classes = {
+            _brute_force_key(node.rows, seed.fixed, [v.terms() for v in node.cluster_vars])
+            for node in explore(seed, depth, max_terms=cap).nodes
+        }
+        assert len(explore(seed, depth, "unlabeled", cap).nodes) == len(classes)
+
+    @settings(max_examples=60, deadline=5000)
+    @given(relabeled_roots(), st.data())
+    def test_laurent_check_reports(self, case, data):
+        eps, d, frozen, depth, cap, order = case
+        seed = seed_from_epsilon(eps, d, frozen)
+        image = _relabeled_root(eps, d, order, frozen)
+        n = len(eps)
+        # at the root the A-side form of step i is m -> m_i, so q passes the
+        # precondition when its unfrozen entries are >= 0; on side X only
+        # the q that pass are checked
+        q_a = tuple(data.draw(st.integers(-2 * (i in frozen), 2)) for i in range(n))
+        q_x = tuple(data.draw(st.integers(-2, 2)) for _ in range(n))
+        sides = [(verify_laurent_A, q_a)]
+        if all(step_twist(seed, i, "X")[1](q_x) >= 0 for i in seed.fixed.unfrozen):
+            sides.append((verify_laurent_X, q_x))
+        for verify, q in sides:
+            moved = tuple(q[a] for a in order)
+            rep = _outcome(lambda: verify(seed, q, depth, cap))
+            if isinstance(rep, dict):
+                rep = {**rep, "q": list(moved)}
+            assert _outcome(lambda: verify(image, moved, depth, cap)) == rep
 
 
 class TestNegation:

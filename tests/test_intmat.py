@@ -386,12 +386,12 @@ class TestMatrix:
             half.rank()
 
     def test_no_floats(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError):
             Matrix([[1.5]])
 
     def test_no_booleans(self):
         # an exact int skips normalization, a bool (an int subclass) does not
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError):
             Matrix([[1, True]])
 
     def test_integral_fractions_become_ints(self):
@@ -537,13 +537,20 @@ class TestEntryTypes:
 
     @pytest.mark.parametrize("rows", [[[True]], [[1, False]], [[0], [True]]])
     def test_booleans_are_refused(self, rows):
-        with pytest.raises(TypeError, match="boolean matrix entries are not allowed"):
+        with pytest.raises(ValidationError, match="boolean matrix entries are not allowed"):
             Matrix(rows)
 
     @pytest.mark.parametrize("rows", [[[1.0]], [[1, 2.0]], [[0], [0.5]]])
     def test_floats_are_refused(self, rows):
-        with pytest.raises(TypeError, match="matrix entries must be int or Fraction, got float"):
+        with pytest.raises(
+            ValidationError, match="matrix entries must be int or Fraction, got float"
+        ):
             Matrix(rows)
+
+    @pytest.mark.parametrize("data", [None, 5, [1, 2], [[1], 2], [None]])
+    def test_data_that_is_not_rows_is_refused(self, data):
+        with pytest.raises(ValidationError, match="matrix data must be an iterable of rows"):
+            Matrix(data)
 
     def test_integral_fractions_and_int_subclasses_become_ints(self):
         class Tagged(int):
@@ -566,7 +573,7 @@ class TestEntryTypes:
             with pytest.raises(ValidationError, match="ragged matrix"):
                 Matrix(rows)
         # entries are checked before the shape, as ever
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError, match="boolean"):
             Matrix([[1, 2], [True]])
 
     def test_empty(self):

@@ -12,7 +12,7 @@ from test_acceptance import random_symmetrizable_seed
 from twist_oracle import fraction_twist, monomial, pullback_A, same_fraction, times
 
 from cluster_geom import cli, laurent
-from cluster_geom.errors import ResourceLimitExceeded
+from cluster_geom.errors import ResourceLimitExceeded, ValidationError
 from cluster_geom.explore import verify_laurent_A
 from cluster_geom.laurent import (
     EXPONENT_LIMIT,
@@ -26,6 +26,7 @@ from cluster_geom.laurent import (
     _pascal_row,
     binomial_power,
     exact_divide,
+    max_terms_limit,
     monomial_twist,
     step_twist,
 )
@@ -753,7 +754,7 @@ class TestLineTwist:
                 seed = mutate_seed(seed, rng.choice(sorted(seed.fixed.unfrozen)))
             k = rng.choice(sorted(seed.fixed.unfrozen))
             for v, g in pullback_forms(seed, k):
-                assert g.kills(v)
+                assert g(v) == 0
                 terms = {
                     tuple(rng.randint(-3, 3) for _ in range(n)): rng.choice([-3, -1, 1, 2])
                     for _ in range(rng.randint(1, 5))
@@ -790,6 +791,14 @@ class TestLineTwist:
     def test_zero_polynomial(self):
         out = monomial_twist(LP.zero(2), (1, -1), LinearForm((1, 1)))
         assert out.num.is_zero() and out.den.is_one()
+
+    def test_zero_polynomial_is_answered_before_either_route(self):
+        for v, g in (((1, -1), LinearForm((1, 1))), ((0, 0), LinearForm((2, -1)))):
+            out = monomial_twist(LP.zero(2), v, g)
+            assert out.num.is_zero() and out.den.is_one()
+        # the form is tested first, on the zero polynomial too
+        with pytest.raises(ValueError, match="does not vanish"):
+            monomial_twist(LP.zero(2), (1, 0), LinearForm((1, 1)))
 
     def test_zero_ray_vector_takes_the_sparse_route(self):
         # index 2 is isolated, so v_2 = 0 lies in the kernel on the A side
@@ -879,4 +888,43 @@ class TestLineTwist:
     def test_linear_form(self):
         g = LinearForm((3, -1, 0))
         assert g((1, 1, 5)) == 2
-        assert g.kills((1, 3, 7)) and not g.kills((1, 0, 0))
+        assert g((1, 3, 7)) == 0 and g((1, 0, 0)) == 3
+
+
+class TestScalarArguments:
+    """A bool or a non-int is refused with the exception each function
+    raises for its other bad values."""
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "7", (1,)])
+    def test_term_cap(self, bad, monkeypatch):
+        monkeypatch.delenv(MAX_TERMS_ENV, raising=False)
+        with pytest.raises(ValidationError, match="^the term cap must be an integer, got "):
+            max_terms_limit(bad)
+        p = lp(1, {(0,): 1, (2,): 1})
+        with pytest.raises(ValidationError, match="^the term cap must be an integer"):
+            exact_divide(p * lp(1, {(0,): 1, (1,): 1}), p, bad)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "2", None])
+    def test_powers(self, bad):
+        with pytest.raises(ValueError, match="only nonnegative integer powers"):
+            lp(2, {(1, 0): 1, (0, 0): 1}) ** bad
+        with pytest.raises(ValueError, match="nonnegative integer exponent"):
+            binomial_power((1, 0), bad)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [{(True, 0): 1}, {(1, 0): True}, {(0, False): 2}, {(1.5, 0): 1}, {(1, 0): 1.0},
+         {(1, 0): False}, {(1, 0): 0.0}],
+    )
+    def test_exponents_and_coefficients(self, terms):
+        with pytest.raises(TypeError, match="exponents and coefficients must be integers"):
+            LP(2, terms)
+        ((exps, coeff),) = terms.items()
+        with pytest.raises(TypeError, match="exponents and coefficients must be integers"):
+            LP.monomial(exps, coeff)
+
+    def test_ints_still_pass(self):
+        assert max_terms_limit(3) == 3
+        assert LP.monomial((2, -1), 3) == lp(2, {(2, -1): 3})
+        assert LP.monomial((2, -1), 0).is_zero()
+        assert lp(1, {(0,): 1, (1,): 1}) ** 2 == binomial_power((1,), 2)

@@ -7,6 +7,8 @@ from math import gcd
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluster_geom.errors import UnsupportedError, ValidationError
 from cluster_geom.intmat import Matrix, kernel_basis, smith_diagonal, solve_integer
@@ -29,6 +31,7 @@ from cluster_geom.rank2 import (
     symmetric_form,
     wedge,
 )
+from cluster_geom.seeds import mutate_along
 from golden_cases import NINE_RAY, TRIANGLE, WEIGHTED_TRIANGLE
 
 
@@ -593,6 +596,35 @@ class TestInvariance:
             path = tuple(rng.randrange(len(ws)) for _ in range(rng.randint(1, 3)))
             assert invariance_check(symmetric_form(data), path)
             done += 1
+
+
+_primitive = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: gcd(*v) == 1)
+
+
+@st.composite
+def plane_paths(draw):
+    """Weight-one plane data (2 to 7 primitive vectors, entries at most 4,
+    generating Z^2) and a path of at most 6 mutations."""
+    w = draw(st.lists(_primitive, min_size=2, max_size=7).filter(
+        lambda w: gcd(*(wedge(u, v) for u in w for v in w)) == 1
+    ))
+    return w, draw(st.lists(st.integers(0, len(w) - 1), max_size=6))
+
+
+class TestMutatedPlaneVectors:
+    # invariance_check reads the new plane vectors off W B without testing
+    # them: they are primitive, and their wedges are the exchange matrix
+    @settings(max_examples=200, deadline=None)
+    @given(plane_paths())
+    def test_images_are_primitive_and_carry_the_exchange_matrix(self, case):
+        w, path = case
+        seed = mutate_along(build_seed(Rank2Data(w)), path)
+        images = [
+            tuple(sum(c * x[t] for c, x in zip(seed.basis.column(i), w)) for t in (0, 1))
+            for i in range(len(w))
+        ]
+        assert all(gcd(*u) == 1 for u in images)
+        assert seed.eps.to_lists() == [[wedge(u, v) for v in images] for u in images]
 
 
 class TestClassification:

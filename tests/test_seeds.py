@@ -349,6 +349,12 @@ class TestMutateEpsilon:
         with pytest.raises(ValidationError):
             mutate_epsilon(Matrix([[0, 1], [1, 0]]), (1, 1), 0)
 
+    @pytest.mark.parametrize("k", [True, 1.0, (1,), -1, 2, "1", None])
+    def test_rejects_indices_that_are_not_in_range(self, k):
+        # the index check of FixedData.check_mutable, without the frozen test
+        with pytest.raises(ValidationError, match=r"^mutation index .* out of range$"):
+            mutate_epsilon(Matrix(A2), (1, 1), k)
+
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValidationError, match=r"\(1, 1\)"):
             check_symmetrizable(Matrix([[0, 1], [-1, 2]]), (1, 1))
@@ -1063,7 +1069,12 @@ class TestConstructorFuzz:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        eps=st.sampled_from(_EPS),
+        eps=st.one_of(
+            st.sampled_from(_EPS),
+            _junk,
+            st.lists(st.one_of(st.lists(st.one_of(st.integers(-2, 2), _junk), max_size=3), _junk),
+                     max_size=3),
+        ),
         d=st.one_of(st.none(), st.lists(st.integers(0, 3), max_size=4), _junk),
         frozen=st.one_of(st.lists(st.integers(-1, 4), max_size=2), _junk),
     )

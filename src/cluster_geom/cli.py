@@ -16,6 +16,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     ClusterGeomError,
@@ -134,9 +135,42 @@ def seed_to_json(seed):
     }
 
 
+def _dumps(obj, newline="\n"):
+    """json.dumps(obj, sort_keys=True, indent=2) for what a report holds:
+    dicts with str keys, lists, tuples, ints, bools, strs and None.  With
+    an indent, json.dumps runs its pure-Python encoder item by item; here a
+    list of plain ints is joined in one call."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (
+            encode_basestring_ascii(key) + ": " + _dumps(value, inner)
+            for key, value in sorted(obj.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(x.__class__ is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = (_dumps(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(obj):
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2)
+        text = _dumps(obj)
     except ValueError:  # an int past Python's int-to-str digit limit
         raise ResourceLimitExceeded(
             "result holds an integer too large to print"

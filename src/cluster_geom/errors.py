@@ -29,3 +29,45 @@ class LaurentViolation(ClusterGeomError):
 
 class ResourceLimitExceeded(ClusterGeomError):
     """A configured size cap (term count, exponent magnitude) was hit."""
+
+
+def is_int(x):
+    """Is x an int and not a bool?"""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+class Record:
+    """An immutable value whose fields are the names in its __slots__, set
+    once by the constructor: equal and hashed field by field, copied and
+    pickled by passing its fields back to the constructor by position, and
+    shown as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

@@ -58,14 +58,15 @@ the GIL, so threads cannot speed it up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import (
     LaurentViolation,
     PreconditionError,
+    Record,
     ResourceLimitExceeded,
     ValidationError,
+    is_int,
 )
 from .laurent import (
     LaurentPolynomial,
@@ -321,8 +322,7 @@ def _relation(pairs):
     return tuple(relation)
 
 
-@dataclass(frozen=True)
-class ExchangeGraph:
+class ExchangeGraph(Record):
     """Deduplicated depth-bounded exchange graph.
 
     nodes[i] is the first-discovered representative of identity class i;
@@ -331,10 +331,10 @@ class ExchangeGraph:
     so report() reads each variable once and compares them by identity.
     """
 
-    nodes: tuple
-    edges: tuple
-    depth: int
-    truncated: bool
+    __slots__ = ("nodes", "edges", "depth", "truncated")
+
+    def __init__(self, nodes, edges, depth, truncated):
+        super().__init__(nodes, edges, depth, truncated)
 
     def report(self):
         """The graph's summary, as `explore` prints it.  A failed exact
@@ -369,7 +369,7 @@ def explore(root, depth, dedup="labeled", max_terms=None):
     deterministic.  Hitting a resource cap marks the graph truncated instead
     of failing.
     """
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+    if not is_int(depth) or depth < 0:
         raise ValidationError(f"depth must be a nonnegative integer, got {depth!r}")
     if isinstance(root, Seed):
         root = root_node(root)
@@ -475,7 +475,7 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     stay: perfbench/oracles.py reads both, and ROADMAP item 7 decides their
     future.
     """
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+    if not is_int(depth) or depth < 0:
         raise ValidationError(f"depth must be a nonnegative integer, got {depth!r}")
     limit = max_terms_limit(max_terms)
     labels = sorted(seed.fixed.unfrozen, reverse=True)
@@ -520,7 +520,7 @@ def _regular_monomial(seed, q, side, paired):
     q = _as_tuple(q, f"exponent vector entries must be integers, got {q!r}")
     if len(q) != seed.n:
         raise ValidationError(f"exponent vector has length {len(q)}, expected {seed.n}")
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in q):
+    if not all(map(is_int, q)):
         raise ValidationError(f"exponent vector entries must be integers, got {q!r}")
     for i in seed.fixed.unfrozen:
         if step_twist(seed, i, side)[1](q) < 0:

@@ -46,7 +46,7 @@ from itertools import cycle, repeat
 from operator import add, gt, mul, neg, sub
 from struct import unpack
 
-from .errors import ResourceLimitExceeded, ValidationError
+from .errors import ResourceLimitExceeded, ValidationError, is_int
 
 EXPONENT_LIMIT = 1 << 62
 MAX_TERMS_ENV = "CLUSTER_GEOM_MAX_TERMS"
@@ -69,15 +69,11 @@ def max_terms_limit(explicit=None):
             limit = int(raw)
         except ValueError:
             raise ValidationError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}")
-    if not _is_int(limit):
+    if not is_int(limit):
         raise ValidationError(f"the term cap must be an integer, got {limit!r}")
     if limit < 1:
         raise ValidationError(f"the term cap must be at least 1, got {limit}")
     return limit
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _quotient_too_large(limit):
@@ -142,7 +138,7 @@ class LaurentPolynomial:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError("exponent vector length mismatch")
-            if not all(map(_is_int, exps)) or not _is_int(coeff):
+            if not all(map(is_int, exps)) or not is_int(coeff):
                 raise TypeError("exponents and coefficients must be integers")
             if coeff:
                 _check_exponents(exps)
@@ -325,7 +321,7 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, a):
-        if not _is_int(a) or a < 0:
+        if not is_int(a) or a < 0:
             raise ValueError("only nonnegative integer powers are supported")
         result = None
         base = self
@@ -393,7 +389,7 @@ def binomial_power(v, a):
     """Expansion of (1 + z^v)^a for a >= 0, from one Pascal row.  Every term
     j v lies between 0 and a v, so the bound is tested on a v alone, before
     anything is built."""
-    if not _is_int(a) or a < 0:
+    if not is_int(a) or a < 0:
         raise ValueError("binomial_power needs a nonnegative integer exponent")
     v = tuple(v)
     _check_exponents([a * x for x in v])

@@ -15,12 +15,11 @@ numbers of divisor classes orthogonal to the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd, lcm
 from operator import mul
 
-from .errors import UnsupportedError, ValidationError
+from .errors import Record, UnsupportedError, ValidationError, is_int
 from .intmat import Matrix, kernel_basis, solve_integer
 from .seeds import FixedData, _as_tuple, mutate_along, root_seed
 
@@ -33,12 +32,10 @@ def rot90(u):
     return (-u[1], u[0])
 
 
-@dataclass(frozen=True)
-class Rank2Data:
+class Rank2Data(Record):
     """Primitive vectors in Z^2 (repetitions allowed) with positive weights."""
 
-    w: tuple
-    nu: tuple
+    __slots__ = ("w", "nu")
 
     def __init__(self, w, nu=None):
         w = _as_tuple(w, "each w must be an integer pair")
@@ -50,11 +47,11 @@ class Rank2Data:
         if len(w) != len(nu):
             raise ValidationError("w and nu must have the same length")
         for v in w:
-            if len(v) != 2 or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+            if len(v) != 2 or not all(map(is_int, v)):
                 raise ValidationError("each w must be an integer pair")
             if gcd(*v) != 1:
                 raise ValidationError(f"vector {v} is not primitive")
-        if any(not isinstance(x, int) or isinstance(x, bool) or x <= 0 for x in nu):
+        if any(not is_int(x) or x <= 0 for x in nu):
             raise ValidationError("weights nu must be positive integers")
         # w generates Z^2 exactly when its 2 x 2 minors have gcd 1
         if gcd(*(wedge(u, v) for u in w for v in w)) != 1:
@@ -77,12 +74,11 @@ def build_seed(data):
 
 # -- fans --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fan2D:
+class Fan2D(Record):
     """Complete smooth fan in Z^2: primitive rays, counterclockwise, every
     consecutive pair (cyclically) of determinant one."""
 
-    rays: tuple
+    __slots__ = ("rays",)
 
     def __init__(self, rays):
         rays = tuple(tuple(r) for r in rays)
@@ -187,8 +183,7 @@ def self_intersections(fan):
 
 # -- blown-up surfaces --------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlowupSurface:
+class BlowupSurface(Record):
     """A smooth toric surface blown up at distinct very general points of its
     boundary divisors, with its integral intersection form.
 
@@ -200,10 +195,10 @@ class BlowupSurface:
     curves are mutually orthogonal with square -1 and meet no pulled-back
     divisor, so two classes meet in x Q y - e . e'."""
 
-    fan: Fan2D
-    centers: tuple
-    toric_self_intersections: tuple
-    boundary_self_intersections: tuple
+    __slots__ = ("fan", "centers", "toric_self_intersections", "boundary_self_intersections")
+
+    def __init__(self, fan, centers, toric_self_intersections, boundary_self_intersections):
+        super().__init__(fan, centers, toric_self_intersections, boundary_self_intersections)
 
     @property
     def q(self):
@@ -247,16 +242,15 @@ def _surface_for(ws, fan):
     return blowup_surface(fan, [index[tuple(w)] for w in ws])
 
 
-@dataclass(frozen=True)
-class KGram:
+class KGram(Record):
     """A fixed basis of the kernel of the skew form together with the Gram
     matrix of the induced symmetric pairing, the data they came from and the
     blown-up surface the pairing was read off."""
 
-    data: Rank2Data
-    surface: BlowupSurface
-    basis: tuple
-    gram: Matrix
+    __slots__ = ("data", "surface", "basis", "gram")
+
+    def __init__(self, data, surface, basis, gram):
+        super().__init__(data, surface, basis, gram)
 
 
 def _gram_for_vectors(surface, kernel_vectors):

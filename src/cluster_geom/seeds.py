@@ -21,13 +21,12 @@ allowing coordinates to vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
 from operator import mod, mul, neg
 
-from .errors import UnsupportedError, ValidationError
+from .errors import Record, UnsupportedError, ValidationError, is_int
 from .intmat import Matrix, cokernel_invariants
 from .laurent import step_twist
 
@@ -58,7 +57,7 @@ def neg_part(x):
 
 def _check_index(k, n):
     """Raises ValidationError unless k is an int (not a bool) in range(n)."""
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < n:
+    if not is_int(k) or not 0 <= k < n:
         raise ValidationError(f"mutation index {k!r} out of range")
 
 
@@ -66,7 +65,7 @@ def _symmetrizers(d, n):
     """The symmetrizers d of a rank-n seed (all ones when d is None) as a
     tuple of n positive integers with gcd 1, or ValidationError."""
     d = (1,) * n if d is None else _as_tuple(d, "symmetrizers d must be positive integers")
-    if any(not isinstance(x, int) or isinstance(x, bool) or x <= 0 for x in d):
+    if any(not is_int(x) or x <= 0 for x in d):
         raise ValidationError("symmetrizers d must be positive integers")
     if len(d) != n:
         raise ValidationError(f"symmetrizers d have length {len(d)}, expected rank {n}")
@@ -75,7 +74,7 @@ def _symmetrizers(d, n):
     return d
 
 
-class FixedData:
+class FixedData(Record):
     """Mutation-independent data: rank, skew form, symmetrizers, frozen set.
     The constructor checks all four, the rank first, so that no default is
     built from a rank that is not one."""
@@ -83,7 +82,7 @@ class FixedData:
     __slots__ = ("n", "skew", "d", "frozen")
 
     def __init__(self, n, skew, d=None, frozen=()):
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not is_int(n):
             raise ValidationError(f"rank must be an integer, got {n!r}")
         if not isinstance(skew, Matrix):
             raise ValidationError("skew form must be a Matrix")
@@ -96,7 +95,7 @@ class FixedData:
         # the indices as given: a set would merge False into 0
         message = f"frozen indices must be integers in range({n})"
         frozen = _as_tuple(frozen, message)
-        if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n for i in frozen):
+        if not all(is_int(i) and 0 <= i < n for i in frozen):
             raise ValidationError(message)
         frozen = frozenset(frozen)
         if not skew.is_integral():
@@ -106,14 +105,7 @@ class FixedData:
                         raise ValidationError(
                             f"entry {{e_{i}, e_{j}}} d_{j} = {e} is not integral"
                         )
-        for name, value in zip(self.__slots__, (n, skew, d, frozen)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FixedData is immutable")
-
-    def __reduce__(self):
-        return FixedData, (self.n, self.skew, self.d, self.frozen)
+        super().__init__(n, skew, d, frozen)
 
     def check_mutable(self, k):
         """Raises ValidationError unless k is an index that mutation may
@@ -125,12 +117,6 @@ class FixedData:
     @property
     def unfrozen(self):
         return tuple(i for i in range(self.n) if i not in self.frozen)
-
-    def __eq__(self, other):
-        return isinstance(other, FixedData) and self.__reduce__() == other.__reduce__()
-
-    def __hash__(self):
-        return hash(self.__reduce__())
 
 
 class Seed:
@@ -419,8 +405,7 @@ def tropical_mutation_X(seed, k, m_vec):
 
 # -- principal coefficients -------------------------------------------------
 
-@dataclass(frozen=True)
-class PrincipalSeed:
+class PrincipalSeed(Record):
     """A seed on the doubled lattice N + M°, with principal coefficients.
 
     The double of rank n carries the skew form
@@ -431,8 +416,10 @@ class PrincipalSeed:
     down).
     """
 
-    seed: Seed
-    p_star: Matrix | None
+    __slots__ = ("seed", "p_star")
+
+    def __init__(self, seed, p_star):
+        super().__init__(seed, p_star)
 
 
 def _diagonal(entries):

@@ -839,3 +839,42 @@ class TestDeterminism:
         a = run_cli("explore", markov_file, "--depth", "4", "--workers", "1")
         b = run_cli("explore", markov_file, "--depth", "4", "--workers", "4")
         assert _report(a) == _report(b)
+
+
+class TestDumps:
+    """cli._dumps writes what json.dumps(obj, sort_keys=True, indent=2)
+    writes, on every golden report and on each shape a report can take."""
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_golden_reports(self, tmp_path, monkeypatch, name):
+        doc, (command, *extra) = CASES[name]
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(doc))
+        reports = []
+        monkeypatch.setattr(cli, "_emit", reports.append)
+        assert cli.main([command, str(path), *extra]) == EXIT_CODES.get(name, 0)
+        [report] = reports
+        text = cli._dumps(report)
+        assert text == json.dumps(report, sort_keys=True, indent=2)
+        assert text + "\n" == (GOLDEN / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), [[]], [{}], {"a": []}, {"a": {}}, [[[]], {}],
+        {"b": [1, [2, [3, []]], {"c": {"d": None}}], "a": (), "B": 0},
+        [True, False], [True, 1, 0, False], (1, -2, 10**40),
+        [1, "x", None, -2, [3], (4, 5)], ["é\n\"\\", "☃", ""],
+        {"z": 1, "a": 2, "m": [True], "é": "ü"}, 7, "s", None, False,
+    ])
+    def test_shapes(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+class TestEmit:
+    def test_an_integer_too_large_to_print(self, monkeypatch, capsys, a2_file):
+        # one digit past the interpreter's int-to-str limit
+        huge = 10 ** sys.get_int_max_str_digits()
+        monkeypatch.setattr(cli, "picard_invariants", lambda seed: (0, huge))
+        assert cli.main(["picard", a2_file]) == 3
+        assert capsys.readouterr() == (
+            "", "error: result holds an integer too large to print\n"
+        )

@@ -40,12 +40,13 @@ from cluster_geom.laurent import (
     max_terms_limit,
     step_twist,
 )
-from cluster_geom.rank2 import Rank2Data, build_seed
+from cluster_geom.rank2 import KGram, Rank2Data, build_seed, symmetric_form
 from cluster_geom.seeds import (
     epsilon_from_basis,
     mutate_along,
     mutate_epsilon,
     mutate_seed,
+    principal_double,
     seed_from_epsilon,
 )
 from golden_cases import NINE_RAY
@@ -675,6 +676,30 @@ class TestCopyAndPickle:
             assert (twin.num, twin.den) == (x, x + LP.one(3))
         with pytest.raises(AttributeError):
             copy.copy(seed.fixed).n = 0
+
+    def test_records(self):
+        form = symmetric_form(Rank2Data(**NINE_RAY))
+        principal = principal_double(seed_from_epsilon(B3, (1, 1, 2)))
+        assert principal.p_star is not None
+        for value in (form, form.surface, form.surface.fan, form.data, principal):
+            for twin in _round_trips(value):
+                assert twin == value and hash(twin) == hash(value)
+                with pytest.raises(AttributeError):
+                    setattr(twin, type(twin).__slots__[0], None)
+        assert KGram(data=form.data, surface=form.surface, basis=form.basis, gram=form.gram) == form
+        assert repr(form.data) == f"Rank2Data(w={form.data.w!r}, nu={form.data.nu!r})"
+
+    def test_an_exchange_graph(self):
+        graph = explore(root_node(seed_from_epsilon(MARKOV)), 3)
+        assert copy.copy(graph) == graph
+        for twin in _round_trips(graph):
+            assert twin.report() == graph.report()
+            assert (twin.edges, twin.depth, twin.truncated) == (
+                graph.edges, graph.depth, graph.truncated)
+            assert [(n.rows, n.cluster_vars, n.depth) for n in twin.nodes] == [
+                (n.rows, n.cluster_vars, n.depth) for n in graph.nodes]
+            with pytest.raises(AttributeError):
+                twin.depth = 0
 
     def test_an_explored_node_at_depth_three(self):
         root = root_node(seed_from_epsilon(MARKOV))

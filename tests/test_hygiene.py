@@ -1,8 +1,8 @@
 """Checks on the repository's own files, standard library only: every name a
-src module imports is used in it, README's library quick start runs and
-prints what its comments say, its CLI synopsis names every option, every
-Python name its Layout table cites exists, and every layer the benchmark
-traces exists."""
+src module imports is used in it, importing the CLI loads no introspection
+module, README's library quick start runs and prints what its comments say,
+its CLI synopsis names every option, every Python name its Layout table
+cites exists, and every layer the benchmark traces exists."""
 
 import argparse
 import ast
@@ -10,6 +10,8 @@ import re
 import importlib
 import importlib.util
 import io
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -42,6 +44,22 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_src_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_introspection_module():
+    """The cold start of every CLI call: a fresh interpreter that imports
+    cluster_geom.cli loads neither dataclasses nor typing, nor the
+    introspection modules they bring in.  -S keeps out the .pth files of
+    site, which may import typing themselves."""
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "typing"]
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import cluster_geom.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_readme_quick_start():

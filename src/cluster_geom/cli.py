@@ -22,6 +22,7 @@ from .errors import (
     ClusterGeomError,
     LaurentViolation,
     ResourceLimitExceeded,
+    UnsupportedError,
     ValidationError,
 )
 from .explore import explore, root_node, verify_laurent_A, verify_laurent_X
@@ -250,14 +251,15 @@ def cmd_rank2(args):
         "totally_coprime_sufficient": totally_coprime_sufficient(seed),
         "invariance_checked_paths": [],
     })
-    if any(x != 1 for x in data.nu):
+    try:
+        form = symmetric_form(data)
+    except UnsupportedError:  # the pairing needs weight-one data
         out["supported"] = False
         out["note"] = (
             "weighted data (some nu_i > 1) gives singular surfaces; such "
             "examples can be non-finitely generated but are outside this checker"
         )
     else:
-        form = symmetric_form(data)
         out.update(**non_fg_flag(form), **fg_failure_flag(form))
         out.update(K_basis=[list(v) for v in form.basis], gram=_encode_matrix(form.gram))
         if path is not None:

@@ -36,11 +36,32 @@ def is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-class Record:
-    """An immutable value whose fields are the names in its __slots__, set
-    once by the constructor: equal and hashed field by field, copied and
-    pickled by passing its fields back to the constructor by position, and
-    shown as Name(field=value, ...)."""
+def as_tuple(x, message):
+    """tuple(x), or ValidationError(message) when x is not iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ValidationError(message) from None
+
+
+class Frozen:
+    """A value whose attributes can be neither set nor deleted once its
+    constructor has written its slots with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Frozen):
+    """A Frozen value whose fields are the names in its __slots__, set once
+    by the constructor: equal and hashed field by field, copied and pickled
+    by passing its fields back to the constructor by position, and shown as
+    Name(field=value, ...)."""
 
     __slots__ = ()
 
@@ -50,12 +71,6 @@ class Record:
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), self._fields()

@@ -66,6 +66,7 @@ from .errors import (
     Record,
     ResourceLimitExceeded,
     ValidationError,
+    as_tuple,
     is_int,
 )
 from .laurent import (
@@ -77,10 +78,10 @@ from .laurent import (
     max_terms_limit,
     step_twist,
 )
-from .seeds import Seed, _as_tuple, _mutated_rows, _mutated_seed, mutate_seed
+from .seeds import Seed, _mutated_rows, _mutated_seed, mutate_seed
 
 
-class SeedNode:
+class SeedNode(Record):
     """A seed together with its cluster variables written in the initial
     variables, and its depth.  A step from a node checks that the new
     variable is a genuine Laurent polynomial (the division is exact); a
@@ -94,12 +95,6 @@ class SeedNode:
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "cluster_vars", cluster_vars)
         object.__setattr__(self, "depth", depth)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeedNode is immutable")
-
-    def __reduce__(self):
-        return SeedNode, (self.seed, self.cluster_vars, self.depth)
 
     def __repr__(self):
         return f"SeedNode(depth={self.depth}, rows={self.rows!r})"
@@ -361,6 +356,11 @@ class ExchangeGraph(Record):
         }
 
 
+def _check_depth(depth):
+    if not is_int(depth) or depth < 0:
+        raise ValidationError(f"depth must be a nonnegative integer, got {depth!r}")
+
+
 def explore(root, depth, dedup="labeled", max_terms=None):
     """Breadth-first exploration of the exchange graph to the given depth.
 
@@ -369,8 +369,7 @@ def explore(root, depth, dedup="labeled", max_terms=None):
     deterministic.  Hitting a resource cap marks the graph truncated instead
     of failing.
     """
-    if not is_int(depth) or depth < 0:
-        raise ValidationError(f"depth must be a nonnegative integer, got {depth!r}")
+    _check_depth(depth)
     if isinstance(root, Seed):
         root = root_node(root)
     limit = max_terms_limit(max_terms)
@@ -475,8 +474,7 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     stay: perfbench/oracles.py reads both, and ROADMAP item 7 decides their
     future.
     """
-    if not is_int(depth) or depth < 0:
-        raise ValidationError(f"depth must be a nonnegative integer, got {depth!r}")
+    _check_depth(depth)
     limit = max_terms_limit(max_terms)
     labels = sorted(seed.fixed.unfrozen, reverse=True)
     paths = 0
@@ -517,7 +515,7 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
 def _regular_monomial(seed, q, side, paired):
     """q as a tuple of seed.n ints at which each unfrozen step's form on the
     side (see step_twist) is >= 0; paired names the step's vector."""
-    q = _as_tuple(q, f"exponent vector entries must be integers, got {q!r}")
+    q = as_tuple(q, f"exponent vector entries must be integers, got {q!r}")
     if len(q) != seed.n:
         raise ValidationError(f"exponent vector has length {len(q)}, expected {seed.n}")
     if not all(map(is_int, q)):

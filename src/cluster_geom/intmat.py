@@ -22,7 +22,7 @@ from itertools import chain, repeat
 from math import lcm
 from operator import add, itemgetter, mul
 
-from .errors import ValidationError
+from .errors import Record, ValidationError
 
 
 def _all_int(rows):
@@ -41,8 +41,9 @@ def _normalize_entry(x):
     raise ValidationError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
-class Matrix:
-    """Immutable exact matrix over the integers or rationals."""
+class Matrix(Record):
+    """Immutable exact matrix over the integers or rationals.  Copy and
+    pickle pass the rows back to the constructor."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -57,12 +58,7 @@ class Matrix:
             )
         if len({*map(len, rows)}) > 1:
             raise ValidationError("ragged matrix")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
-        object.__setattr__(self, "data", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        super().__init__(len(rows), len(rows[0]) if rows else 0, rows)
 
     def __reduce__(self):
         return Matrix, (self.data,)
@@ -120,12 +116,6 @@ class Matrix:
 
     def to_lists(self):
         return [list(row) for row in self.data]
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
 
     def __repr__(self):
         return f"Matrix({self.to_lists()!r})"

@@ -46,7 +46,7 @@ from itertools import cycle, repeat
 from operator import add, gt, mul, neg, sub
 from struct import unpack
 
-from .errors import ResourceLimitExceeded, ValidationError, is_int
+from .errors import Frozen, Record, ResourceLimitExceeded, ValidationError, is_int
 
 EXPONENT_LIMIT = 1 << 62
 MAX_TERMS_ENV = "CLUSTER_GEOM_MAX_TERMS"
@@ -129,7 +129,11 @@ def _unpack(packed, lo, size, code):
     return dict(zip(zip(*[fields] * n), packed.values()))
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(Frozen):
+    """A Laurent polynomial in nvars variables with integer coefficients.
+    Equality, hash, copy and pickle read nvars and the terms; the frame
+    cache is left out of all four."""
+
     __slots__ = ("nvars", "_terms", "_frame_cache")
 
     def __init__(self, nvars, terms=None):
@@ -146,9 +150,6 @@ class LaurentPolynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_frame_cache", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPolynomial is immutable")
 
     def __reduce__(self):
         return LaurentPolynomial, (self.nvars, self._terms)
@@ -520,10 +521,11 @@ def exact_divide(p, q, max_terms=None):
     return LaurentPolynomial._raw(n, _unpack(quotient, lo, size, code), (lo, hi))
 
 
-class RationalExpression:
+class RationalExpression(Record):
     """A fraction of Laurent polynomials, as monomial_twist returns it.  No
     automatic gcd reduction is performed; Laurent-ness is decided by a single
-    exact division on demand."""
+    exact division on demand.  Equality compares numerators and
+    denominators, not the fractions they make."""
 
     __slots__ = ("num", "den")
 
@@ -534,14 +536,7 @@ class RationalExpression:
             raise ValueError("variable count mismatch")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalExpression is immutable")
-
-    def __reduce__(self):
-        return RationalExpression, (self.num, self.den)
+        super().__init__(num, den)
 
     def as_laurent(self, max_terms=None):
         """The equal Laurent polynomial, or None when the fraction is not one;
@@ -573,7 +568,7 @@ class RationalExpression:
 # per line.
 # ---------------------------------------------------------------------------
 
-class LinearForm:
+class LinearForm(Record):
     """m -> sum_a weights[a] * m[a], with integer weights.  monomial_twist
     takes its exponent as a LinearForm, which is constant on the lines
     m + Zv of a twist vector v that it vanishes on."""
@@ -581,7 +576,7 @@ class LinearForm:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        self.weights = tuple(weights)
+        super().__init__(tuple(weights))
 
     def __call__(self, m):
         return sum(map(mul, self.weights, m))

@@ -19,9 +19,9 @@ from functools import cmp_to_key
 from math import gcd, lcm
 from operator import mul
 
-from .errors import Record, UnsupportedError, ValidationError, is_int
+from .errors import Record, UnsupportedError, ValidationError, as_tuple, is_int
 from .intmat import Matrix, kernel_basis, solve_integer
-from .seeds import FixedData, _as_tuple, mutate_along, root_seed
+from .seeds import FixedData, mutate_along, root_seed
 
 
 def wedge(u, v):
@@ -38,12 +38,10 @@ class Rank2Data(Record):
     __slots__ = ("w", "nu")
 
     def __init__(self, w, nu=None):
-        w = _as_tuple(w, "each w must be an integer pair")
-        w = tuple(_as_tuple(v, "each w must be an integer pair") for v in w)
-        nu = _as_tuple((1,) * len(w) if nu is None else nu,
-                       "weights nu must be positive integers")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "nu", nu)
+        w = as_tuple(w, "each w must be an integer pair")
+        w = tuple(as_tuple(v, "each w must be an integer pair") for v in w)
+        nu = as_tuple((1,) * len(w) if nu is None else nu,
+                      "weights nu must be positive integers")
         if len(w) != len(nu):
             raise ValidationError("w and nu must have the same length")
         for v in w:
@@ -56,6 +54,7 @@ class Rank2Data(Record):
         # w generates Z^2 exactly when its 2 x 2 minors have gcd 1
         if gcd(*(wedge(u, v) for u in w for v in w)) != 1:
             raise ValidationError("the vectors w do not generate Z^2")
+        super().__init__(w, nu)
 
     @property
     def n(self):
@@ -82,7 +81,6 @@ class Fan2D(Record):
 
     def __init__(self, rays):
         rays = tuple(tuple(r) for r in rays)
-        object.__setattr__(self, "rays", rays)
         if len(rays) < 3:
             raise ValidationError("a complete fan needs at least three rays")
         if len(set(rays)) != len(rays):
@@ -95,6 +93,7 @@ class Fan2D(Record):
                 raise ValidationError(
                     f"consecutive rays {u}, {v} do not span a smooth cone"
                 )
+        super().__init__(rays)
 
     @property
     def size(self):

@@ -26,7 +26,7 @@ from itertools import repeat
 from math import gcd
 from operator import mod, mul, neg
 
-from .errors import Record, UnsupportedError, ValidationError, is_int
+from .errors import Frozen, Record, UnsupportedError, ValidationError, as_tuple, is_int
 from .intmat import Matrix, cokernel_invariants
 from .laurent import step_twist
 
@@ -37,14 +37,6 @@ def _as_int(x, what):
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     raise ValidationError(f"{what} must be an integer, got {x!r}")
-
-
-def _as_tuple(x, message):
-    """tuple(x), or ValidationError(message) when x is not iterable."""
-    try:
-        return tuple(x)
-    except TypeError:
-        raise ValidationError(message) from None
 
 
 def pos_part(x):
@@ -64,7 +56,7 @@ def _check_index(k, n):
 def _symmetrizers(d, n):
     """The symmetrizers d of a rank-n seed (all ones when d is None) as a
     tuple of n positive integers with gcd 1, or ValidationError."""
-    d = (1,) * n if d is None else _as_tuple(d, "symmetrizers d must be positive integers")
+    d = (1,) * n if d is None else as_tuple(d, "symmetrizers d must be positive integers")
     if any(not is_int(x) or x <= 0 for x in d):
         raise ValidationError("symmetrizers d must be positive integers")
     if len(d) != n:
@@ -94,7 +86,7 @@ class FixedData(Record):
         d = _symmetrizers(d, n)
         # the indices as given: a set would merge False into 0
         message = f"frozen indices must be integers in range({n})"
-        frozen = _as_tuple(frozen, message)
+        frozen = as_tuple(frozen, message)
         if not all(is_int(i) and 0 <= i < n for i in frozen):
             raise ValidationError(message)
         frozen = frozenset(frozen)
@@ -119,7 +111,7 @@ class FixedData(Record):
         return tuple(i for i in range(self.n) if i not in self.frozen)
 
 
-class Seed:
+class Seed(Frozen):
     """A basis of the fixed lattice, expressed in initial coordinates.
 
     Construction validates the structural invariants: the basis matrix B
@@ -136,8 +128,9 @@ class Seed:
     The acceptance suite checks the equality of both epsilon routes on
     random seeds.
 
-    Copy and pickle rebuild a seed from its basis, exchange matrix and
-    path, so neither recurses along a long path.
+    Equality and hash read the fixed data and the basis only, not the
+    lazy parent links.  Copy and pickle rebuild a seed from its basis,
+    exchange matrix and path, so neither recurses along a long path.
     """
 
     __slots__ = ("fixed", "eps", "_basis", "_link", "_parent")
@@ -148,9 +141,6 @@ class Seed:
         object.__setattr__(self, "_link", None)
         object.__setattr__(self, "_parent", None)
         self._validate_and_derive()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Seed is immutable")
 
     @classmethod
     def _trusted(cls, fixed, basis, link, eps, parent=None):

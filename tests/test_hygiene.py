@@ -1,8 +1,9 @@
 """Checks on the repository's own files, standard library only: every name a
-src module imports is used in it, importing the CLI loads no introspection
-module, README's library quick start runs and prints what its comments say,
-its CLI synopsis names every option, every Python name its Layout table
-cites exists, and every layer the benchmark traces exists."""
+src module imports is used in it, only errors.py defines __setattr__ or
+__delattr__, importing the CLI loads no introspection module, README's
+library quick start runs and prints what its comments say, its CLI synopsis
+names every option, every Python name its Layout table cites exists, and
+every layer the benchmark traces exists."""
 
 import argparse
 import ast
@@ -18,8 +19,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "cluster_geom").glob("*.py"))
 # the package's __init__ imports names in order to export them
-MODULES = sorted(p for p in (ROOT / "src" / "cluster_geom").glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -44,6 +46,32 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_src_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def protocol_methods(source):
+    """The names among __setattr__ and __delattr__ that a module defines or
+    assigns anywhere, sorted."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return sorted(names & {"__setattr__", "__delattr__"})
+
+
+def test_protocol_methods_are_found():
+    source = "class A:\n    def __setattr__(self, n, v): pass\n    __delattr__ = f\n"
+    assert protocol_methods(source) == ["__delattr__", "__setattr__"]
+    assert protocol_methods("object.__setattr__(self, 'a', 1)\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_errors_owns_the_value_protocol(path):
+    """Immutability has one owner, errors.Frozen: no other src module
+    writes its own __setattr__ or __delattr__."""
+    expected = ["__delattr__", "__setattr__"] if path.name == "errors.py" else []
+    assert protocol_methods(path.read_text()) == expected
 
 
 def test_cli_import_loads_no_introspection_module():

@@ -1,3 +1,6 @@
+from operator import attrgetter
+
+
 class ClusterGeomError(Exception):
     """Base class for all package errors."""
 
@@ -61,27 +64,40 @@ class Record(Frozen):
     """A Frozen value whose fields are the names in its __slots__, set once
     by the constructor: equal and hashed field by field, copied and pickled
     by passing its fields back to the constructor by position, and shown as
-    Name(field=value, ...)."""
+    Name(field=value, ...).  Each subclass gets, when it is defined, its
+    slot descriptors, which the constructor writes through, and one getter
+    of its fields as a tuple."""
 
     __slots__ = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        cls._slots = tuple(cls.__dict__[name] for name in names)
+        get = attrgetter(*names)
+        # attrgetter of one name returns the value, not a 1-tuple
+        cls._fields = get if len(names) > 1 else staticmethod(lambda self: (get(self),))
 
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init__(self, *values):
+        slots = self._slots
+        if len(values) != len(slots):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(slots)} fields, got {len(values)}"
+            )
+        for slot, value in zip(slots, values):
+            slot.__set__(self, value)
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._fields(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        fields = self._fields
+        return fields(self) == fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

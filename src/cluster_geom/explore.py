@@ -470,34 +470,74 @@ def _verify_along_paths(seed, side, q, apply_step, depth, max_terms):
     path is carried as its seed, whose path mutate_seed extends by a parent
     link.
 
+    Many paths meet the same polynomial, and a step's twist is the same
+    computation wherever its key meets again: step_twist(seed, k, side)
+    reads only the walk's fixed data, d_k and e_k = seed.e_vector(k), so
+    apply_step is a function of (polynomial, d_k, e_k), compared by exact
+    equality, and the walk keeps its reduced result with the term count
+    and largest |exponent| under that key.  No theorem is assumed.  Paths,
+    term counts and degrees are still tallied per step, so the report is
+    unchanged, and a violation or a term cap can only stop a step that
+    computes, so it stops the walk at the same first path as without the
+    memo.  To keep memory flat on walks that never repeat, a polynomial's
+    results are stored only when its hash was met before: one set of ints
+    holds the hashes, each state's hash is taken once, and polynomials
+    that share a hash (frozenset hashes of exponent vectors do collide)
+    are told apart by equality within the hash's bucket.
+
     "laurent_ok" is always True and "witnesses" always [], yet both keys
     stay: perfbench/oracles.py reads both, and ROADMAP item 7 decides their
     future.
     """
     _check_depth(depth)
     limit = max_terms_limit(max_terms)
+    d = seed.fixed.d
     labels = sorted(seed.fixed.unfrozen, reverse=True)
+
+    def twist(cur_seed, k, poly):
+        nxt = apply_step(cur_seed, k, poly)
+        reduced = nxt.as_laurent(limit)
+        if reduced is None:
+            raise LaurentViolation(
+                f"side {side} pullback at index {k} is not Laurent",
+                path=cur_seed.path[len(seed.path):] + (k,),
+                expression=nxt,
+            )
+        return reduced, reduced.n_terms(), reduced.max_abs_exponent()
+
     paths = 0
     max_terms_seen = 1
     max_degree = 0
+    seen = set()  # hashes of the polynomials met so far
+    memo = {}  # hash -> [(polynomial, {(d_k, e_k): its twist}), ...]
     stack = [(seed, LaurentPolynomial.monomial(q), 0, None)] if depth > 0 else []
     while stack:
         cur_seed, poly, length, last = stack.pop()
         extend = length + 1 < depth
+        h = hash(poly)
+        twists = None
+        if h in seen:
+            bucket = memo.setdefault(h, [])
+            twists = next((t for p, t in bucket if p == poly), None)
+            if twists is None:
+                twists = {}
+                bucket.append((poly, twists))
+        else:
+            seen.add(h)
         for k in labels:
             if k == last:
                 continue
-            nxt = apply_step(cur_seed, k, poly)
-            reduced = nxt.as_laurent(limit)
             paths += 1
-            if reduced is None:
-                raise LaurentViolation(
-                    f"side {side} pullback at index {k} is not Laurent",
-                    path=cur_seed.path[len(seed.path):] + (k,),
-                    expression=nxt,
-                )
-            max_terms_seen = max(max_terms_seen, reduced.n_terms())
-            max_degree = max(max_degree, reduced.max_abs_exponent())
+            if twists is None:
+                reduced, terms, degree = twist(cur_seed, k, poly)
+            else:
+                key = (d[k], cur_seed.e_vector(k))
+                found = twists.get(key)
+                if found is None:
+                    found = twists[key] = twist(cur_seed, k, poly)
+                reduced, terms, degree = found
+            max_terms_seen = max(max_terms_seen, terms)
+            max_degree = max(max_degree, degree)
             if extend:
                 stack.append((mutate_seed(cur_seed, k), reduced, length + 1, k))
     return {

@@ -98,6 +98,11 @@ CASES = {
     "laurent_check_a3_frozen_A1111_d7": (
         A3_FROZEN, ["laurent-check", "--side", "A", "--q=1,1,1,1", "--depth", "7"]
     ),
+    # 4372 paths over the 42 clusters of A4: the walk's twist memo answers
+    # 2350 of its steps
+    "laurent_check_a4_A1111_d7": (
+        A4, ["laurent-check", "--side", "A", "--q=1,1,1,1", "--depth", "7"]
+    ),
     # the X side with d != 1 (189 paths)
     "laurent_check_b3_X_d6": (
         B3, ["laurent-check", "--side", "X", "--q=0,0,-1", "--depth", "6"]

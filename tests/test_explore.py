@@ -3,6 +3,8 @@ import importlib
 import inspect
 import pickle
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
@@ -37,6 +39,7 @@ from cluster_geom.laurent import (
     LaurentPolynomial,
     RationalExpression,
     inverse_pullback_A,
+    inverse_pullback_X,
     max_terms_limit,
     step_twist,
 )
@@ -56,6 +59,7 @@ from twist_oracle import monomial, pullback_A
 LP = LaurentPolynomial
 # the module, which the package's `explore` function shadows as an attribute
 explore_module = importlib.import_module("cluster_geom.explore")
+laurent_module = importlib.import_module("cluster_geom.laurent")
 
 A2 = [[0, 1], [-1, 0]]
 MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
@@ -1192,6 +1196,149 @@ class TestViolations:
             assert type(poly) is LaurentPolynomial and poly == carried
 
 
+def _unmemoized_walk(seed, side, q, apply_step, depth, max_terms):
+    """The depth-bounded walk of _verify_along_paths without its twist memo:
+    every step of every path calls apply_step.  The oracle of the memo."""
+    limit = max_terms_limit(max_terms)
+    labels = sorted(seed.fixed.unfrozen, reverse=True)
+    paths = 0
+    max_terms_seen = 1
+    max_degree = 0
+    stack = [(seed, LP.monomial(q), 0, None)] if depth > 0 else []
+    while stack:
+        cur_seed, poly, length, last = stack.pop()
+        extend = length + 1 < depth
+        for k in labels:
+            if k == last:
+                continue
+            nxt = apply_step(cur_seed, k, poly)
+            reduced = nxt.as_laurent(limit)
+            paths += 1
+            if reduced is None:
+                raise LaurentViolation(
+                    f"side {side} pullback at index {k} is not Laurent",
+                    path=cur_seed.path[len(seed.path):] + (k,),
+                    expression=nxt,
+                )
+            max_terms_seen = max(max_terms_seen, reduced.n_terms())
+            max_degree = max(max_degree, reduced.max_abs_exponent())
+            if extend:
+                stack.append((mutate_seed(cur_seed, k), reduced, length + 1, k))
+    return {
+        "side": side,
+        "q": list(q),
+        "depth": depth,
+        "paths_checked": paths,
+        "laurent_ok": True,
+        "witnesses": [],
+        "max_terms": max_terms_seen,
+        "max_degree": max_degree,
+    }
+
+
+def _twist_key(cur_seed, k, poly):
+    """What a step's twist reads: the polynomial, d_k and e_k."""
+    return poly, cur_seed.fixed.d[k], cur_seed.e_vector(k)
+
+
+def _keys_of(walk, seed, side, q, depth):
+    """The twist key of each apply_step call of the walk, in call order."""
+    pullback = inverse_pullback_A if side == "A" else inverse_pullback_X
+    keys = []
+
+    def recording(cur_seed, k, poly):
+        keys.append(_twist_key(cur_seed, k, poly))
+        return pullback(cur_seed, k, poly)
+
+    walk(seed, side, q, recording, depth, None)
+    return keys
+
+
+class TestTwistMemo:
+    """The walk stores a polynomial's twists, keyed by (d_k, e_k), from the
+    second meeting of its hash on; its reports, term-cap stops and
+    violations are the unmemoized walk's."""
+
+    @settings(max_examples=60, deadline=5000)
+    @given(relabeled_roots(st.integers(1, 4)), st.data())
+    def test_outcomes_equal_the_unmemoized_walk(self, case, data):
+        eps, d, frozen, depth, cap, _ = case
+        seed = seed_from_epsilon(eps, d, frozen)
+        n = len(eps)
+        # as in TestRandomRelabeling: q passes the precondition on side A
+        # when its unfrozen entries are >= 0, and on side X when checked
+        q_a = tuple(data.draw(st.integers(-2 * (i in frozen), 2)) for i in range(n))
+        q_x = tuple(data.draw(st.integers(-2, 2)) for _ in range(n))
+        sides = [("A", q_a, inverse_pullback_A)]
+        if all(step_twist(seed, i, "X")[1](q_x) >= 0 for i in seed.fixed.unfrozen):
+            sides.append(("X", q_x, inverse_pullback_X))
+        for side, q, pullback in sides:
+            args = (seed, side, q, pullback, depth, cap)
+            assert _outcome(lambda: _verify_along_paths(*args)) == _outcome(
+                lambda: _unmemoized_walk(*args)
+            )
+
+    def test_a_bad_twist_at_a_repeated_key_stops_at_the_oracles_path(self):
+        seed, q = seed_from_epsilon(D4), (0, 0, -1, -1)
+        met = Counter(_keys_of(_unmemoized_walk, seed, "X", q, 5))
+        twisted = Counter(_keys_of(_verify_along_paths, seed, "X", q, 5))
+        # the first key, in the oracle's order, that the memo answers at
+        # least once
+        bad_key = next(key for key in met if twisted[key] < met[key])
+        assert met[bad_key] >= 2
+        bad = RationalExpression(LP.one(4), LP(4, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1}))
+
+        def broken(cur_seed, k, poly):
+            if _twist_key(cur_seed, k, poly) == bad_key:
+                return bad
+            return inverse_pullback_X(cur_seed, k, poly)
+
+        caught = []
+        for walk in (_verify_along_paths, _unmemoized_walk):
+            with pytest.raises(LaurentViolation) as exc:
+                walk(seed, "X", q, broken, 5, None)
+            assert exc.value.expression is bad
+            caught.append(exc.value.path)
+        assert caught[0] == caught[1]
+
+    # the twists that the walk makes, and the paths it checks; Markov at
+    # (0, 1, 1) keeps all its twists, and at (1, 0, 0) x0 rides unchanged
+    # along 2, 1, 2, 1 past seeds with the root's e_0, so four repeat
+    @pytest.mark.parametrize("eps, side, q, depth, expected", [
+        (D4, "X", (0, 0, -1, -1), 5, (261, 484)),
+        (CYCLE4, "A", (0, 0, 0, 1), 4, (112, 160)),
+        (A4, "A", (1, 1, 1, 1), 9, (8243, 39364)),
+        (MARKOV, "A", (1, 0, 0), 5, (89, 93)),
+        (MARKOV, "A", (0, 1, 1), 5, (93, 93)),
+    ], ids=["D4-X-d5", "cycle4-d4", "A4-d9", "Markov-A100-d5", "Markov-A011-d5"])
+    def test_twist_counts(self, eps, side, q, depth, expected, monkeypatch):
+        twist = laurent_module.monomial_twist
+        calls = []
+
+        def counting(p, v, g):
+            calls.append(p)
+            return twist(p, v, g)
+
+        monkeypatch.setattr(laurent_module, "monomial_twist", counting)
+        verify = verify_laurent_A if side == "A" else verify_laurent_X
+        report = verify(seed_from_epsilon(eps), q, depth)
+        assert (len(calls), report["paths_checked"]) == expected
+
+    def test_memory_stays_flat_on_a_walk_that_rarely_repeats(self):
+        # Markov at depth 8 meets 765 keys, 727 of them once: the walk
+        # without a memo peaks near 0.7 MB, and one that stored every twist
+        # peaks above 20 MB
+        seed = seed_from_epsilon(MARKOV)
+        verify_laurent_A(seed, (1, 0, 0), 3)  # fill the twist's small caches
+        tracemalloc.start()
+        try:
+            verify_laurent_A(seed, (1, 0, 0), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+
 class TestPullbackOracle:
     @pytest.mark.parametrize("seed", [
         seed_from_epsilon(A3),
@@ -1324,7 +1471,7 @@ class TestGradedOracle:
             return found.pop()
 
         expected = degree(q)
-        checked = []
+        checked = set()
         pullback = explore_module.inverse_pullback_A
 
         def checking(cur, k, expr):
@@ -1334,9 +1481,19 @@ class TestGradedOracle:
                 e = e if isinstance(e, RationalExpression) else RationalExpression(e)
                 num, den = homogeneous_degree(e.num), homogeneous_degree(e.den)
                 assert tuple(map(int.__sub__, num, den)) == expected
-            checked.append(out)
+            checked.add(out)
             return out
 
         monkeypatch.setattr(explore_module, "inverse_pullback_A", checking)
         report = verify_laurent_A(seed, q, depth)
-        assert len(checked) == report["paths_checked"] > 0
+        # the walk twists each distinct (expression, d_k, e_k) once or
+        # twice, so each expression that the unmemoized walk makes is checked
+        made = set()
+
+        def making(cur, k, expr):
+            out = pullback(cur, k, expr)
+            made.add(out)
+            return out
+
+        assert _unmemoized_walk(seed, "A", q, making, depth, None) == report
+        assert checked == made and report["paths_checked"] > 0
